@@ -23,6 +23,7 @@ non-dissipative direction); 3 numerical failure (blow-up, instability);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -120,15 +121,11 @@ def _coeffs_from_config(cfg: dict) -> NonlinearityCoefficients:
         raise ConfigError(f"bad coefficient tensors: {exc}") from exc
 
 
-def _get(cfg: dict, section: str, key: str, default=None, required: bool = False):
+def _get(cfg: dict, section: str, key: str, default=None):
     sec = cfg.get(section, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"section {section!r} must be an object")
-    if key not in sec:
-        if required:
-            raise ConfigError(f"missing config entry {section}.{key}")
-        return default
-    return sec[key]
+    return sec.get(key, default)
 
 
 def _direction_from_ray(ray: dict) -> Direction:
@@ -163,10 +160,17 @@ def _forcing_from_ray(ray: dict, mu: float, sigma: float):
     raise ConfigError(f"unknown forcing type {kind!r}")
 
 
+def _write_json(path: Path, body) -> None:
+    with open(path, "w") as fh:
+        json.dump(body, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 class _Manifest:
     """Collects outputs/checks and always lands on disk."""
 
     def __init__(self, command: str, outdir: Path, config: dict):
+        outdir.mkdir(parents=True, exist_ok=True)
         self.command = command
         self.outdir = outdir
         self.config = config
@@ -180,8 +184,7 @@ class _Manifest:
         return path
 
     def write(self) -> None:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        body = {
+        _write_json(self.outdir / "manifest.json", {
             "command": self.command,
             "config": self.config,
             "version": __version__,
@@ -189,53 +192,55 @@ class _Manifest:
             "outputs": self.outputs,
             "checks": self.checks,
             "error": self.error,
-        }
-        with open(self.outdir / "manifest.json", "w") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
+
+
+# exit code for each exception class a command body may raise
+_EXIT_CODES = {
+    BlowUpError: EXIT_NUMERICAL,
+    InstabilityError: EXIT_NUMERICAL,
+    ProfileBlowUp: EXIT_NUMERICAL,
+    StepUnderflow: EXIT_NUMERICAL,
+    ValueError: EXIT_USAGE,        # includes ConfigError
+    TypeError: EXIT_USAGE,
+}
+
+
+def _run_command(name: str, body, args) -> int:
+    """Load the config with its --set overrides, run `body`, and always
+    write the manifest; a raised error is recorded and mapped to its
+    exit code (unmapped errors propagate after the manifest is written)."""
+    manifest = _Manifest(name, Path(args.out), {"config_path": args.config})
+    try:
+        manifest.config = _apply_overrides(_load_config(args.config), args.set)
+        return body(manifest.config, manifest)
+    except Exception as exc:
+        manifest.error = f"{type(exc).__name__}: {exc}"
+        code = next(
+            (c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), None
+        )
+        if code is None:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return code
+    finally:
+        manifest.write()
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def cmd_analyze(args) -> int:
-    outdir = Path(args.out)
-    try:
-        config = _apply_overrides(_load_config(args.config), args.set)
-    except ConfigError as exc:
-        m = _Manifest("analyze", outdir, {"config_path": args.config})
-        m.error = f"ConfigError: {exc}"
-        m.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    manifest = _Manifest("analyze", outdir, config)
-    try:
-        coeffs = _coeffs_from_config(config)
-        delta = float(_get(config, "prediction", "delta", 0.01))
-        report = analyze(coeffs, delta=delta)
-    except ConfigError as exc:
-        manifest.error = f"ConfigError: {exc}"
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        manifest.error = f"{type(exc).__name__}: {exc}"
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = manifest.add(outdir / "report.json")
-    with open(out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _analyze(config: dict, manifest: _Manifest) -> int:
+    coeffs = _coeffs_from_config(config)
+    delta = float(_get(config, "prediction", "delta", 0.01))
+    report = analyze(coeffs, delta=delta)
+    _write_json(manifest.add(manifest.outdir / "report.json"), report.to_dict())
     agemi_ok = report.agemi.status is not AgemiStatus.FAILS
     manifest.checks["sign_condition"] = agemi_ok
     manifest.checks["classification_clean"] = (
         report.cubic_null or report.classification is not None
     )
-    manifest.write()
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if agemi_ok else EXIT_CONDITION
 
@@ -247,51 +252,29 @@ def cmd_analyze(args) -> int:
 DEGENERATE_P_TOL = 1e-12
 
 
-def cmd_profile(args) -> int:
-    outdir = Path(args.out)
-    try:
-        config = _apply_overrides(_load_config(args.config), args.set)
-    except ConfigError as exc:
-        m = _Manifest("profile", outdir, {"config_path": args.config})
-        m.error = f"ConfigError: {exc}"
-        m.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    manifest = _Manifest("profile", outdir, config)
-    try:
-        coeffs = _coeffs_from_config(config)
-        ray_sec = config.get("ray", {})
-        if not isinstance(ray_sec, dict):
-            raise ConfigError("section 'ray' must be an object")
-        omega = _direction_from_ray(ray_sec)
-        ray = RayConfig(
-            sigma=float(ray_sec.get("sigma", 0.0)),
-            omega=omega,
-            eps=float(ray_sec.get("eps", 0.1)),
-            mu=float(ray_sec.get("mu", 0.05)),
-            t_end=float(ray_sec.get("t_end", 1e6)),
-            support_radius=float(ray_sec.get("support_radius", 1.0)),
-        )
-        forcing = _forcing_from_ray(ray_sec, ray.mu, ray.sigma)
-        v0 = ray_sec.get("v0")
-        v0 = None if v0 is None else float(v0)
-    except ConfigError as exc:
-        manifest.error = f"ConfigError: {exc}"
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        manifest.error = f"{type(exc).__name__}: {exc}"
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _profile(config: dict, manifest: _Manifest) -> int:
+    coeffs = _coeffs_from_config(config)
+    ray_sec = config.get("ray", {})
+    if not isinstance(ray_sec, dict):
+        raise ConfigError("section 'ray' must be an object")
+    omega = _direction_from_ray(ray_sec)
+    ray = RayConfig(
+        sigma=float(ray_sec.get("sigma", 0.0)),
+        omega=omega,
+        eps=float(ray_sec.get("eps", 0.1)),
+        mu=float(ray_sec.get("mu", 0.05)),
+        t_end=float(ray_sec.get("t_end", 1e6)),
+        support_radius=float(ray_sec.get("support_radius", 1.0)),
+    )
+    forcing = _forcing_from_ray(ray_sec, ray.mu, ray.sigma)
+    v0 = ray_sec.get("v0")
+    v0 = None if v0 is None else float(v0)
 
     P_val = eval_cubic_symbol(coeffs, omega)
     scale = max(1.0, float(np.abs(coeffs.C).max()))
     if P_val < -DEGENERATE_P_TOL * scale:
         manifest.error = "SignConditionViolated"
         manifest.checks["dissipative_direction"] = False
-        manifest.write()
         print(
             f"error: P(omega) = {P_val:.6g} < 0; the profile ODE is "
             "anti-dissipative in this direction",
@@ -302,15 +285,8 @@ def cmd_profile(args) -> int:
     if degenerate:
         P_val = 0.0
 
-    try:
-        series = integrate_profile(P_val, ray, forcing, v0=v0)
-    except (ProfileBlowUp, StepUnderflow) as exc:
-        manifest.error = f"{type(exc).__name__}: {exc}"
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    series = integrate_profile(P_val, ray, forcing, v0=v0)
 
-    outdir.mkdir(parents=True, exist_ok=True)
     bound_report: dict = {
         "P": P_val,
         "degenerate_direction": degenerate,
@@ -348,14 +324,9 @@ def cmd_profile(args) -> int:
         manifest.checks["matsumura_bound"] = holds
     manifest.checks["dissipative_direction"] = True
 
-    out_csv = manifest.add(outdir / "profile.csv")
-    with open(out_csv, "w") as fh:
+    with open(manifest.add(manifest.outdir / "profile.csv"), "w") as fh:
         series.write_csv(fh, bound=bound_col)
-    out_json = manifest.add(outdir / "bound_report.json")
-    with open(out_json, "w") as fh:
-        json.dump(bound_report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.write()
+    _write_json(manifest.add(manifest.outdir / "bound_report.json"), bound_report)
     print(json.dumps(bound_report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -375,86 +346,54 @@ def _write_checkpoint(outdir: Path, idx: int, snap, R: float, eps: float) -> lis
         "t": snap.t, "h": snap.h, "L": snap.L, "R": R, "eps": eps,
         "n": snap.u.shape[0], "dtype": "<f8", "layout": "u then u_t, row-major",
     }
-    with open(hdr_path, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(hdr_path, header)
     return [bin_path, hdr_path]
 
 
-def cmd_simulate(args) -> int:
-    outdir = Path(args.out)
-    try:
-        config = _apply_overrides(_load_config(args.config), args.set)
-    except ConfigError as exc:
-        m = _Manifest("simulate", outdir, {"config_path": args.config})
-        m.error = f"ConfigError: {exc}"
-        m.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    manifest = _Manifest("simulate", outdir, config)
-    try:
-        coeffs = _coeffs_from_config(config)
-        grid = config.get("grid", {})
-        if not isinstance(grid, dict) or "h" not in grid or "T" not in grid:
-            raise ConfigError("grid section must provide at least h and T")
-        data_sec = config.get("data", {})
-        data = InitialData(
-            kind=data_sec.get("kind", "smooth_bump"),
-            R=float(data_sec.get("R", 1.0)),
-            eps=float(data_sec.get("eps", 0.1)),
-            center=tuple(data_sec.get("center", (0.0, 0.0))),
+def _simulate(config: dict, manifest: _Manifest) -> int:
+    coeffs = _coeffs_from_config(config)
+    grid = config.get("grid", {})
+    if not isinstance(grid, dict) or "h" not in grid or "T" not in grid:
+        raise ConfigError("grid section must provide at least h and T")
+    data_sec = config.get("data", {})
+    data = InitialData(
+        kind=data_sec.get("kind", "smooth_bump"),
+        R=float(data_sec.get("R", 1.0)),
+        eps=float(data_sec.get("eps", 0.1)),
+        center=tuple(data_sec.get("center", (0.0, 0.0))),
+    )
+    L_default = float(grid["T"]) + data.R + 4.0 * float(grid["h"]) + 1.0
+    cfg = SolverConfig(
+        h=float(grid["h"]),
+        L=float(grid.get("L", L_default)),
+        T=float(grid["T"]),
+        nonlinearity=coeffs,
+        cfl=float(grid.get("cfl", 0.5)),
+        checkpoint_interval=float(grid.get("checkpoint_interval", 2.0)),
+    )
+    cfg.validate_domain(data.R)
+    rays = [
+        RayTap(
+            sigma=float(rspec.get("sigma", 0.0)),
+            omega=_direction_from_ray(rspec),
+            stride=int(rspec.get("stride", 2)),
         )
-        L_default = float(grid["T"]) + data.R + 4.0 * float(grid["h"]) + 1.0
-        cfg = SolverConfig(
-            h=float(grid["h"]),
-            L=float(grid.get("L", L_default)),
-            T=float(grid["T"]),
-            nonlinearity=coeffs,
-            cfl=float(grid.get("cfl", 0.5)),
-            checkpoint_interval=float(grid.get("checkpoint_interval", 2.0)),
-        )
-        cfg.validate_domain(data.R)
-        rays = []
-        for rspec in config.get("rays", []):
-            rays.append(
-                RayTap(
-                    sigma=float(rspec.get("sigma", 0.0)),
-                    omega=_direction_from_ray(rspec),
-                    stride=int(rspec.get("stride", 2)),
-                )
-            )
-    except ConfigError as exc:
-        manifest.error = f"ConfigError: {exc}"
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, TypeError) as exc:
-        manifest.error = f"{type(exc).__name__}: {exc}"
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        for rspec in config.get("rays", [])
+    ]
+    report = analyze(coeffs, delta=float(_get(config, "prediction", "delta", 0.01)))
 
-    try:
-        result = run(cfg, data, rays=rays)
-    except (BlowUpError, InstabilityError) as exc:
-        manifest.error = f"{type(exc).__name__}: {exc}"
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    outdir.mkdir(parents=True, exist_ok=True)
+    result = run(cfg, data, rays=rays)
+    outdir = manifest.outdir
 
     # decay-bound overlay E_bound(t) = C eps / (1 + eps^2 log(t+2))^lam,
     # with C fitted as the smallest constant making the bound an envelope
     bound = None
     fitted_C = None
-    report = analyze(coeffs, delta=float(_get(config, "prediction", "delta", 0.01)))
     if report.prediction is not None and data.eps > 0:
         lam = report.prediction.lam
         weights = (1.0 + data.eps ** 2 * np.log(result.energy.times + 2.0)) ** lam
         fitted_C = float(np.max(result.energy.E * weights) / data.eps)
         bound = fitted_C * data.eps / weights
-        manifest.checks["energy_below_fitted_bound"] = True
     out_csv = manifest.add(outdir / "energy.csv")
     with open(out_csv, "w") as fh:
         result.energy.write_csv(fh, bound=bound)
@@ -476,12 +415,7 @@ def cmd_simulate(args) -> int:
         "fitted_energy_constant": fitted_C,
         "lambda": report.prediction.lam if report.prediction else None,
     }
-    p = manifest.add(outdir / "diagnostics.json")
-    with open(p, "w") as fh:
-        json.dump(diag, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.checks["propagation_within_guard"] = True  # diagnostic, see value
-    manifest.write()
+    _write_json(manifest.add(outdir / "diagnostics.json"), diag)
     print(json.dumps(diag, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -641,34 +575,48 @@ def cmd_verify(args) -> int:
 # report
 
 
+def _energy_svg(rows) -> str:
+    """Energy (solid) and fitted bound (dashed) against t as an SVG document."""
+    W, H, PAD = 600, 400, 50
+    t = np.atleast_1d(rows["t"])
+    curves = [("E", "", "energy norm")]
+    if "E_bound" in (rows.dtype.names or ()):
+        curves.append(("E_bound", ' stroke-dasharray="6 4"', "fitted logarithmic bound"))
+    ys = np.concatenate([np.atleast_1d(rows[c]) for c, _, _ in curves])
+    t0, t1 = float(t.min()), float(t.max())
+    y0, y1 = min(0.0, float(ys.min())), float(ys.max())
+
+    def xy(tt, yy):
+        x = PAD + (W - 2 * PAD) * (tt - t0) / ((t1 - t0) or 1.0)
+        y = H - PAD - (H - 2 * PAD) * (yy - y0) / ((y1 - y0) or 1.0)
+        return f"{x:.2f},{y:.2f}"
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
+        f'<rect x="{PAD}" y="{PAD}" width="{W - 2 * PAD}" height="{H - 2 * PAD}"'
+        ' fill="none" stroke="black"/>',
+        f'<text x="{W // 2}" y="{H - 10}" text-anchor="middle">t ({t0:g} to {t1:g})</text>',
+        f'<text x="10" y="{PAD - 10}">E ({y0:g} to {y1:g})</text>',
+    ]
+    for k, (col, dash, label) in enumerate(curves):
+        pts = " ".join(xy(a, b) for a, b in zip(t, np.atleast_1d(rows[col])))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="black"{dash}/>')
+        out.append(f'<text x="{W - PAD - 5}" y="{PAD + 20 * (k + 1)}"'
+                   f' text-anchor="end">{label}</text>')
+    return "\n".join(out + ["</svg>", ""])
+
+
 def cmd_report(args) -> int:
     rundir = Path(args.rundir)
     csv_path = rundir / "energy.csv"
     if not csv_path.is_file():
         print(f"error: {csv_path} not found (not a simulate run?)", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("error: matplotlib is required for 'report'", file=sys.stderr)
-        return EXIT_USAGE
-
     rows = np.genfromtxt(csv_path, delimiter=",", names=True)
     manifest = _Manifest("report", rundir, {"rundir": str(rundir)})
-    fig, ax = plt.subplots(figsize=(6, 4))
-    ax.plot(rows["t"], rows["E"], label="energy norm")
-    if "E_bound" in (rows.dtype.names or ()):
-        ax.plot(rows["t"], rows["E_bound"], "--", label="fitted logarithmic bound")
-    ax.set_xlabel("t")
-    ax.set_ylabel("E")
-    ax.legend()
-    fig.tight_layout()
     out = Path(args.out) if args.out else rundir / "report.svg"
-    fig.savefig(out, format="svg")
-    plt.close(fig)
+    out.write_text(_energy_svg(rows))
     manifest.add(out)
     manifest.checks["plot_emitted"] = True
     manifest.write()
@@ -688,35 +636,20 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="structural report of a nonlinearity")
-    p.add_argument("config")
-    p.add_argument(
-        "--set", action="append", metavar="PATH=VALUE",
-        help="override a config entry, e.g. --set grid.h=0.1 "
-        "(repeatable; dotted path into the JSON config)",
-    )
-    p.add_argument("--out", default="analyze_out")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("profile", help="integrate a ray profile ODE")
-    p.add_argument("config")
-    p.add_argument(
-        "--set", action="append", metavar="PATH=VALUE",
-        help="override a config entry, e.g. --set grid.h=0.1 "
-        "(repeatable; dotted path into the JSON config)",
-    )
-    p.add_argument("--out", default="profile_out")
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("simulate", help="run the 2D leapfrog solver")
-    p.add_argument("config")
-    p.add_argument(
-        "--set", action="append", metavar="PATH=VALUE",
-        help="override a config entry, e.g. --set grid.h=0.1 "
-        "(repeatable; dotted path into the JSON config)",
-    )
-    p.add_argument("--out", default="simulate_out")
-    p.set_defaults(func=cmd_simulate)
+    for name, body, help_text in (
+        ("analyze", _analyze, "structural report of a nonlinearity"),
+        ("profile", _profile, "integrate a ray profile ODE"),
+        ("simulate", _simulate, "run the 2D leapfrog solver"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config")
+        p.add_argument(
+            "--set", action="append", metavar="PATH=VALUE",
+            help="override a config entry, e.g. --set grid.h=0.1 "
+            "(repeatable; dotted path into the JSON config)",
+        )
+        p.add_argument("--out", default=f"{name}_out")
+        p.set_defaults(func=functools.partial(_run_command, name, body))
 
     p = sub.add_parser("verify", help="run a module invariant suite")
     p.add_argument("suite")

@@ -178,6 +178,8 @@ class RayConfig:
     t_start: float = field(init=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sigma, self.eps, self.mu, self.t_end))):
+            raise ValueError("sigma, eps, mu and t_end must be finite")
         if self.sigma > self.support_radius:
             raise ValueError("sigma must not exceed the data support radius")
         if not 0.0 < self.mu < 0.1:
@@ -311,6 +313,8 @@ def integrate_profile(
         raise ValueError("P_val must be nonnegative")
     if v0 is None:
         v0 = ray.eps * ray.sigma_weight ** (ray.mu - 1.0)
+    if not abs(v0) <= BLOWUP_GUARD:
+        raise ProfileBlowUp(ray.t_start, v0)
 
     out_t = _log_grid(ray.t_start, ray.t_end)
     out_s = np.log(out_t)
@@ -320,7 +324,7 @@ def integrate_profile(
         return -0.5 * P_val * v ** 3 + t * forcing(t, v)
 
     def guard(s, v):
-        if abs(v) > BLOWUP_GUARD:
+        if not abs(v) <= BLOWUP_GUARD:
             raise ProfileBlowUp(math.exp(s), v)
 
     vs = _integrate_adaptive(

@@ -195,7 +195,7 @@ def _refine_minimum(psi, lo, hi, iters=200):
     return x, psi(x)
 
 
-def _refine_root(f, fprime, lo, hi, x0, iters=60):
+def _refine_root(f, lo, hi, iters=60):
     """Find a root of f in [lo, hi] by bisection to machine-level width.
 
     Returns None if no sign change of f exists in the interval.  Plain
@@ -242,7 +242,7 @@ def _detect_zero(psi: TrigPolynomial, derivs, theta_hat, half_width, scale):
         fvals = np.array([f(x) for x in grid])
         sign_change = np.nonzero(fvals[:-1] * fvals[1:] <= 0.0)[0]
         for i in sign_change:
-            x = _refine_root(f, derivs[k], float(grid[i]), float(grid[i + 1]), theta_hat)
+            x = _refine_root(f, float(grid[i]), float(grid[i + 1]))
             if x is None:
                 continue
             tol_ok = all(
@@ -333,16 +333,23 @@ def classify(psi: TrigPolynomial, grid_points: int = GRID_POINTS) -> ZeroClassif
     return ZeroClassification(case=ZeroCase.FINITE_ZEROS, zeros=tuple(zeros))
 
 
+def _sign_condition(
+    coeffs: NonlinearityCoefficients,
+) -> tuple[AgemiResult, Optional[ZeroClassification]]:
+    """Sign condition of the cubic symbol, with its zero classification
+    (None when the symbol takes negative values)."""
+    try:
+        cl = classify(cubic_to_trig_poly(coeffs))
+    except NegativityDetected as exc:
+        return AgemiResult(status=AgemiStatus.FAILS, witness=exc.theta), None
+    if cl.case is ZeroCase.STRICTLY_POSITIVE:
+        return AgemiResult(status=AgemiStatus.HOLDS_STRICTLY, min_value=cl.min_value), cl
+    return AgemiResult(status=AgemiStatus.HOLDS), cl
+
+
 def check_agemi(coeffs: NonlinearityCoefficients) -> AgemiResult:
     """Sign condition of the cubic symbol on the circle."""
-    psi = cubic_to_trig_poly(coeffs)
-    try:
-        cl = classify(psi)
-    except NegativityDetected as exc:
-        return AgemiResult(status=AgemiStatus.FAILS, witness=exc.theta)
-    if cl.case is ZeroCase.STRICTLY_POSITIVE:
-        return AgemiResult(status=AgemiStatus.HOLDS_STRICTLY, min_value=cl.min_value)
-    return AgemiResult(status=AgemiStatus.HOLDS)
+    return _sign_condition(coeffs)[0]
 
 
 def predict_decay(classification: ZeroClassification, delta: float = 0.01) -> DecayPrediction:
@@ -463,28 +470,14 @@ def verify_integrability(
 def analyze(coeffs: NonlinearityCoefficients, delta: float = 0.01) -> ConditionReport:
     """Full structural report: null conditions, sign condition, prediction."""
     qnull = check_quadratic_null(coeffs)
-    psi = cubic_to_trig_poly(coeffs)
-    try:
-        cl = classify(psi)
-    except NegativityDetected as exc:
-        return ConditionReport(
-            quadratic_null=qnull,
-            cubic_null=False,
-            agemi=AgemiResult(status=AgemiStatus.FAILS, witness=exc.theta),
-            classification=None,
-            prediction=None,
-        )
-    cubic_null = cl.case is ZeroCase.IDENTICALLY_ZERO
-    if cl.case is ZeroCase.STRICTLY_POSITIVE:
-        agemi = AgemiResult(status=AgemiStatus.HOLDS_STRICTLY, min_value=cl.min_value)
-    else:
-        agemi = AgemiResult(status=AgemiStatus.HOLDS)
+    agemi, cl = _sign_condition(coeffs)
+    case = cl.case if cl is not None else None
     prediction = None
-    if cl.case is ZeroCase.FINITE_ZEROS:
+    if case is ZeroCase.FINITE_ZEROS:
         prediction = predict_decay(cl, delta)
     return ConditionReport(
         quadratic_null=qnull,
-        cubic_null=cubic_null,
+        cubic_null=case is ZeroCase.IDENTICALLY_ZERO,
         agemi=agemi,
         classification=cl,
         prediction=prediction,

@@ -56,6 +56,8 @@ class Direction:
 
 def _as_tensor(arr, shape, name):
     out = np.asarray(arr, dtype=float).reshape(shape)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} coefficients must be finite")
     out = out.copy()
     out.setflags(write=False)
     return out
@@ -269,8 +271,3 @@ def cubic_to_trig_poly(coeffs: NonlinearityCoefficients) -> TrigPolynomial:
                 p2 = (j == 2) + (k == 2) + (l == 2)
                 terms.append((p1, p2, ((-1.0) ** nzero) * c))
     return TrigPolynomial(tuple(terms))
-
-
-def eval_trig(psi: TrigPolynomial, theta):
-    """Numeric evaluation of a trigonometric polynomial (alias of call)."""
-    return psi(theta)

@@ -59,8 +59,12 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in ("smooth_bump", "deriv_bump", "custom"):
             raise ValueError(f"unknown data kind {self.kind!r}")
-        if self.R <= 0:
-            raise ValueError("support radius must be positive")
+        if not 0 < self.R < math.inf:
+            raise ValueError("support radius must be positive and finite")
+        if not math.isfinite(self.eps):
+            raise ValueError("eps must be finite")
+        if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
+            raise ValueError("center must be two finite numbers")
 
 
 @dataclass(frozen=True)
@@ -75,10 +79,12 @@ class SolverConfig:
     checkpoint_interval: float = 2.0
 
     def __post_init__(self):
-        if self.cfl > 0.5 or self.cfl <= 0:
+        if not 0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5] (2D stability margin)")
-        if self.h <= 0 or self.L <= 0 or self.T <= 0:
-            raise ValueError("h, L, T must be positive")
+        if not (0 < self.h < self.L < math.inf and 0 < self.T < math.inf):
+            raise ValueError("h, L, T must be finite with 0 < h < L and T > 0")
+        if not 0 <= self.checkpoint_interval < math.inf:
+            raise ValueError("checkpoint_interval must be finite and >= 0")
 
     @property
     def n(self) -> int:
@@ -208,22 +214,39 @@ class LeapfrogSolver:
 
     def __init__(self, cfg: SolverConfig, data: InitialData):
         cfg.validate_domain(data.R if data.kind != "custom" else 0.0)
+        field0 = make_initial_data(data, cfg)
+        self._setup(cfg, field0)
+        self.u_prev = field0.u
+        self.u_cur = self._taylor_level(field0, self.dt)
+        self.step_index = 1          # u_cur lives at t = t0 + step_index * dt
+        self.initial_field = field0
+
+    @classmethod
+    def _from_field(cls, cfg: SolverConfig, state: WaveField) -> "LeapfrogSolver":
+        """Solver whose current level is `state`, started at t0 = state.t."""
+        solver = cls.__new__(cls)
+        solver._setup(cfg, state)
+        solver.u_prev = solver._taylor_level(state, -solver.dt)
+        solver.u_cur = state.u
+        solver.step_index = 0
+        return solver
+
+    def _setup(self, cfg: SolverConfig, field0: WaveField) -> None:
         self.cfg = cfg
-        self.h = cfg.h_eff
-        self.dt = cfg.dt
+        self.h = field0.h
+        self.dt = cfg.cfl * field0.h
+        self.t0 = field0.t
         self.linear = (
             not np.any(cfg.nonlinearity.B) and not np.any(cfg.nonlinearity.C)
         )
-        field0 = make_initial_data(data, cfg)
-        u0, ut0 = field0.u, field0.u_t
-        # second-order accurate first step
-        rhs0 = _laplacian(u0, self.h) + self._force(ut0, *_gradients(u0, self.h))
-        u1 = u0 + self.dt * ut0 + 0.5 * self.dt ** 2 * rhs0
-        self._zero_boundary(u1)
-        self.u_prev = u0
-        self.u_cur = u1
-        self.step_index = 1          # u_cur lives at t = step_index * dt
-        self.initial_field = field0
+
+    def _taylor_level(self, field0: WaveField, d: float) -> np.ndarray:
+        """Second-order accurate level at t0 + d from (u, u_t)."""
+        u, ut = field0.u, field0.u_t
+        rhs = _laplacian(u, self.h) + self._force(ut, *_gradients(u, self.h))
+        level = u + d * ut + 0.5 * d ** 2 * rhs
+        self._zero_boundary(level)
+        return level
 
     def _force(self, ut, ux, uy):
         if self.linear:
@@ -256,26 +279,21 @@ class LeapfrogSolver:
         unew = self._next(self.u_prev, self.u_cur)
         m = float(np.abs(unew).max())
         if m > BLOWUP_GUARD:
-            raise BlowUpError((self.step_index + 1) * self.dt, m)
+            raise BlowUpError(self.t0 + (self.step_index + 1) * self.dt, m)
         self.u_prev = self.u_cur
         self.u_cur = unew
         self.step_index += 1
 
     @property
     def t(self) -> float:
-        return self.step_index * self.dt
+        return self.t0 + self.step_index * self.dt
 
-    def lookahead(self) -> np.ndarray:
-        """The next level, computed without committing (for centered u_t)."""
-        return self._next(self.u_prev, self.u_cur)
 
-    def snapshot(self, u_next: Optional[np.ndarray] = None) -> WaveField:
-        if u_next is None:
-            u_next = self.lookahead()
-        u_t = (u_next - self.u_prev) / (2.0 * self.dt)
-        return WaveField(
-            t=self.t, u=self.u_cur.copy(), u_t=u_t,
-            h=self.h, L=self.cfg.L,
+def _check_linear_growth(e0: float, e1: float, t: float) -> None:
+    """A linear run conserves energy, so 10% growth means instability."""
+    if e0 > 0 and e1 > 1.1 * e0:
+        raise InstabilityError(
+            f"linear energy grew by {e1 / e0 - 1.0:.1%} by t = {t:.2f}"
         )
 
 
@@ -286,47 +304,15 @@ def step(state: WaveField, cfg: SolverConfig) -> WaveField:
     one leapfrog update, and centers the new time derivative with a
     lookahead level.
     """
-    h = state.h
-    dt = cfg.cfl * h
-    linear = not np.any(cfg.nonlinearity.B) and not np.any(cfg.nonlinearity.C)
-
-    def force(ut, ux, uy):
-        if linear:
-            return 0.0
-        return apply_nonlinearity(cfg.nonlinearity, ut, ux, uy)
-
-    ux, uy = _gradients(state.u, h)
-    rhs = _laplacian(state.u, h) + force(state.u_t, ux, uy)
-    u_prev = state.u - dt * state.u_t + 0.5 * dt ** 2 * rhs
-
-    def advance(up, uc):
-        lap = _laplacian(uc, h)
-        if linear:
-            unew = 2.0 * uc - up + dt ** 2 * lap
-        else:
-            gx, gy = _gradients(uc, h)
-            ut = (uc - up) / dt
-            unew = uc
-            for _ in range(2):
-                unew = 2.0 * uc - up + dt ** 2 * (lap + force(ut, gx, gy))
-                ut = (unew - up) / (2.0 * dt)
-        unew[0, :] = unew[-1, :] = 0.0
-        unew[:, 0] = unew[:, -1] = 0.0
-        return unew
-
-    u_new = advance(u_prev, state.u)
-    m = float(np.abs(u_new).max())
-    if m > BLOWUP_GUARD:
-        raise BlowUpError(state.t + dt, m)
-    u_next = advance(state.u, u_new)
-    u_t_new = (u_next - state.u) / (2.0 * dt)
-    new = WaveField(t=state.t + dt, u=u_new, u_t=u_t_new, h=h, L=state.L)
-    if linear:
-        e0, e1 = energy(state), energy(new)
-        if e0 > 0 and e1 > 1.1 * e0:
-            raise InstabilityError(
-                f"linear energy grew by {e1 / e0 - 1.0:.1%} in one step"
-            )
+    solver = LeapfrogSolver._from_field(cfg, state)
+    solver.advance()
+    u_next = solver._next(solver.u_prev, solver.u_cur)
+    new = WaveField(
+        t=solver.t, u=solver.u_cur,
+        u_t=(u_next - solver.u_prev) / (2.0 * solver.dt), h=state.h, L=state.L,
+    )
+    if solver.linear:
+        _check_linear_growth(energy(state), energy(new), new.t)
     return new
 
 
@@ -371,11 +357,49 @@ def _ray_w(u: np.ndarray, r: float, omega: Direction, h: float, L: float) -> flo
     return math.sqrt(r) * _bilinear(u, x, y, h, L)
 
 
+def _ray_V(
+    levels: tuple[np.ndarray, np.ndarray, np.ndarray], t: float, sigma: float,
+    omega: Direction, h: float, L: float, dt: float,
+) -> Optional[float]:
+    """V = (w_r - w_t)/2 at r = t + sigma from the levels at t - dt, t, t + dt.
+
+    w = sqrt(r) u; w_r is a centered difference on the middle level, w_t
+    one across the outer levels.  None when t is before the ray start,
+    r is too close to the origin, or the stencil leaves the grid.
+    """
+    r = t + sigma
+    if t < max(2.0, -2.0 * sigma) or r < max(t / 2.0, 1.0):
+        return None
+    u_m, u_c, u_p = levels
+    try:
+        wr_p = _ray_w(u_c, r + h, omega, h, L)
+        wr_m = _ray_w(u_c, r - h, omega, h, L)
+        wt_p = _ray_w(u_p, r, omega, h, L)
+        wt_m = _ray_w(u_m, r, omega, h, L)
+    except RayOutsideDomain:
+        return None
+    w_r = (wr_p - wr_m) / (2.0 * h)
+    w_t = (wt_p - wt_m) / (2.0 * dt)
+    return 0.5 * (w_r - w_t)
+
+
+def _ray_series(ts: list, vs: list, sigma: float) -> ProfileSeries:
+    vs = np.array(vs)
+    return ProfileSeries(
+        times=np.array(ts), V=vs, G=np.zeros_like(vs), Phi=np.zeros_like(vs),
+        sigma=sigma,
+    )
+
+
 @dataclass(frozen=True)
 class RayTap:
     sigma: float
     omega: Direction
     stride: int = 2        # sample every this many steps
+
+    def __post_init__(self):
+        if not isinstance(self.stride, int) or self.stride < 1:
+            raise ValueError("ray stride must be an integer >= 1")
 
 
 @dataclass
@@ -409,11 +433,11 @@ def run(
     ckpt_every = max(1, int(round(cfg.checkpoint_interval / dt)))
 
     checkpoints = [solver.initial_field]
-    en_t = [0.0]
-    en_E = [math.sqrt(energy(solver.initial_field))]
+    e_last = energy(solver.initial_field)
+    en_E = [math.sqrt(e_last)]
     prop = [(0.0, check_propagation(solver.initial_field, R))]
     snapshots: list[WaveField] = []
-    ray_rows: dict[int, list[tuple[float, float]]] = {i: [] for i in range(len(rays))}
+    ray_rows: list[tuple[list, list]] = [([], []) for _ in rays]
 
     for n in range(1, nsteps + 1):
         u_prevprev = solver.u_prev
@@ -421,61 +445,40 @@ def run(
         # levels now: u_prevprev at t-dt, solver.u_prev at t, solver.u_cur
         # at t+dt, so everything centered at t is available
         t_mid = solver.t - dt
-        u_m, u_p = u_prevprev, solver.u_cur
-        u_c = solver.u_prev
-        step_mid = solver.step_index - 1
-        for i, tap in enumerate(rays):
-            if step_mid % tap.stride:
+        levels = (u_prevprev, solver.u_prev, solver.u_cur)
+        for tap, (ts, vs) in zip(rays, ray_rows):
+            if n % tap.stride:
                 continue
-            r = t_mid + tap.sigma
-            if t_mid < max(2.0, -2.0 * tap.sigma) or r < max(t_mid / 2.0, 1.0):
-                continue
-            try:
-                wr_p = _ray_w(u_c, r + solver.h, tap.omega, solver.h, cfg.L)
-                wr_m = _ray_w(u_c, r - solver.h, tap.omega, solver.h, cfg.L)
-                wt_p = _ray_w(u_p, r, tap.omega, solver.h, cfg.L)
-                wt_m = _ray_w(u_m, r, tap.omega, solver.h, cfg.L)
-            except RayOutsideDomain:
-                continue
-            w_r = (wr_p - wr_m) / (2.0 * solver.h)
-            w_t = (wt_p - wt_m) / (2.0 * dt)
-            ray_rows[i].append((t_mid, 0.5 * (w_r - w_t)))
-        if step_mid % ckpt_every == 0 or n == nsteps:
-            snap = WaveField(
-                t=t_mid, u=u_c.copy(), u_t=(u_p - u_m) / (2.0 * dt),
-                h=solver.h, L=cfg.L,
-            )
-            checkpoints.append(snap)
-            en_t.append(snap.t)
-            en_E.append(math.sqrt(energy(snap)))
-            prop.append((snap.t, check_propagation(snap, R)))
-            if solver.linear and en_E[-2] > 0:
-                if en_E[-1] ** 2 > 1.1 * en_E[-2] ** 2:
-                    raise InstabilityError(
-                        f"linear energy growing without bound near t = {snap.t:.2f}"
-                    )
-        if snapshot_stride and step_mid % snapshot_stride == 0:
-            if snapshot_window is None or (
-                snapshot_window[0] <= t_mid <= snapshot_window[1]
-            ):
-                snapshots.append(
-                    WaveField(
-                        t=t_mid, u=u_c.copy(), u_t=(u_p - u_m) / (2.0 * dt),
-                        h=solver.h, L=cfg.L,
-                    )
-                )
-
-    profiles = {}
-    for i, tap in enumerate(rays):
-        rows = ray_rows[i]
-        if not rows:
-            continue
-        ts = np.array([r[0] for r in rows])
-        vs = np.array([r[1] for r in rows])
-        profiles[i] = ProfileSeries(
-            times=ts, V=vs, G=np.zeros_like(vs), Phi=np.zeros_like(vs),
-            sigma=tap.sigma,
+            v = _ray_V(levels, t_mid, tap.sigma, tap.omega, solver.h, cfg.L, dt)
+            if v is not None:
+                ts.append(t_mid)
+                vs.append(v)
+        is_ckpt = n % ckpt_every == 0 or n == nsteps
+        is_dense = bool(snapshot_stride) and n % snapshot_stride == 0 and (
+            snapshot_window is None
+            or snapshot_window[0] <= t_mid <= snapshot_window[1]
         )
+        if not (is_ckpt or is_dense):
+            continue
+        snap = WaveField(
+            t=t_mid, u=solver.u_prev.copy(),
+            u_t=(solver.u_cur - u_prevprev) / (2.0 * dt), h=solver.h, L=cfg.L,
+        )
+        if is_ckpt:
+            checkpoints.append(snap)
+            e = energy(snap)
+            en_E.append(math.sqrt(e))
+            prop.append((snap.t, check_propagation(snap, R)))
+            if solver.linear:
+                _check_linear_growth(e_last, e, snap.t)
+            e_last = e
+        if is_dense:
+            snapshots.append(snap)
+
+    profiles = {
+        i: _ray_series(ts, vs, tap.sigma)
+        for i, (tap, (ts, vs)) in enumerate(zip(rays, ray_rows)) if ts
+    }
     diagnostics = {
         "propagation": prop,
         "max_propagation_leak": max(p for _, p in prop),
@@ -485,7 +488,9 @@ def run(
     }
     return RunResult(
         checkpoints=checkpoints,
-        energy=EnergySeries(times=np.array(en_t), E=np.array(en_E)),
+        energy=EnergySeries(
+            times=np.array([c.t for c in checkpoints]), E=np.array(en_E)
+        ),
         diagnostics=diagnostics,
         profiles=profiles,
         snapshots=snapshots,
@@ -508,30 +513,14 @@ def extract_ray(
         raise ValueError("snapshots must be uniformly spaced in time")
     delta = float(dts[0])
     ts, vs = [], []
-    for k in range(1, len(states) - 1):
-        s = states[k]
-        t = s.t
-        r = t + sigma
-        if t < max(2.0, -2.0 * sigma) or r < max(t / 2.0, 1.0):
-            continue
-        try:
-            wr_p = _ray_w(s.u, r + s.h, omega, s.h, s.L)
-            wr_m = _ray_w(s.u, r - s.h, omega, s.h, s.L)
-            wt_p = _ray_w(states[k + 1].u, r, omega, s.h, s.L)
-            wt_m = _ray_w(states[k - 1].u, r, omega, s.h, s.L)
-        except RayOutsideDomain:
-            continue
-        w_r = (wr_p - wr_m) / (2.0 * s.h)
-        w_t = (wt_p - wt_m) / (2.0 * delta)
-        ts.append(t)
-        vs.append(0.5 * (w_r - w_t))
+    for prev, s, nxt in zip(states, states[1:], states[2:]):
+        v = _ray_V((prev.u, s.u, nxt.u), s.t, sigma, omega, s.h, s.L, delta)
+        if v is not None:
+            ts.append(s.t)
+            vs.append(v)
     if not ts:
         raise RayOutsideDomain("no snapshot time admits the requested ray point")
-    ts = np.array(ts)
-    vs = np.array(vs)
-    return ProfileSeries(
-        times=ts, V=vs, G=np.zeros_like(vs), Phi=np.zeros_like(vs), sigma=sigma
-    )
+    return _ray_series(ts, vs, sigma)
 
 
 @dataclass(frozen=True)

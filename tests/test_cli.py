@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavedecay.cli import main
 
@@ -254,7 +260,6 @@ def test_verify_suites_pass(suite, capsys):
 
 
 def test_report_emits_svg(tmp_path):
-    pytest.importorskip("matplotlib")
     cfg = _write_cfg(tmp_path, SIM_CFG)
     out = tmp_path / "out"
     assert main(["simulate", cfg, "--out", str(out)]) == 0
@@ -265,3 +270,79 @@ def test_report_emits_svg(tmp_path):
 
 def test_report_requires_run_dir(tmp_path):
     assert main(["report", str(tmp_path)]) == 64
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: every input gives 0/2/3/64 and a manifest
+
+
+SMALL_CFG = {
+    "C": EXAMPLE_CFG["C"],
+    "data": {"kind": "smooth_bump", "R": 1.0, "eps": 0.1},
+    "grid": {"h": 0.25, "L": 6.0, "T": 2.0},
+    "rays": [{"sigma": 0.0, "omega": [1.0, 0.0]}],
+    "ray": {"sigma": 0.0, "omega": [1.0, 0.0], "t_end": 1e4},
+    "prediction": {"delta": 0.01},
+}
+
+
+def _run_quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate", 'rays=[{"sigma": 0.0, "omega": [1.0, 0.0], "stride": 0}]'),
+    ("simulate", 'grid={"h": 0.25, "T": Infinity}'),     # L omitted
+    ("simulate", "grid.checkpoint_interval=Infinity"),
+    ("simulate", "data.center=[1]"),
+    ("simulate", "data.eps=NaN"),
+    ("profile", "ray.t_end=NaN"),
+    ("profile", "ray.eps=Infinity"),
+    ("analyze", "C=[NaN" + ", 0" * 26 + "]"),
+])
+def test_invalid_config_values_exit_64(tmp_path, command, override):
+    cfg = _write_cfg(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert _run_quiet([command, cfg, "--set", override, "--out", str(out)]) == 64
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"]
+
+
+@pytest.mark.parametrize("v0", ["1e50", "1e200"])
+def test_profile_huge_amplitude_exits_3(tmp_path, v0):
+    cfg = _write_cfg(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert _run_quiet(["profile", cfg, "--set", f"ray.v0={v0}", "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"].startswith("ProfileBlowUp")
+
+
+_OVERRIDE_KEYS = [
+    "grid.h", "grid.L", "grid.T", "grid.cfl", "grid.checkpoint_interval",
+    "data.kind", "data.R", "data.eps", "data.center",
+    "ray.sigma", "ray.omega", "ray.omega_angle", "ray.eps", "ray.mu",
+    "ray.t_end", "ray.v0", "ray.support_radius", "ray.forcing",
+    "prediction.delta",
+]
+# no large finite values, so no draw can ask for a huge grid
+_OVERRIDE_VALUES = ["NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_OVERRIDE_KEYS), st.sampled_from(_OVERRIDE_VALUES)),
+        min_size=1, max_size=3,
+    )
+)
+def test_any_override_exits_with_documented_code(overrides):
+    sets = [a for key, value in overrides for a in ("--set", f"{key}={value}")]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_cfg(Path(tmp), SMALL_CFG)
+        for command in ("analyze", "profile", "simulate"):
+            out = Path(tmp) / command
+            code = _run_quiet([command, cfg, *sets, "--out", str(out)])
+            assert code in (0, 2, 3, 64), (command, overrides)
+            assert (out / "manifest.json").is_file()
