@@ -568,7 +568,7 @@ def cmd_verify(args) -> int:
         for label, ok in _SUITES[suite]():
             print(f"[{suite}] {'PASS' if ok else 'FAIL'}: {label}")
             failures += 0 if ok else 1
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_CONDITION
 
 
 # ---------------------------------------------------------------------------

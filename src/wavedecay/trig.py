@@ -36,7 +36,7 @@ class Direction:
 
     def __post_init__(self):
         norm2 = self.omega1 ** 2 + self.omega2 ** 2
-        if abs(norm2 - 1.0) > 1e-10:
+        if not abs(norm2 - 1.0) <= 1e-10:
             raise InvalidDirectionError(
                 f"({self.omega1}, {self.omega2}) is not on the unit circle"
             )

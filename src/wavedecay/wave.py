@@ -122,7 +122,7 @@ class WaveField:
 
     def __post_init__(self):
         m = float(np.abs(self.u).max()) if self.u.size else 0.0
-        if m > BLOWUP_GUARD:
+        if not m <= BLOWUP_GUARD:
             raise BlowUpError(self.t, m)
 
 
@@ -278,7 +278,7 @@ class LeapfrogSolver:
     def advance(self) -> None:
         unew = self._next(self.u_prev, self.u_cur)
         m = float(np.abs(unew).max())
-        if m > BLOWUP_GUARD:
+        if not m <= BLOWUP_GUARD:
             raise BlowUpError(self.t0 + (self.step_index + 1) * self.dt, m)
         self.u_prev = self.u_cur
         self.u_cur = unew

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavedecay import cli
 from wavedecay.cli import main
 
 EXAMPLE_CFG = {
@@ -207,11 +208,18 @@ def test_simulate_malformed_grid_exits_64(tmp_path):
     assert manifest["error"] is not None
 
 
-def test_simulate_blow_up_exits_3(tmp_path):
+@pytest.mark.parametrize("c0, data, grid", [
+    pytest.param(60.0, {"kind": "smooth_bump", "R": 1.0, "eps": 2.5},
+                 {"h": 0.25, "T": 12.0, "L": 18.0}, id="anti-damping"),
+    # damped, but F = -(u_t)^3 overflows and the field turns NaN
+    pytest.param(-1.0, {"kind": "deriv_bump", "eps": 1e120},
+                 {"h": 0.25, "L": 6.0, "T": 2.0}, id="overflow-to-nan"),
+])
+def test_simulate_blow_up_exits_3(tmp_path, c0, data, grid):
     body = json.loads(json.dumps(SIM_CFG))
-    body["C"][0] = 60.0     # strong anti-damping
-    body["data"]["eps"] = 2.5
-    body["grid"] = {"h": 0.25, "T": 12.0, "L": 18.0}
+    body["C"][0] = c0
+    body["data"] = data
+    body["grid"] = grid
     cfg = _write_cfg(tmp_path, body)
     out = tmp_path / "out"
     assert main(["simulate", cfg, "--out", str(out)]) == 3
@@ -249,6 +257,12 @@ def test_simulate_deterministic_csv(tmp_path):
 
 def test_verify_unknown_suite_exits_64(capsys):
     assert main(["verify", "bogus"]) == 64
+
+
+def test_verify_failed_check_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_SUITES", {"broken": lambda: [("always fails", False)]})
+    assert main(["verify", "broken"]) == 2
+    assert "[broken] FAIL: always fails" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("suite", ["algebra", "structure", "ode"])
@@ -300,6 +314,9 @@ def _run_quiet(argv):
     ("simulate", "data.eps=NaN"),
     ("profile", "ray.t_end=NaN"),
     ("profile", "ray.eps=Infinity"),
+    ("profile", "ray.omega_angle=NaN"),
+    ("profile", 'ray.forcing={"type": "envelope", "amplitude": NaN}'),
+    ("profile", 'ray.forcing={"type": "envelope", "mu": NaN}'),
     ("analyze", "C=[NaN" + ", 0" * 26 + "]"),
 ])
 def test_invalid_config_values_exit_64(tmp_path, command, override):

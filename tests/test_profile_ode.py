@@ -14,8 +14,10 @@ from wavedecay.profile_ode import (
     ProfileBlowUp,
     ProfileSeries,
     RayConfig,
+    StepUnderflow,
     TabulatedForcing,
     ZeroForcing,
+    _integrate_adaptive,
     check_matsumura_bound,
     check_sqrtlog_decay,
     integrate_profile,
@@ -129,8 +131,21 @@ def test_bound_holds_for_random_parameters():
         assert chk.holds, params
 
 
+def test_bound_check_on_grid_with_ulp_shifted_start():
+    # np.log of this log grid starts one ulp below log(t0); the solve
+    # must take its span from the grid, not from log(t0)
+    params = MatsumuraParams(c0=1.0, c1=0.5, p=2.0, q=1.5,
+                             t0=4.192351290772627, phi0=1.0)
+    assert check_matsumura_bound(params, t_end=4480927.125045097).holds
+
+
 # ---------------------------------------------------------------------------
 # profile integration
+
+
+def test_nan_derivative_raises_step_underflow():
+    with pytest.raises(StepUnderflow):
+        _integrate_adaptive(lambda s, y: math.nan, 1.0, np.linspace(0.0, 1.0, 5))
 
 
 def test_unforced_profile_matches_closed_form():
