@@ -70,6 +70,10 @@ class ConfigError(ValueError):
     """Malformed or missing configuration."""
 
 
+class SignConditionViolated(Exception):
+    """P(omega) < 0: the profile ODE is anti-dissipative in this direction."""
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -201,6 +205,7 @@ _EXIT_CODES = {
     InstabilityError: EXIT_NUMERICAL,
     ProfileBlowUp: EXIT_NUMERICAL,
     StepUnderflow: EXIT_NUMERICAL,
+    SignConditionViolated: EXIT_CONDITION,
     ValueError: EXIT_USAGE,        # includes ConfigError
     TypeError: EXIT_USAGE,
 }
@@ -273,14 +278,11 @@ def _profile(config: dict, manifest: _Manifest) -> int:
     P_val = eval_cubic_symbol(coeffs, omega)
     scale = max(1.0, float(np.abs(coeffs.C).max()))
     if P_val < -DEGENERATE_P_TOL * scale:
-        manifest.error = "SignConditionViolated"
         manifest.checks["dissipative_direction"] = False
-        print(
-            f"error: P(omega) = {P_val:.6g} < 0; the profile ODE is "
-            "anti-dissipative in this direction",
-            file=sys.stderr,
+        raise SignConditionViolated(
+            f"P(omega) = {P_val:.6g} < 0; the profile ODE is "
+            "anti-dissipative in this direction"
         )
-        return EXIT_CONDITION
     degenerate = abs(P_val) <= DEGENERATE_P_TOL * scale
     if degenerate:
         P_val = 0.0
@@ -496,6 +498,16 @@ def _suite_structure() -> list[tuple[str, bool]]:
     checks.append(("quadrature stabilizes below the critical exponent", rep.finite))
     rep2 = verify_integrability(c2, 0.7)
     checks.append(("quadrature diverges above the critical exponent", not rep2.finite))
+
+    # the one zero of (1 - cos(theta - 0.1))/2, reached round the circle,
+    # lands one ulp off its own angle
+    f = TrigPolynomial(
+        ((0, 0, 0.5), (1, 0, -0.5 * math.cos(0.1)), (0, 1, -0.5 * math.sin(0.1)))
+    )
+    rep3 = verify_integrability(f, 0.3)
+    exact = 2.0 * math.sqrt(math.pi) * math.gamma(0.2) / math.gamma(0.7)
+    ok = rep3.value is not None and abs(rep3.value / exact - 1.0) < 1e-6
+    checks.append(("single double zero at theta = 0.1 has its beta-function value", ok))
     return checks
 
 

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
+from .structure import WrongRegime
 from .trig import Direction
 
 LOG2 = math.log(2.0)
@@ -40,10 +41,6 @@ class ProfileBlowUp(RuntimeError):
 
 class StepUnderflow(RuntimeError):
     """The ODE solve failed: a NaN derivative, or DOP853 gave up (step too small)."""
-
-
-class WrongRegime(ValueError):
-    """Operation needs a strictly positive symbol value."""
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,12 @@ ZERO_VALUE_TOL = 1e-9
 DERIV_ORDER_TOL = 1e-7
 GRID_POINTS = 4096
 MIN_ZERO_GAP = 1e-6
+MINIMUM_ITERS = 200     # golden-section steps of _refine_minimum
+ROOT_ITERS = 60         # bisection steps of _refine_root
+# verify_integrability excludes min(QUAD_R0, smallest zero gap / 4) * QUAD_SHRINK**level
+QUAD_LEVELS = 6
+QUAD_R0 = 0.05
+QUAD_SHRINK = 1.0 / 16.0
 
 
 class NegativityDetected(ValueError):
@@ -49,7 +55,8 @@ class OrderOverflow(RuntimeError):
 
 
 class WrongRegime(ValueError):
-    """Operation requires the finite-zeros classification case."""
+    """Operation outside its regime: a symbol without finitely many zeros,
+    or a ray direction where P is not positive."""
 
 
 class ZeroCase(enum.Enum):
@@ -111,11 +118,6 @@ class DecayPrediction:
             self, "mu", 0.9 * min(0.1, (1 - 4 * lam) / (2 - 4 * lam))
         )
 
-    @property
-    def energy_rate_exponent(self) -> float:
-        """Exponent of the (log t)^(-x) energy-norm decay: 1/(4 nu) - delta."""
-        return self.lam
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -173,14 +175,14 @@ def _circ_dist(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def _refine_minimum(psi, lo, hi, iters=200):
+def _refine_minimum(psi, lo, hi):
     """Golden-section minimization of psi on [lo, hi]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = psi(c), psi(d)
-    for _ in range(iters):
+    for _ in range(MINIMUM_ITERS):
         if b - a < 1e-14:
             break
         if fc <= fd:
@@ -195,7 +197,7 @@ def _refine_minimum(psi, lo, hi, iters=200):
     return x, psi(x)
 
 
-def _refine_root(f, lo, hi, iters=60):
+def _refine_root(f, lo, hi):
     """Find a root of f in [lo, hi] by bisection to machine-level width.
 
     Returns None if no sign change of f exists in the interval.  Plain
@@ -212,7 +214,7 @@ def _refine_root(f, lo, hi, iters=60):
     if flo * fhi > 0.0:
         return None
     a, b, fa = lo, hi, flo
-    for _ in range(iters):
+    for _ in range(ROOT_ITERS):
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
@@ -259,7 +261,7 @@ def _detect_zero(psi: TrigPolynomial, derivs, theta_hat, half_width, scale):
     )
 
 
-def classify(psi: TrigPolynomial, grid_points: int = GRID_POINTS) -> ZeroClassification:
+def classify(psi: TrigPolynomial) -> ZeroClassification:
     """Trichotomy of a nonnegative trigonometric polynomial.
 
     Either identically zero (all Fourier coefficients below tolerance),
@@ -271,13 +273,13 @@ def classify(psi: TrigPolynomial, grid_points: int = GRID_POINTS) -> ZeroClassif
     if psi.max_abs_fourier() < FOURIER_NULL_TOL * scale:
         return ZeroClassification(case=ZeroCase.IDENTICALLY_ZERO)
 
-    thetas = TWO_PI * np.arange(grid_points) / grid_points
+    thetas = TWO_PI * np.arange(GRID_POINTS) / GRID_POINTS
     vals = np.asarray(psi(thetas))
     if vals.min() < -NEGATIVITY_TOL * scale:
         i = int(vals.argmin())
         raise NegativityDetected(float(thetas[i]), float(vals[i]))
 
-    dtheta = TWO_PI / grid_points
+    dtheta = TWO_PI / GRID_POINTS
     # local minima on the circular grid
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
@@ -383,15 +385,16 @@ def verify_integrability(
     psi: TrigPolynomial,
     gamma: float,
     classification: Optional[ZeroClassification] = None,
-    levels: int = 6,
-    r0: float = 0.05,
-    shrink: float = 1.0 / 16.0,
 ) -> IntegrabilityReport:
     """Certify (non-)convergence of the circle integral of 1/Psi^gamma.
 
     Each refinement level excludes a shrinking neighborhood of every zero.
-    For zeros whose local exponent 2 nu_j gamma is below 1, the near-zone
-    contribution is restored analytically from the model
+    The zones are nested, so the integral outside them is a running total:
+    level 0 integrates each flank of a zero from its excluded radius out
+    to the midpoint of the gap to the neighbouring zero, and every later
+    level adds only the shell it uncovers, from the new radius out to the
+    previous one.  For zeros whose local exponent 2 nu_j gamma is below 1,
+    the near-zone contribution is restored analytically from the model
     c_j (theta - theta_j)^(2 nu_j), so the estimate sequence stabilizes;
     at a zero with exponent >= 1 the model integral is infinite and the
     estimates grow without settling.  The excluded radius never shrinks
@@ -405,57 +408,44 @@ def verify_integrability(
     if classification.case is not ZeroCase.FINITE_ZEROS:
         raise WrongRegime("integrability check requires the finite-zeros case")
 
-    zeros = classification.zeros
-    gap = min(
-        (_circ_dist(zeros[i].theta, zeros[j].theta)
-         for i in range(len(zeros)) for j in range(i + 1, len(zeros))),
-        default=TWO_PI,
-    )
+    zeros = sorted(classification.zeros, key=lambda z: z.theta)
+    # half the gap from each zero to the next one round the circle; the
+    # left half-gap of zero i is half_gaps[i - 1], which wraps by index
+    thetas = [z.theta for z in zeros]
+    nexts = thetas[1:] + [thetas[0] + TWO_PI]
+    half_gaps = [0.5 * (b - a) for a, b in zip(thetas, nexts)]
     scale = max(1.0, psi.max_abs_coef)
-    r_start = min(r0, gap / 4.0)
+    r_start = min(QUAD_R0, min(half_gaps) / 2.0)
     noise_floor = 1e-14 * scale
-    r_noise = {
-        z.theta: (noise_floor / z.leading) ** (1.0 / z.order) for z in zeros
-    }
+    r_noise = [(noise_floor / z.leading) ** (1.0 / z.order) for z in zeros]
 
     def integrand(theta):
         return max(psi(theta), noise_floor) ** (-gamma)
 
-    def outer_integral(radii):
-        """Integral over the circle minus the excluded zones."""
-        angles = sorted(z.theta for z in zeros)
-        total = 0.0
-        m = len(angles)
-        for i, th in enumerate(angles):
-            nxt = angles[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
-            mid = 0.5 * (th + nxt)
-            r_r, r_l = radii[th], radii[nxt % TWO_PI]
-            # log-distance substitution on the flanks of each excluded zone
-            total += _quad(
-                lambda s, th=th, r=r_r: integrand(th + r * math.exp(s)) * r * math.exp(s),
-                0.0, math.log((mid - th) / r_r),
-            )
-            total += _quad(
-                lambda s, nxt=nxt, r=r_l: integrand(nxt - r * math.exp(s)) * r * math.exp(s),
-                0.0, math.log((nxt - mid) / r_l),
-            )
-        return total
-
-    def near_zone_model(radii):
-        """Analytic integral of the local models over the excluded zones."""
-        total = 0.0
-        for z in zeros:
-            a = 2.0 * gamma * (z.order // 2)   # exponent 2 nu_j gamma
-            if a < 1.0:
-                r = radii[z.theta]
-                total += 2.0 * z.leading ** (-gamma) * r ** (1.0 - a) / (1.0 - a)
-        return total
+    def flank(th, side, r_in, r_out):
+        """Integral over th + side * [r_in, r_out], in log-distance s = log(d / r_in)."""
+        return _quad(
+            lambda s: integrand(th + side * r_in * math.exp(s)) * r_in * math.exp(s),
+            0.0, math.log(r_out / r_in),
+        )
 
     estimates = []
-    for lvl in range(levels):
-        r = r_start * shrink ** lvl
-        radii = {z.theta: max(r, r_noise[z.theta]) for z in zeros}
-        estimates.append(outer_integral(radii) + near_zone_model(radii))
+    outer = 0.0
+    lefts, rights = half_gaps[-1:] + half_gaps[:-1], half_gaps
+    for lvl in range(QUAD_LEVELS):
+        r = r_start * QUAD_SHRINK ** lvl
+        radii = [max(r, rn) for rn in r_noise]
+        for z, r_j, lo, hi in zip(zeros, radii, lefts, rights):
+            outer += flank(z.theta, -1.0, r_j, lo) + flank(z.theta, 1.0, r_j, hi)
+        lefts = rights = radii
+        # analytic integral of the local models over the excluded zones
+        near = sum(
+            2.0 * z.leading ** (-gamma) * r_j ** (1.0 - gamma * z.order)
+            / (1.0 - gamma * z.order)
+            for z, r_j in zip(zeros, radii)
+            if gamma * z.order < 1.0
+        )
+        estimates.append(outer + near)
 
     finite = all(gamma * z.order < 1.0 for z in zeros)
     stabilized = abs(estimates[-1] - estimates[-2]) < 1e-4 * abs(estimates[-1])

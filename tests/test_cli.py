@@ -118,6 +118,9 @@ def test_profile_anti_dissipative_direction_exits_2(tmp_path):
     body["ray"] = {"sigma": 0.0, "omega": [1.0, 0.0]}
     cfg = _write_cfg(tmp_path, body)
     assert main(["profile", cfg, "--out", str(tmp_path / "out")]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["checks"]["dissipative_direction"] is False
+    assert manifest["error"].startswith("SignConditionViolated")
 
 
 def test_profile_bad_time_window_exits_64(tmp_path):

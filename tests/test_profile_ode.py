@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from wavedecay import structure
 from wavedecay.trig import Direction
 from wavedecay.profile_ode import (
     EnvelopeForcing,
@@ -214,7 +215,8 @@ def test_sqrtlog_decay_statistic():
     series = ProfileSeries(times=times, V=V, G=np.zeros(2), Phi=np.zeros(2))
     # |V| sqrt(P log t): max(2 sqrt(3), 1 * sqrt(3*4)) = 2 sqrt 3
     assert check_sqrtlog_decay(series, 3.0) == pytest.approx(2.0 * math.sqrt(3.0))
-    with pytest.raises(ValueError):
+    # the one WrongRegime of the package, so `except structure.WrongRegime` sees it
+    with pytest.raises(structure.WrongRegime):
         check_sqrtlog_decay(series, 0.0)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from planted import planted_polynomial
+from planted import planted_factor, planted_polynomial
 from wavedecay.trig import NonlinearityCoefficients, TrigPolynomial
 from wavedecay.structure import (
     AgemiStatus,
@@ -256,6 +256,32 @@ def test_quadrature_boundary_exponent_divergent():
     # order-6 zero: critical exponent gamma = 1/6
     rep = verify_integrability(_one_minus_sin_cubed(), 1.0 / 6.0)
     assert not rep.finite
+
+
+@pytest.mark.parametrize("theta0", [0.1, 1.0, 3.0, 5.5])
+def test_quadrature_single_planted_double_zero(theta0):
+    # int_0^{2pi} sin^{-2g}((theta - theta0)/2) = 2 sqrt(pi) G(1/2 - g) / G(1 - g);
+    # at theta0 = 0.1 the wrap-around neighbour of the only zero lands one
+    # ulp off its angle
+    gamma = 0.3
+    rep = verify_integrability(planted_factor(theta0), gamma)
+    exact = 2.0 * math.sqrt(math.pi) * sp.gamma(0.5 - gamma) / sp.gamma(1.0 - gamma)
+    assert rep.finite
+    assert rep.value == pytest.approx(exact, rel=1e-6)
+
+
+def test_quadrature_stabilizes_on_planted_two_and_three_zero_symbols():
+    rng = np.random.default_rng(20240817)
+    firsts = {}
+    while len(firsts) < 2:
+        poly, expected = planted_polynomial(rng)
+        if len(expected) in (2, 3):
+            firsts.setdefault(len(expected), (poly, expected))
+    for poly, expected in firsts.values():
+        nu = max(order for _, order, _ in expected) // 2
+        rep = verify_integrability(poly, 0.9 / (2 * nu))
+        assert rep.finite
+        assert rep.value is not None
 
 
 def test_quadrature_requires_finite_zero_regime():
