@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +226,12 @@ def test_simulate_blow_up_exits_3(tmp_path, c0, data, grid):
     body["grid"] = grid
     cfg = _write_cfg(tmp_path, body)
     out = tmp_path / "out"
-    assert main(["simulate", cfg, "--out", str(out)]) == 3
+    # every warning is recorded here instead of being printed to stderr;
+    # the guard's `error:` line is the only report a blow-up should make
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", cfg, "--out", str(out)]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     manifest = json.loads((out / "manifest.json").read_text())
     assert "BlowUpError" in manifest["error"]
 

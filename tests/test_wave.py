@@ -2,19 +2,27 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wavedecay import wave
 from wavedecay.trig import Direction, NonlinearityCoefficients
 from wavedecay.profile_ode import RayConfig, TabulatedForcing, ZeroForcing, integrate_profile
 from wavedecay.wave import (
     BlowUpError,
     InitialData,
+    LeapfrogSolver,
     RayOutsideDomain,
     RayTap,
     SolverConfig,
     WaveField,
+    _gradients,
+    _laplacian,
+    apply_nonlinearity,
     check_propagation,
     energy,
     extract_ray,
@@ -182,6 +190,110 @@ def test_step_matches_run_linear():
     # energy should be near-conserved across manual stepping too
     e0 = energy(make_initial_data(data, cfg))
     assert abs(energy(state) - e0) / e0 < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the fused step against a plain full-grid step
+
+
+def _full_grid_next(cfg, u_prev, u_cur):
+    """One leapfrog level on the whole grid, F evaluated term by term."""
+    coeffs, h, dt = cfg.nonlinearity, cfg.h_eff, cfg.dt
+    lap = _laplacian(u_cur, h)
+    if not np.any(coeffs.B) and not np.any(coeffs.C):
+        unew = 2.0 * u_cur - u_prev + dt ** 2 * lap
+    else:
+        ux, uy = _gradients(u_cur, h)
+        ut = (u_cur - u_prev) / dt
+        for _ in range(2):
+            F = apply_nonlinearity(coeffs, ut, ux, uy)
+            unew = 2.0 * u_cur - u_prev + dt ** 2 * (lap + F)
+            ut = (unew - u_prev) / (2.0 * dt)
+    unew[0, :] = unew[-1, :] = 0.0
+    unew[:, 0] = unew[:, -1] = 0.0
+    return unew
+
+
+def _random_tensor(rng, shape, density):
+    keep = rng.random(shape) < density
+    return np.where(keep, rng.uniform(-1.0, 1.0, shape), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    kind=st.sampled_from(["single C000", "random", "linear"]),
+    zero_data=st.booleans(),
+    edge=st.sampled_from(["row 1", "column 1", "row 0", "free"]),
+    strip_rows=st.sampled_from([1, 3, None]),
+)
+def test_fused_step_matches_full_grid_step(seed, kind, zero_data, edge, strip_rows):
+    rng = np.random.default_rng(seed)
+    B, C = np.zeros((3, 3)), np.zeros((3, 3, 3))
+    if kind == "single C000":
+        C[0, 0, 0] = rng.uniform(-2.0, 2.0)
+    elif kind == "random":
+        B = _random_tensor(rng, (3, 3), 0.3)
+        C = _random_tensor(rng, (3, 3, 3), 0.2)
+    cfg = SolverConfig(
+        h=0.5, L=5.0, T=1.0, nonlinearity=NonlinearityCoefficients(B=B, C=C)
+    )
+    n = cfg.n
+    # off-centre rectangular support, possibly on row/column 1 or on the
+    # boundary ring itself
+    r0, c0 = (int(v) for v in rng.integers(0, n - 4, size=2))
+    r0 = {"row 1": 1, "row 0": 0}.get(edge, r0)
+    c0 = 1 if edge == "column 1" else c0
+    r1, c1 = r0 + int(rng.integers(1, 6)), c0 + int(rng.integers(1, 6))
+    f, g = np.zeros((n, n)), np.zeros((n, n))
+    if not zero_data:
+        f[r0:r1, c0:c1] = rng.uniform(-0.1, 0.1, (r1 - r0, c1 - c0))
+        g[r0:r1, c0:c1] = rng.uniform(-0.1, 0.1, (r1 - r0, c1 - c0))
+    data = InitialData(kind="custom", eps=1.0, f_grid=f, g_grid=g)
+    strip_cells = wave.STRIP_CELLS if strip_rows is None else strip_rows * n
+    with mock.patch.object(wave, "STRIP_CELLS", strip_cells):
+        solver = LeapfrogSolver(cfg, data)
+        u_prev, u_cur = solver.u_prev.copy(), solver.u_cur.copy()
+        for _ in range(8):
+            solver.advance()
+            u_prev, u_cur = u_cur, _full_grid_next(cfg, u_prev, u_cur)
+            if kind == "random":
+                scale = np.abs(u_cur).max()
+                assert np.abs(solver.u_cur - u_cur).max() <= 1e-12 * scale
+            else:
+                assert solver.u_cur.tobytes() == u_cur.tobytes()
+    if zero_data:
+        assert not np.any(solver.u_cur) and not np.any(solver.u_prev)
+
+
+def test_run_checkpoints_keep_their_levels():
+    cfg = SolverConfig(
+        h=0.25, L=8.0, T=3.0, nonlinearity=_damping_coeffs(), checkpoint_interval=0.25
+    )
+    data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
+    solver = LeapfrogSolver(cfg, data)
+    levels = [solver.u_prev.copy(), solver.u_cur.copy()]
+    while len(levels) < round(cfg.T / cfg.dt) + 2:
+        solver.advance()
+        levels.append(solver.u_cur.copy())
+    res = run(cfg, data)
+    fresh = make_initial_data(data, cfg)
+    assert np.array_equal(res.checkpoints[0].u, fresh.u)
+    assert np.array_equal(res.checkpoints[0].u_t, fresh.u_t)
+    assert len(res.checkpoints) > 3
+    for snap in res.checkpoints[1:]:
+        k = round(snap.t / cfg.dt)
+        assert np.array_equal(snap.u, levels[k])
+        assert np.array_equal(snap.u_t, (levels[k + 1] - levels[k - 1]) / (2.0 * cfg.dt))
+
+
+def test_step_leaves_its_input_unchanged():
+    cfg = SolverConfig(h=0.25, L=8.0, T=1.0, nonlinearity=_damping_coeffs())
+    state = make_initial_data(InitialData(kind="smooth_bump", R=1.0, eps=0.1), cfg)
+    u, u_t = state.u.copy(), state.u_t.copy()
+    new = step(state, cfg)
+    assert np.array_equal(state.u, u) and np.array_equal(state.u_t, u_t)
+    assert not np.array_equal(new.u, u)
 
 
 # ---------------------------------------------------------------------------
