@@ -18,16 +18,13 @@ The step is one fused kernel (LeapfrogSolver._next) with two invariants:
   taken through the Laplacian, the gradients and both fixed-point
   sweeps while its scratch arrays are in cache.
 
-It does the floating-point operations of a full-grid step in the same
-order, except inside F, which is evaluated as a polynomial in u_t by
-Horner's rule.  With a single term in F whose u_t factors come last in
-index order (C[0][0][0], C[1][1][0], ...) the levels are bitwise equal to
-those of the full-grid step; otherwise they agree to rounding.
+It does the floating-point operations of a full-grid step built from
+_laplacian, _gradients and apply_nonlinearity in the same order, F's
+terms included, so its levels are bitwise equal to that step's.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -43,7 +40,6 @@ PROPAGATION_SLACK_CELLS = 4
 # (128 kB each) stay in cache, where a numpy ufunc costs ~0.4 ns per
 # element against ~1.3 ns on a whole 401^2 level.
 STRIP_CELLS = 16384
-_SCRATCH_ARRAYS = 11      # lap, ux, uy, ut, base, rhs, tmp, a0..a3
 
 
 class BlowUpError(RuntimeError):
@@ -231,37 +227,18 @@ def apply_nonlinearity(
     return out
 
 
-def _ut_polynomial(coeffs: NonlinearityCoefficients) -> list[list]:
-    """F as a polynomial in u_t: for each power p = 0..3, the terms of a_p.
-
-    A term is (c, idx): c times the spatial derivatives d[i], i in idx,
-    in index order.  The one term without spatial factors (B[0][0] or
-    C[0][0][0]) is listed last.
-    """
-    terms: list[list] = [[] for _ in range(4)]
-    for tensor in (coeffs.B, coeffs.C):
-        for index in itertools.product(range(3), repeat=tensor.ndim):
-            c = tensor[index]
-            if c != 0.0:
-                idx = tuple(i for i in index if i)
-                terms[len(index) - len(idx)].append((c, idx))
-    for t in terms:
-        t.sort(key=lambda term: not term[1])
+def _nonlinear_terms(coeffs: NonlinearityCoefficients) -> list:
+    """The nonzero terms (c, index) of F in apply_nonlinearity's order."""
+    B, C = coeffs.B, coeffs.C
+    terms = []
+    for j in range(3):
+        for k in range(3):
+            if B[j, k] != 0.0:
+                terms.append((B[j, k], (j, k)))
+            for l in range(3):
+                if C[j, k, l] != 0.0:
+                    terms.append((C[j, k, l], (j, k, l)))
     return terms
-
-
-def _horner(a: list, ut: np.ndarray, out: np.ndarray):
-    """sum_p a_p ut^p by Horner's rule, skipping the absent (None) a_p."""
-    top = max(p for p, ap in enumerate(a) if ap is not None)
-    if top == 0:
-        return a[0]
-    np.multiply(a[top], ut, out=out)
-    for p in range(top - 1, -1, -1):
-        if a[p] is not None:
-            out += a[p]
-        if p:
-            out *= ut
-    return out
 
 
 class LeapfrogSolver:
@@ -311,11 +288,9 @@ class LeapfrogSolver:
         self.h = field0.h
         self.dt = cfg.cfl * field0.h
         self.t0 = field0.t
-        self.linear = (
-            not np.any(cfg.nonlinearity.B) and not np.any(cfg.nonlinearity.C)
-        )
-        self._poly = _ut_polynomial(cfg.nonlinearity)
-        self._gradient_terms = any(idx for terms in self._poly for _, idx in terms)
+        self._terms = _nonlinear_terms(cfg.nonlinearity)
+        self.linear = not self._terms
+        self._gradient_terms = any(any(index) for _, index in self._terms)
 
     def _levels(self, u_prev: np.ndarray, u_cur: np.ndarray) -> None:
         """Copy the two starting levels into owned buffers; find the box."""
@@ -324,10 +299,16 @@ class LeapfrogSolver:
         self._spare = np.zeros_like(u_cur)
         n = u_cur.shape[0]
         # a strip is STRIP_CELLS cells, or one row when a row is longer.
-        # One array per role, none larger than a level: freeing a larger
-        # block raises glibc's dynamic trim threshold, which changes the
-        # cost of every later level-sized temporary in the process.
-        self._scratch = [np.empty(max(STRIP_CELLS, n)) for _ in range(_SCRATCH_ARRAYS)]
+        # One array per role _next uses, none larger than a level: freeing
+        # a larger block raises glibc's dynamic trim threshold, which
+        # changes the cost of every later level-sized temporary in the
+        # process.
+        roles = ["lap", "base", "tmp"]
+        if not self.linear:
+            roles += ["ut", "rhs"]
+        if self._gradient_terms:
+            roles += ["ux", "uy"]
+        self._scratch = {role: np.empty(max(STRIP_CELLS, n)) for role in roles}
         nonzero = (self.u_prev != 0.0) | (self.u_cur != 0.0)
         rows = np.flatnonzero(nonzero.any(axis=1))
         cols = np.flatnonzero(nonzero.any(axis=0))
@@ -369,8 +350,7 @@ class LeapfrogSolver:
 
         Same operations, in the same order, as one full-grid step built
         from _laplacian, _gradients and apply_nonlinearity: u_t in F is
-        solved by two fixed-point sweeps.  Only F's own evaluation order
-        differs (see _coefficients).
+        solved by two fixed-point sweeps.
         """
         out = self._spare
         self._zero_boundary(out)
@@ -388,9 +368,11 @@ class LeapfrogSolver:
             for s0 in range(r0, r1, step_rows):
                 s1 = min(s0 + step_rows, r1)
                 cells = (s1 - s0) * width
-                lap, ux, uy, ut, base, rhs, tmp, *coef = (
-                    buf[:cells].reshape(s1 - s0, width) for buf in self._scratch
-                )
+                strip = {
+                    role: buf[:cells].reshape(s1 - s0, width)
+                    for role, buf in self._scratch.items()
+                }
+                lap, base, tmp = strip["lap"], strip["base"], strip["tmp"]
                 uc = uc_all[s0:s1, c0:c1]
                 up = up_all[s0:s1, c0:c1]
                 unew = out[s0:s1, c0:c1]
@@ -408,48 +390,35 @@ class LeapfrogSolver:
                     lap *= dt2
                     np.add(base, lap, out=unew)
                 else:
+                    ut, rhs = strip["ut"], strip["rhs"]
+                    # ux, uy are None when no term of F has a spatial factor
+                    ux, uy = strip.get("ux"), strip.get("uy")
                     if self._gradient_terms:
                         np.subtract(south, north, out=ux)
                         ux /= two_h
                         np.subtract(east, west, out=uy)
                         uy /= two_h
-                    a = self._coefficients((None, ux, uy), coef, tmp)
                     np.subtract(uc, up, out=ut)
                     ut /= dt
                     for sweep in range(2):
                         if sweep:
                             np.subtract(unew, up, out=ut)
                             ut /= two_dt
-                        np.add(lap, _horner(a, ut, rhs), out=rhs)
+                        self._force_into(rhs, (ut, ux, uy), tmp)
+                        np.add(lap, rhs, out=rhs)
                         rhs *= dt2
                         np.add(base, rhs, out=unew)
                 peak = np.maximum(peak, np.abs(unew, out=tmp).max())
         return out, float(peak)
 
-    def _coefficients(self, d, bufs, tmp) -> list:
-        """a_p of F = sum_p a_p u_t^p on one strip; None for absent powers.
-
-        A term c * d_i * d_j * u_t^p adds (c * d_i) * d_j to a_p; Horner's
-        rule then multiplies by u_t p times.  That is apply_nonlinearity's
-        product order when the term is alone in F and its u_t factors come
-        last in index order.
-        """
-        coef = []
-        for terms, buf in zip(self._poly, bufs):
-            a = None
-            for c, idx in terms:          # the u_t-only term comes last
-                if not idx:
-                    a = c if a is None else np.add(a, c, out=a)
-                    continue
-                t = buf if a is None else tmp
-                np.multiply(c, d[idx[0]], out=t)
-                for i in idx[1:]:
-                    t *= d[i]
-                if a is not None:
-                    a += t
-                a = buf
-            coef.append(a)
-        return coef
+    def _force_into(self, out: np.ndarray, d: tuple, tmp: np.ndarray) -> None:
+        """apply_nonlinearity(coeffs, *d) on one strip, written into out."""
+        out.fill(0.0)
+        for c, index in self._terms:
+            np.multiply(c, d[index[0]], out=tmp)
+            for i in index[1:]:
+                tmp *= d[i]
+            out += tmp
 
     def advance(self) -> None:
         unew, m = self._next()

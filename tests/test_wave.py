@@ -257,11 +257,7 @@ def test_fused_step_matches_full_grid_step(seed, kind, zero_data, edge, strip_ro
         for _ in range(8):
             solver.advance()
             u_prev, u_cur = u_cur, _full_grid_next(cfg, u_prev, u_cur)
-            if kind == "random":
-                scale = np.abs(u_cur).max()
-                assert np.abs(solver.u_cur - u_cur).max() <= 1e-12 * scale
-            else:
-                assert solver.u_cur.tobytes() == u_cur.tobytes()
+            assert solver.u_cur.tobytes() == u_cur.tobytes()
     if zero_data:
         assert not np.any(solver.u_cur) and not np.any(solver.u_prev)
 
