@@ -51,7 +51,12 @@ def main() -> None:
         gamma_c = 1.0 / (2 * pred.nu)
         for gamma in (0.6 * gamma_c, 0.9 * gamma_c, 1.1 * gamma_c):
             rep = verify_integrability(psi, gamma)
-            tag = f"finite ~ {rep.value:.6g}" if rep.finite else "divergent"
+            if not rep.finite:
+                tag = "divergent"
+            elif rep.value is None:
+                tag = "finite, not stabilised"
+            else:
+                tag = f"finite ~ {rep.value:.6g}"
             print(f"  integral of Psi^(-{gamma:.4f}): {tag}")
 
 

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .trig import (
     TWO_PI,
@@ -36,9 +34,17 @@ MIN_ZERO_GAP = 1e-6
 MINIMUM_ITERS = 200     # golden-section steps of _refine_minimum
 ROOT_ITERS = 60         # bisection steps of _refine_root
 # verify_integrability excludes min(QUAD_R0, smallest zero gap / 4) * QUAD_SHRINK**level
+# round every zero and integrates in s = log(distance), one 32-node
+# Gauss-Legendre panel (nodes and weights on [0, 1]) per unit of s
 QUAD_LEVELS = 6
 QUAD_R0 = 0.05
 QUAD_SHRINK = 1.0 / 16.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+# it fits Psi / prod sin^o on grid points min(FIT_EXCLUSION, smallest zero
+# gap / 4) or more from every zero, and allows a misfit of FIT_TOL * scale
+FIT_EXCLUSION = 0.3
+FIT_TOL = 1e-8
 
 
 class NegativityDetected(ValueError):
@@ -143,23 +149,15 @@ class ConditionReport:
                 cd["min_value"] = float(f"{self.classification.min_value:.12g}")
             if self.classification.zeros:
                 cd["zeros"] = [
-                    {
-                        "theta": float(f"{z.theta:.12g}"),
-                        "order": z.order,
-                        "leading": float(f"{z.leading:.12g}"),
-                    }
+                    {"theta": float(f"{z.theta:.12g}"), "order": z.order,
+                     "leading": float(f"{z.leading:.12g}")}
                     for z in self.classification.zeros
                 ]
             d["classification"] = cd
         if self.prediction is not None:
             p = self.prediction
-            d["prediction"] = {
-                "nu": p.nu,
-                "delta": p.delta,
-                "lambda": p.lam,
-                "gamma_max": p.gamma_max,
-                "mu": p.mu,
-            }
+            d["prediction"] = {"nu": p.nu, "delta": p.delta, "lambda": p.lam,
+                               "gamma_max": p.gamma_max, "mu": p.mu}
         return d
 
 
@@ -241,7 +239,7 @@ def _detect_zero(psi: TrigPolynomial, derivs, theta_hat, half_width, scale):
     grid = np.linspace(lo, hi, 129)
     for k in range(2, max_order + 1, 2):
         f = derivs[k - 1]
-        fvals = np.array([f(x) for x in grid])
+        fvals = f(grid)
         sign_change = np.nonzero(fvals[:-1] * fvals[1:] <= 0.0)[0]
         for i in sign_change:
             x = _refine_root(f, float(grid[i]), float(grid[i + 1]))
@@ -253,9 +251,7 @@ def _detect_zero(psi: TrigPolynomial, derivs, theta_hat, half_width, scale):
             )
             dk = derivs[k](x)
             if tol_ok and dk > DERIV_ORDER_TOL * scale * math.factorial(k):
-                return ZeroInfo(
-                    theta=x % TWO_PI, order=k, leading=dk / math.factorial(k)
-                )
+                return ZeroInfo(theta=x % TWO_PI, order=k, leading=dk / math.factorial(k))
     raise OrderOverflow(
         f"no significant derivative up to order {max_order} near theta={theta_hat}"
     )
@@ -281,14 +277,11 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
 
     dtheta = TWO_PI / GRID_POINTS
     # local minima on the circular grid
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    min_idx = np.nonzero((vals < left) & (vals <= right))[0]
+    min_idx = np.nonzero((vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))[0]
 
     # only minima that can plausibly touch zero need order analysis; the
     # rest matter solely through the global minimum
-    zero_screen = 1e-4 * scale
-    candidates = sorted(float(thetas[i]) for i in min_idx if vals[i] < zero_screen)
+    candidates = sorted(float(thetas[i]) for i in min_idx if vals[i] < 1e-4 * scale)
     # a high-order zero sits at the bottom of a wide noise-flat valley
     # that can host several spurious grid minima, so cluster consecutive
     # candidates and bracket each whole cluster rather than single points
@@ -328,9 +321,7 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
         )
         if min_val < -NEGATIVITY_TOL * scale:
             raise NegativityDetected(float(thetas[i]), min_val)
-        return ZeroClassification(
-            case=ZeroCase.STRICTLY_POSITIVE, min_value=float(min_val)
-        )
+        return ZeroClassification(ZeroCase.STRICTLY_POSITIVE, min_value=float(min_val))
     zeros.sort(key=lambda z: z.theta)
     return ZeroClassification(case=ZeroCase.FINITE_ZEROS, zeros=tuple(zeros))
 
@@ -373,12 +364,16 @@ class IntegrabilityReport:
 
 
 def _quad(f, a, b):
-    with warnings.catch_warnings():
-        # near-singular integrands hit quad's roundoff heuristics; the
-        # achieved accuracy is far tighter than the 1e-4 level criterion
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return val
+    """Integrals of f over the intervals [a[i], b[i]], in one batch: each
+    interval is cut into ceil(b - a) equal 32-node Gauss-Legendre panels,
+    and f(x, i) is called once with every node x and its interval i."""
+    n = np.maximum(np.ceil(b - a), 1.0).astype(int)
+    panel = np.repeat(np.arange(len(a)), n)                 # interval of each panel
+    h = ((b - a) / n)[panel]
+    left = a[panel] + h * (np.arange(len(panel)) - np.repeat(np.cumsum(n) - n, n))
+    x = (left[:, None] + h[:, None] * _GL_NODES).ravel()
+    vals = f(x, np.repeat(panel, len(_GL_NODES))).reshape(len(panel), -1)
+    return np.bincount(panel, weights=h * (vals @ _GL_WEIGHTS), minlength=len(a))
 
 
 def verify_integrability(
@@ -388,18 +383,20 @@ def verify_integrability(
 ) -> IntegrabilityReport:
     """Certify (non-)convergence of the circle integral of 1/Psi^gamma.
 
+    Psi is factored as q(theta) * prod_j sin^(o_j)((theta - theta_j)/2)
+    over the classified zeros, q being fitted by least squares away from
+    them (ValueError if the product misses Psi by over FIT_TOL * scale or
+    q is not positive).  Zero j's own factor is evaluated as sin(d/2) at
+    distance d, so the integrand stays accurate up to the zero.
+
     Each refinement level excludes a shrinking neighborhood of every zero.
-    The zones are nested, so the integral outside them is a running total:
-    level 0 integrates each flank of a zero from its excluded radius out
-    to the midpoint of the gap to the neighbouring zero, and every later
-    level adds only the shell it uncovers, from the new radius out to the
-    previous one.  For zeros whose local exponent 2 nu_j gamma is below 1,
-    the near-zone contribution is restored analytically from the model
-    c_j (theta - theta_j)^(2 nu_j), so the estimate sequence stabilizes;
-    at a zero with exponent >= 1 the model integral is infinite and the
-    estimates grow without settling.  The excluded radius never shrinks
-    below the radius where Psi drops under double-precision evaluation
-    noise (relevant only for high-order zeros at deep levels).
+    Level 0 integrates each flank of a zero from its excluded radius out
+    to the midpoint of the gap to the neighbouring zero; every later level
+    adds the shell it uncovers to the running total.  One _quad batch
+    integrates all shells in s = log d.  For zeros whose local exponent
+    2 nu_j gamma is below 1, the near zone is restored analytically from
+    the model c_j (theta - theta_j)^(2 nu_j), so the estimates stabilize;
+    at an exponent >= 1 the model integral is infinite and they grow.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -409,52 +406,57 @@ def verify_integrability(
         raise WrongRegime("integrability check requires the finite-zeros case")
 
     zeros = sorted(classification.zeros, key=lambda z: z.theta)
-    # half the gap from each zero to the next one round the circle; the
-    # left half-gap of zero i is half_gaps[i - 1], which wraps by index
-    thetas = [z.theta for z in zeros]
-    nexts = thetas[1:] + [thetas[0] + TWO_PI]
-    half_gaps = [0.5 * (b - a) for a, b in zip(thetas, nexts)]
-    scale = max(1.0, psi.max_abs_coef)
-    r_start = min(QUAD_R0, min(half_gaps) / 2.0)
-    noise_floor = 1e-14 * scale
-    r_noise = [(noise_floor / z.leading) ** (1.0 / z.order) for z in zeros]
+    th = np.array([z.theta for z in zeros])
+    order = np.array([float(z.order) for z in zeros])
+    lead = np.array([z.leading for z in zeros])
+    # half the gap from each zero to the next one round the circle
+    half_gaps = 0.5 * np.diff(np.append(th, th[0] + TWO_PI))
 
-    def integrand(theta):
-        return max(psi(theta), noise_floor) ** (-gamma)
+    deg = psi.degree - sum(z.order for z in zeros) // 2
+    if deg < 0:
+        raise ValueError("the classified zero orders exceed twice the degree of psi")
+    grid = TWO_PI * np.arange(256 + 16 * deg) / (256 + 16 * deg)
+    sines = np.prod(np.abs(np.sin(0.5 * (grid[:, None] - th))) ** order, axis=1)
+    dist = np.abs((grid[:, None] - th + math.pi) % TWO_PI - math.pi).min(axis=1)
+    fit = dist >= min(FIT_EXCLUSION, half_gaps.min() / 2.0)
+    powers = np.polynomial.polynomial.polyvander(np.exp(1j * grid[fit]), deg)
+    basis = np.hstack([powers.real, powers.imag[:, 1:]])      # cos k theta, sin k theta
+    coef = np.linalg.lstsq(basis, psi(grid[fit]) / sines[fit], rcond=None)[0]
+    q_coef = coef[: deg + 1] - 1j * np.append(0.0, coef[deg + 1:])
 
-    def flank(th, side, r_in, r_out):
-        """Integral over th + side * [r_in, r_out], in log-distance s = log(d / r_in)."""
-        return _quad(
-            lambda s: integrand(th + side * r_in * math.exp(s)) * r_in * math.exp(s),
-            0.0, math.log(r_out / r_in),
-        )
+    def q(theta):    # sum_k a_k cos k theta + b_k sin k theta = Re sum_k (a_k - i b_k) z^k
+        return np.polynomial.polynomial.polyval(np.exp(1j * theta), q_coef).real
 
-    estimates = []
-    outer = 0.0
-    lefts, rights = half_gaps[-1:] + half_gaps[:-1], half_gaps
-    for lvl in range(QUAD_LEVELS):
-        r = r_start * QUAD_SHRINK ** lvl
-        radii = [max(r, rn) for rn in r_noise]
-        for z, r_j, lo, hi in zip(zeros, radii, lefts, rights):
-            outer += flank(z.theta, -1.0, r_j, lo) + flank(z.theta, 1.0, r_j, hi)
-        lefts = rights = radii
-        # analytic integral of the local models over the excluded zones
-        near = sum(
-            2.0 * z.leading ** (-gamma) * r_j ** (1.0 - gamma * z.order)
-            / (1.0 - gamma * z.order)
-            for z, r_j in zip(zeros, radii)
-            if gamma * z.order < 1.0
-        )
-        estimates.append(outer + near)
+    misfit = np.abs(q(grid) * sines - psi(grid)).max()
+    if misfit > FIT_TOL * max(1.0, psi.max_abs_coef) or q(grid).min() <= 0.0:
+        raise ValueError(f"classified zeros do not factor psi (misfit {misfit:.3g})")
 
-    finite = all(gamma * z.order < 1.0 for z in zeros)
+    # shell l of a flank runs in s from log r_l out to log r_(l-1), or at
+    # level 0 out to the flank's half-gap; flank 2j is zero j's left one
+    radii = min(QUAD_R0, half_gaps.min() / 2.0) * QUAD_SHRINK ** np.arange(QUAD_LEVELS)
+    extents = np.stack([np.roll(half_gaps, 1), half_gaps], axis=1).ravel()
+    edges = np.log(np.column_stack([extents, np.tile(radii, (len(extents), 1))]))
+    flank = np.repeat(np.arange(len(extents)), QUAD_LEVELS)
+
+    def integrand(s, i):
+        """Psi^-gamma * d at theta = theta_j -+ d, with d = e^s."""
+        d, j = np.exp(s), flank[i] // 2
+        theta = th[j] + (2.0 * (flank[i] % 2) - 1.0) * d
+        arg = np.where(j[:, None] == np.arange(len(th)), d[:, None], theta[:, None] - th)
+        log_psi = np.log(q(theta)) + np.log(np.abs(np.sin(0.5 * arg))) @ order
+        return np.exp(s - gamma * log_psi)
+
+    shells = _quad(integrand, edges[:, 1:].ravel(), edges[:, :-1].ravel())
+    # analytic integral of the local models over the excluded zones
+    conv = gamma * order < 1.0
+    near = 2.0 * lead[conv] ** -gamma * radii[:, None] ** (1.0 - gamma * order[conv])
+    near = (near / (1.0 - gamma * order[conv])).sum(axis=1)
+    estimates = tuple(map(float, np.cumsum(shells.reshape(-1, QUAD_LEVELS).sum(0)) + near))
+
+    finite = bool(conv.all())
     stabilized = abs(estimates[-1] - estimates[-2]) < 1e-4 * abs(estimates[-1])
-    return IntegrabilityReport(
-        finite=finite,
-        gamma=gamma,
-        estimates=tuple(estimates),
-        value=estimates[-1] if finite and stabilized else None,
-    )
+    value = estimates[-1] if finite and stabilized else None
+    return IntegrabilityReport(finite=finite, gamma=gamma, estimates=estimates, value=value)
 
 
 def analyze(coeffs: NonlinearityCoefficients, delta: float = 0.01) -> ConditionReport:
@@ -466,9 +468,6 @@ def analyze(coeffs: NonlinearityCoefficients, delta: float = 0.01) -> ConditionR
     if case is ZeroCase.FINITE_ZEROS:
         prediction = predict_decay(cl, delta)
     return ConditionReport(
-        quadratic_null=qnull,
-        cubic_null=case is ZeroCase.IDENTICALLY_ZERO,
-        agemi=agemi,
-        classification=cl,
-        prediction=prediction,
+        quadratic_null=qnull, cubic_null=case is ZeroCase.IDENTICALLY_ZERO,
+        agemi=agemi, classification=cl, prediction=prediction,
     )

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -282,6 +283,77 @@ def test_quadrature_stabilizes_on_planted_two_and_three_zero_symbols():
         rep = verify_integrability(poly, 0.9 / (2 * nu))
         assert rep.finite
         assert rep.value is not None
+
+
+def _planted_amplitude(expected):
+    """A of A * prod_i sin^(o_i)((theta - theta_i)/2), from the first leading coefficient."""
+    theta0, order0, lead0 = expected[0]
+    amp = lead0 * 4.0 ** (order0 // 2)
+    for theta, order, _ in expected[1:]:
+        amp /= ((1.0 - math.cos(theta0 - theta)) / 2.0) ** (order // 2)
+    return amp
+
+
+def _mp_planted_integral(expected, gamma):
+    """mpmath circle integral of (A prod_i sin^(o_i)((theta - theta_i)/2))^-gamma.
+
+    Each flank of zero j, out to the midpoint of the gap to its neighbour,
+    is integrated in d = w^m with m = 1 / (1 - gamma o_j), which makes the
+    integrand smooth at w = 0.  Zero j's own factor is sin(d/2), and zeros
+    are indexed by position, so the wrapped neighbour is no new zero.
+    """
+    with mp.workdps(20):
+        amp = mp.mpf(_planted_amplitude(expected))
+        th = [mp.mpf(theta) for theta, _, _ in expected]
+        orders = [order for _, order, _ in expected]
+        half_gaps = [(b - a) / 2 for a, b in zip(th, th[1:] + [th[0] + 2 * mp.pi])]
+        total = mp.mpf(0)
+        for j, (tj, oj) in enumerate(zip(th, orders)):
+            m = 1 / (1 - mp.mpf(gamma) * oj)
+            for side, extent in ((-1, half_gaps[j - 1]), (1, half_gaps[j])):
+
+                def f(w):
+                    d = w ** m
+                    psi = amp
+                    for i, (ti, oi) in enumerate(zip(th, orders)):
+                        psi *= mp.sin(d / 2 if i == j else (tj + side * d - ti) / 2) ** oi
+                    return psi ** -gamma * m * w ** (m - 1)
+
+                total += mp.quad(f, [0, extent ** (1 / m)])
+        return float(total)
+
+
+def test_quadrature_matches_mpmath_oracle_on_multi_zero_planted_symbols():
+    rng = np.random.default_rng(20240817)
+    picked = {2: [], 3: []}
+    while len(picked[2]) < 2 or len(picked[3]) < 2:
+        poly, expected = planted_polynomial(rng)
+        if len(expected) > 1:
+            picked[len(expected)].append((poly, expected))
+    for poly, expected in picked[2][:2] + picked[3][:2]:
+        gamma = 0.9 / max(order for _, order, _ in expected)   # 0.9 * gamma_max
+        rep = verify_integrability(poly, gamma)
+        assert rep.value == pytest.approx(_mp_planted_integral(expected, gamma), rel=1e-6)
+
+
+def test_quadrature_matches_closed_form_on_single_zero_planted_symbols():
+    # int A^-g sin^(-2 nu g)((theta - theta0)/2) = A^-g 2 sqrt(pi) G(1/2 - nu g) / G(1 - nu g)
+    rng = np.random.default_rng(20240817)
+    singles = [s for s in (planted_polynomial(rng) for _ in range(60)) if len(s[1]) == 1]
+    assert len(singles) > 10
+    for poly, expected in singles:
+        nu = expected[0][1] // 2
+        gamma = 0.9 / (2 * nu)
+        exact = (
+            _planted_amplitude(expected) ** -gamma * 2.0 * math.sqrt(math.pi)
+            * sp.gamma(0.5 - nu * gamma) / sp.gamma(1.0 - nu * gamma)
+        )
+        assert verify_integrability(poly, gamma).value == pytest.approx(exact, rel=1e-9)
+
+
+def test_quadrature_rejects_a_classification_that_does_not_factor_psi():
+    with pytest.raises(ValueError, match="do not factor"):
+        verify_integrability(_cos2(), 0.3, classification=classify(planted_factor(1.0)))
 
 
 def test_quadrature_requires_finite_zero_regime():
