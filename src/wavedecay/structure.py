@@ -390,13 +390,12 @@ def verify_integrability(
     distance d, so the integrand stays accurate up to the zero.
 
     Each refinement level excludes a shrinking neighborhood of every zero.
-    Level 0 integrates each flank of a zero from its excluded radius out
-    to the midpoint of the gap to the neighbouring zero; every later level
-    adds the shell it uncovers to the running total.  One _quad batch
-    integrates all shells in s = log d.  For zeros whose local exponent
-    2 nu_j gamma is below 1, the near zone is restored analytically from
-    the model c_j (theta - theta_j)^(2 nu_j), so the estimates stabilize;
-    at an exponent >= 1 the model integral is infinite and they grow.
+    Level 0 integrates each flank of a zero from its excluded radius out to
+    the midpoint of the gap to the next zero; every later level adds the
+    shell it uncovers to the running total (one _quad batch, in s = log d).
+    Where the local exponent 2 nu_j gamma is below 1, the near zone is
+    restored from the model c_j (theta - theta_j)^(2 nu_j), so estimates
+    stabilize; at an exponent >= 1 that integral is infinite and they grow.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -415,7 +414,8 @@ def verify_integrability(
     deg = psi.degree - sum(z.order for z in zeros) // 2
     if deg < 0:
         raise ValueError("the classified zero orders exceed twice the degree of psi")
-    grid = TWO_PI * np.arange(256 + 16 * deg) / (256 + 16 * deg)
+    # more than 2 * degree points, so a product that matches Psi on the grid matches it
+    grid = TWO_PI * np.arange(256 + 4 * psi.degree) / (256 + 4 * psi.degree)
     sines = np.prod(np.abs(np.sin(0.5 * (grid[:, None] - th))) ** order, axis=1)
     dist = np.abs((grid[:, None] - th + math.pi) % TWO_PI - math.pi).min(axis=1)
     fit = dist >= min(FIT_EXCLUSION, half_gaps.min() / 2.0)
@@ -427,8 +427,9 @@ def verify_integrability(
     def q(theta):    # sum_k a_k cos k theta + b_k sin k theta = Re sum_k (a_k - i b_k) z^k
         return np.polynomial.polynomial.polyval(np.exp(1j * theta), q_coef).real
 
-    misfit = np.abs(q(grid) * sines - psi(grid)).max()
-    if misfit > FIT_TOL * max(1.0, psi.max_abs_coef) or q(grid).min() <= 0.0:
+    q_grid = q(grid)
+    misfit = np.abs(q_grid * sines - psi(grid)).max()
+    if misfit > FIT_TOL * max(1.0, psi.max_abs_coef) or q_grid.min() <= 0.0:
         raise ValueError(f"classified zeros do not factor psi (misfit {misfit:.3g})")
 
     # shell l of a flank runs in s from log r_l out to log r_(l-1), or at
