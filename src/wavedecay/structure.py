@@ -5,6 +5,7 @@ decides whether the symbol vanishes identically, is strictly positive, or
 has finitely many zeros of even order; extracts zero locations, orders and
 leading coefficients; certifies integrability of 1/Psi^gamma; and turns
 the maximal vanishing order into the predicted energy-decay exponent.
+Psi and its derivatives are evaluated in Fourier form (trig.FourierSeries).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .trig import (
     TWO_PI,
+    FourierSeries,
     NonlinearityCoefficients,
     TrigPolynomial,
     cubic_to_trig_poly,
@@ -39,12 +41,27 @@ ROOT_ITERS = 60         # bisection steps of _refine_root
 QUAD_LEVELS = 6
 QUAD_R0 = 0.05
 QUAD_SHRINK = 1.0 / 16.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 # it fits Psi / prod sin^o on grid points min(FIT_EXCLUSION, smallest zero
 # gap / 4) or more from every zero, and allows a misfit of FIT_TOL * scale
 FIT_EXCLUSION = 0.3
 FIT_TOL = 1e-8
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], by Newton's method on the Legendre three-term recurrence."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (p0 - x * p1) / (1.0 - x * x)       # P_n'(x)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(32)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 
 class NegativityDetected(ValueError):
@@ -214,6 +231,8 @@ def _refine_root(f, lo, hi):
     a, b, fa = lo, hi, flo
     for _ in range(ROOT_ITERS):
         m = 0.5 * (a + b)
+        if m == a or m == b:    # adjacent floats: the bracket cannot shrink further
+            break
         fm = f(m)
         if fm == 0.0:
             return m
@@ -224,7 +243,7 @@ def _refine_root(f, lo, hi):
     return 0.5 * (a + b)
 
 
-def _detect_zero(psi: TrigPolynomial, derivs, theta_hat, half_width, scale):
+def _detect_zero(derivs, theta_hat, half_width, scale):
     """Determine the vanishing order and refined location near theta_hat.
 
     For each even candidate order k, refine a root of psi^(k-1) near
@@ -263,14 +282,16 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
     Either identically zero (all Fourier coefficients below tolerance),
     strictly positive (refined global minimum above tolerance), or a
     finite set of zeros, each with an even vanishing order and a strictly
-    positive leading coefficient.
+    positive leading coefficient.  The grid scan, the refinements and the
+    derivatives read Psi in Fourier form, from one FourierSeries.
     """
     scale = max(1.0, psi.max_abs_coef)
-    if psi.max_abs_fourier() < FOURIER_NULL_TOL * scale:
+    series = FourierSeries(*psi.to_fourier())
+    if max(np.abs(series.a).max(), np.abs(series.b).max()) < FOURIER_NULL_TOL * scale:
         return ZeroClassification(case=ZeroCase.IDENTICALLY_ZERO)
 
     thetas = TWO_PI * np.arange(GRID_POINTS) / GRID_POINTS
-    vals = np.asarray(psi(thetas))
+    vals = series.grid(GRID_POINTS)
     if vals.min() < -NEGATIVITY_TOL * scale:
         i = int(vals.argmin())
         raise NegativityDetected(float(thetas[i]), float(vals[i]))
@@ -295,7 +316,9 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
         clusters[0] = [c - TWO_PI for c in clusters.pop()] + clusters[0]
     centers = [0.5 * (c[0] + c[-1]) for c in clusters]
 
-    derivs = psi.derivatives(2 * max(psi.degree, 1))
+    derivs = [series]
+    for _ in range(2 * max(psi.degree, 1)):
+        derivs.append(derivs[-1].derivative())
     zeros: list[ZeroInfo] = []
     for cluster, x in zip(clusters, centers):
         span = cluster[-1] - cluster[0]
@@ -303,12 +326,12 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
         if len(centers) > 1:
             gap = min(_circ_dist(x, m) for m in centers if m != x)
             half_width = min(half_width, gap / 2.0)
-        xr, v = _refine_minimum(psi, x - half_width, x + half_width)
+        xr, v = _refine_minimum(series, x - half_width, x + half_width)
         if v < -NEGATIVITY_TOL * scale:
             raise NegativityDetected(xr % TWO_PI, v)
         if v >= ZERO_VALUE_TOL * scale:
             continue
-        info = _detect_zero(psi, derivs, x, half_width, scale)
+        info = _detect_zero(derivs, x, half_width, scale)
         if any(_circ_dist(info.theta, z.theta) <= MIN_ZERO_GAP for z in zeros):
             continue
         zeros.append(info)
@@ -317,7 +340,7 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
         # strictly positive: refine the global grid minimum
         i = int(vals.argmin())
         _, min_val = _refine_minimum(
-            psi, float(thetas[i]) - dtheta, float(thetas[i]) + dtheta
+            series, float(thetas[i]) - dtheta, float(thetas[i]) + dtheta
         )
         if min_val < -NEGATIVITY_TOL * scale:
             raise NegativityDetected(float(thetas[i]), min_val)
@@ -416,19 +439,20 @@ def verify_integrability(
         raise ValueError("the classified zero orders exceed twice the degree of psi")
     # more than 2 * degree points, so a product that matches Psi on the grid matches it
     grid = TWO_PI * np.arange(256 + 4 * psi.degree) / (256 + 4 * psi.degree)
+    psi_grid = FourierSeries(*psi.to_fourier()).grid(len(grid))
     sines = np.prod(np.abs(np.sin(0.5 * (grid[:, None] - th))) ** order, axis=1)
     dist = np.abs((grid[:, None] - th + math.pi) % TWO_PI - math.pi).min(axis=1)
     fit = dist >= min(FIT_EXCLUSION, half_gaps.min() / 2.0)
     powers = np.polynomial.polynomial.polyvander(np.exp(1j * grid[fit]), deg)
     basis = np.hstack([powers.real, powers.imag[:, 1:]])      # cos k theta, sin k theta
-    coef = np.linalg.lstsq(basis, psi(grid[fit]) / sines[fit], rcond=None)[0]
+    coef = np.linalg.lstsq(basis, psi_grid[fit] / sines[fit], rcond=None)[0]
     q_coef = coef[: deg + 1] - 1j * np.append(0.0, coef[deg + 1:])
 
     def q(theta):    # sum_k a_k cos k theta + b_k sin k theta = Re sum_k (a_k - i b_k) z^k
         return np.polynomial.polynomial.polyval(np.exp(1j * theta), q_coef).real
 
     q_grid = q(grid)
-    misfit = np.abs(q_grid * sines - psi(grid)).max()
+    misfit = np.abs(q_grid * sines - psi_grid).max()
     if misfit > FIT_TOL * max(1.0, psi.max_abs_coef) or q_grid.min() <= 0.0:
         raise ValueError(f"classified zeros do not factor psi (misfit {misfit:.3g})")
 

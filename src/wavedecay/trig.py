@@ -5,9 +5,9 @@ described by a 3x3 coefficient tensor B (quadratic part) and a 3x3x3
 tensor C (cubic part), with index 0 denoting the time derivative.
 Restricting the symbols to the unit circle, with the convention that the
 time slot carries -1, produces trigonometric polynomials in the monomial
-basis ``cos^p1(theta) * sin^p2(theta)``.  Everything here is exact
-term-by-term algebra on that basis; the Fourier form exists only as a
-cross-check.
+basis ``cos^p1(theta) * sin^p2(theta)``, where the algebra is exact
+term by term.  ``FourierSeries`` evaluates the same polynomial and its
+derivatives from the Fourier coefficients, which is how Psi is read.
 """
 
 from __future__ import annotations
@@ -170,23 +170,6 @@ class TrigPolynomial:
             return float(out)
         return out
 
-    def derivative(self) -> "TrigPolynomial":
-        """Exact term-by-term derivative in theta."""
-        new = []
-        for p1, p2, c in self.terms:
-            if p1 > 0:
-                new.append((p1 - 1, p2 + 1, -p1 * c))
-            if p2 > 0:
-                new.append((p1 + 1, p2 - 1, p2 * c))
-        return TrigPolynomial(tuple(new))
-
-    def derivatives(self, n: int) -> list["TrigPolynomial"]:
-        """[self, self', ..., self^(n)]."""
-        out = [self]
-        for _ in range(n):
-            out.append(out[-1].derivative())
-        return out
-
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         return TrigPolynomial(self.terms + other.terms)
 
@@ -228,18 +211,49 @@ class TrigPolynomial:
 
     def eval_fourier(self, theta) -> np.ndarray:
         """Evaluate via the Fourier form; cross-check for __call__."""
-        a, b = self.to_fourier()
-        theta = np.asarray(theta, dtype=float)
-        out = np.full_like(theta, a[0])
-        for k in range(1, len(a)):
-            out = out + a[k] * np.cos(k * theta) + b[k] * np.sin(k * theta)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return FourierSeries(*self.to_fourier())(theta)
 
     def max_abs_fourier(self) -> float:
         a, b = self.to_fourier()
         return float(max(np.abs(a).max(), np.abs(b).max()))
+
+
+class FourierSeries:
+    """a_0 + sum_k a_k cos k theta + b_k sin k theta, evaluated in that form.
+
+    A float theta is evaluated by Clenshaw's recurrence in Python floats,
+    any other theta as an array; grid(n) gives the values at 2 pi j / n
+    from one inverse FFT.
+    """
+
+    def __init__(self, a, b):
+        self.a, self.b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        self._a0 = float(self.a[0])
+        self._pairs = list(zip(self.a[:0:-1].tolist(), self.b[:0:-1].tolist()))  # k = d..1
+
+    def __call__(self, theta):
+        if isinstance(theta, float):
+            c2 = 2.0 * math.cos(theta)
+            u = u2 = v = v2 = 0.0
+            for ak, bk in self._pairs:
+                u, u2 = ak + c2 * u - u2, u
+                v, v2 = bk + c2 * v - v2, v
+            return self._a0 + 0.5 * c2 * u - u2 + math.sin(theta) * v
+        kt = np.multiply.outer(np.asarray(theta, dtype=float), np.arange(len(self.a)))
+        out = np.cos(kt) @ self.a + np.sin(kt) @ self.b
+        return float(out) if out.ndim == 0 else out
+
+    def derivative(self) -> "FourierSeries":
+        """Exact derivative in theta: (a_k, b_k) -> (k b_k, -k a_k)."""
+        k = np.arange(len(self.a))
+        return FourierSeries(k * self.b, -k * self.a)
+
+    def grid(self, n: int) -> np.ndarray:
+        """Values at theta = 2 pi j / n, j = 0..n-1; n must exceed twice the degree."""
+        c = np.zeros(n // 2 + 1, dtype=complex)
+        c[: len(self.a)] = 0.5 * n * (self.a - 1j * self.b)
+        c[0] = n * self._a0
+        return np.fft.irfft(c, n)
 
 
 def quadratic_to_trig_poly(coeffs: NonlinearityCoefficients) -> TrigPolynomial:

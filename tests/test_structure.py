@@ -8,12 +8,14 @@ import pytest
 import scipy.special as sp
 
 from planted import planted_factor, planted_polynomial
-from wavedecay.trig import NonlinearityCoefficients, TrigPolynomial
+from wavedecay.trig import NonlinearityCoefficients, TrigPolynomial, cubic_to_trig_poly
 from wavedecay.structure import (
+    NEGATIVITY_TOL,
     AgemiStatus,
     NegativityDetected,
     WrongRegime,
     ZeroCase,
+    _gauss_legendre,
     analyze,
     check_agemi,
     check_quadratic_null,
@@ -64,6 +66,27 @@ def test_negativity_detected_with_witness():
     p = TrigPolynomial(((0, 1, 1.0),))  # sin(theta), negative on (pi, 2 pi)
     with pytest.raises(NegativityDetected):
         classify(p)
+
+
+def test_every_sign_condition_witness_is_negative():
+    # the witness may be any grid point where Psi is negative beyond tolerance;
+    # pin that, not which of several near-equal minima it is
+    rng = np.random.default_rng(20240817)
+    tensors = [rng.normal(size=(3, 3, 3)) for _ in range(300)]
+    for eps in (1e-9, 1e-6, 1e-3):      # cos^2 - eps: negative only near pi/2, 3 pi/2
+        C = np.zeros((3, 3, 3))
+        C[1, 1, 0], C[0, 0, 0] = -1.0, eps
+        tensors.append(C)
+    failing = 0
+    for C in tensors:
+        coeffs = NonlinearityCoefficients(C=C)
+        res = check_agemi(coeffs)
+        if res.status is not AgemiStatus.FAILS:
+            continue
+        failing += 1
+        psi = cubic_to_trig_poly(coeffs)
+        assert psi(res.witness) < -NEGATIVITY_TOL * max(1.0, psi.max_abs_coef)
+    assert failing > 100
 
 
 def test_double_zeros_of_squared_cosine():
@@ -354,6 +377,13 @@ def test_quadrature_matches_closed_form_on_single_zero_planted_symbols():
 def test_quadrature_rejects_a_classification_that_does_not_factor_psi():
     with pytest.raises(ValueError, match="do not factor"):
         verify_integrability(_cos2(), 0.3, classification=classify(planted_factor(1.0)))
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    nodes, weights = _gauss_legendre(32)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
+    assert np.abs(nodes - ref_nodes).max() < 1e-14
+    assert np.abs(weights - ref_weights).max() < 1e-14
 
 
 def test_quadrature_requires_finite_zero_regime():

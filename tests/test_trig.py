@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wavedecay.trig import (
     Direction,
+    FourierSeries,
     InvalidDirectionError,
     NonlinearityCoefficients,
     TrigPolynomial,
@@ -161,34 +162,71 @@ def test_fourier_form_agrees_with_monomial_form(seed):
     assert np.abs(p(thetas) - p.eval_fourier(thetas)).max() < 1e-11 * scale
 
 
+def _monomial_derivative(p: TrigPolynomial) -> TrigPolynomial:
+    """Term-by-term derivative in theta: an oracle independent of the Fourier form."""
+    new = []
+    for p1, p2, c in p.terms:
+        if p1 > 0:
+            new.append((p1 - 1, p2 + 1, -p1 * c))
+        if p2 > 0:
+            new.append((p1 + 1, p2 - 1, p2 * c))
+    return TrigPolynomial(tuple(new))
+
+
+def _random_poly(rng, max_degree=8, n_terms=6):
+    terms = []
+    for _ in range(n_terms):
+        p1 = int(rng.integers(0, max_degree + 1))
+        terms.append((p1, int(rng.integers(0, max_degree - p1 + 1)), float(rng.normal())))
+    return TrigPolynomial(tuple(terms))
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_derivative_matches_fourier_differentiation(seed):
-    """d/dtheta in the monomial basis == k-multiplication in Fourier space."""
+    """Rotating Fourier coefficients == term-by-term differentiation, to order 2 * degree."""
     rng = np.random.default_rng(seed)
     terms = tuple(
         (int(rng.integers(0, 4)), int(rng.integers(0, 4)), float(rng.normal()))
         for _ in range(5)
     )
     p = TrigPolynomial(terms)
-    a, b = p.to_fourier()
-    dp = p.derivative()
+    series = FourierSeries(*p.to_fourier())
     thetas = rng.uniform(0, TWO_PI, size=16)
-    expected = np.zeros_like(thetas)
-    for k in range(1, len(a)):
-        expected += -k * a[k] * np.sin(k * thetas) + k * b[k] * np.cos(k * thetas)
-    scale = max(1.0, p.max_abs_coef) * len(a)
-    assert np.abs(dp(thetas) - expected).max() < 1e-10 * scale
+    scale = max(1.0, p.max_abs_coef) * (p.degree + 1)
+    for _ in range(2 * p.degree):
+        p, series = _monomial_derivative(p), series.derivative()
+        scale *= len(series.a)
+        assert np.abs(series(thetas) - p(thetas)).max() < 1e-10 * scale
 
 
 def test_product_rule():
     rng = np.random.default_rng(11)
     f = TrigPolynomial(((2, 0, 1.5), (0, 1, -0.5)))
     g = TrigPolynomial(((1, 1, 2.0), (0, 0, 1.0)))
-    lhs = (f * g).derivative()
-    rhs = f.derivative() * g + f * g.derivative()
+    df, dg = (FourierSeries(*h.to_fourier()).derivative() for h in (f, g))
     thetas = rng.uniform(0, TWO_PI, size=32)
-    assert np.abs(lhs(thetas) - rhs(thetas)).max() < 1e-12
+    lhs = FourierSeries(*(f * g).to_fourier()).derivative()(thetas)
+    rhs = df(thetas) * g(thetas) + f(thetas) * dg(thetas)
+    assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_fourier_series_scalar_vector_and_grid_paths_agree(seed):
+    rng = np.random.default_rng(seed)
+    p = _random_poly(rng)
+    series = FourierSeries(*p.to_fourier())
+    scale = max(1.0, p.max_abs_coef)
+    thetas = rng.uniform(-TWO_PI, 2 * TWO_PI, size=32)
+    vector = series(thetas)
+    scalar = np.array([series(float(t)) for t in thetas])
+    assert np.abs(scalar - vector).max() < 1e-12 * scale
+    assert np.abs(vector - p(thetas)).max() < 1e-11 * scale
+    assert np.abs(scalar - p(thetas)).max() < 1e-11 * scale
+    n = int(rng.integers(2 * p.degree + 1, 300))
+    grid = TWO_PI * np.arange(n) / n
+    assert np.abs(series.grid(n) - series(grid)).max() < 1e-12 * scale
 
 
 def test_arithmetic_evaluates_pointwise():
