@@ -69,7 +69,7 @@ def test_negativity_detected_with_witness():
 
 
 def test_every_sign_condition_witness_is_negative():
-    # the witness may be any grid point where Psi is negative beyond tolerance;
+    # the witness may be any point where Psi is negative beyond tolerance;
     # pin that, not which of several near-equal minima it is
     rng = np.random.default_rng(20240817)
     tensors = [rng.normal(size=(3, 3, 3)) for _ in range(300)]
