@@ -182,7 +182,7 @@ def check_quadratic_null(coeffs: NonlinearityCoefficients) -> bool:
     """True iff the quadratic symbol vanishes identically on the circle."""
     poly = quadratic_to_trig_poly(coeffs)
     scale = max(1.0, poly.max_abs_coef)
-    return poly.max_abs_fourier() < FOURIER_NULL_TOL * scale
+    return FourierSeries(*poly.to_fourier()).max_abs() < FOURIER_NULL_TOL * scale
 
 
 def _circ_dist(a: float, b: float) -> float:
@@ -287,7 +287,7 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
     """
     scale = max(1.0, psi.max_abs_coef)
     series = FourierSeries(*psi.to_fourier())
-    if max(np.abs(series.a).max(), np.abs(series.b).max()) < FOURIER_NULL_TOL * scale:
+    if series.max_abs() < FOURIER_NULL_TOL * scale:
         return ZeroClassification(case=ZeroCase.IDENTICALLY_ZERO)
 
     thetas = TWO_PI * np.arange(GRID_POINTS) / GRID_POINTS

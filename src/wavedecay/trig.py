@@ -213,10 +213,6 @@ class TrigPolynomial:
         """Evaluate via the Fourier form; cross-check for __call__."""
         return FourierSeries(*self.to_fourier())(theta)
 
-    def max_abs_fourier(self) -> float:
-        a, b = self.to_fourier()
-        return float(max(np.abs(a).max(), np.abs(b).max()))
-
 
 class FourierSeries:
     """a_0 + sum_k a_k cos k theta + b_k sin k theta, evaluated in that form.
@@ -242,6 +238,10 @@ class FourierSeries:
         kt = np.multiply.outer(np.asarray(theta, dtype=float), np.arange(len(self.a)))
         out = np.cos(kt) @ self.a + np.sin(kt) @ self.b
         return float(out) if out.ndim == 0 else out
+
+    def max_abs(self) -> float:
+        """Largest Fourier coefficient in absolute value."""
+        return float(max(np.abs(self.a).max(), np.abs(self.b).max()))
 
     def derivative(self) -> "FourierSeries":
         """Exact derivative in theta: (a_k, b_k) -> (k b_k, -k a_k)."""
