@@ -6,21 +6,23 @@ Along an outgoing ray r = t + sigma the wave amplitude V obeys
 
 and Phi = P V^2 then satisfies a scalar differential inequality whose
 decay is controlled by an explicit logarithmic bound (Matsumura-type
-lemma).  This module integrates both ODEs on the log-time axis with
-scipy's DOP853 (rtol 1e-10, atol 1e-12), evaluates the explicit bound
-constant, and fits the 1/sqrt(P log t) decay of V.  An integration ends
-in one of two failures: ProfileBlowUp where |V| crosses BLOWUP_GUARD, or
-StepUnderflow when the derivative is NaN or the solver fails.
+lemma).  This module integrates both ODEs on the log-time axis with its
+own scalar DOP853 loop (scipy's tableau and step control, rtol 1e-10,
+atol 1e-12), evaluates the explicit bound constant, and fits the
+1/sqrt(P log t) decay of V.  An integration ends in one of two failures:
+ProfileBlowUp where |V| crosses BLOWUP_GUARD, or StepUnderflow when the
+derivative is NaN or the step falls below 10 ulp of log t.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from .structure import WrongRegime
 from .trig import Direction
@@ -40,7 +42,7 @@ class ProfileBlowUp(RuntimeError):
 
 
 class StepUnderflow(RuntimeError):
-    """The ODE solve failed: a NaN derivative, or DOP853 gave up (step too small)."""
+    """The ODE solve failed: a NaN derivative, or a DOP853 step below 10 ulp of s."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,57 @@ def matsumura_constant(params: MatsumuraParams) -> float:
     )
 
 
+# The DOP853 method of Hairer, Norsett and Wanner (Solving ODEs I, II.4-II.6)
+# with scipy's tableau and step control, run on one Python-float component.
+_DOP853 = integrate.DOP853
+_RTOL, _ATOL = 1e-10, 1e-12
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / (_DOP853.error_estimator_order + 1)
+_ROOT_TOL = 4.0 * np.finfo(float).eps
+
+
+def _nonzero(row) -> tuple:
+    """(index, coefficient) pairs of a tableau row's nonzero entries."""
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+_STAGES = tuple(zip(_DOP853.C[1:].tolist(), map(_nonzero, _DOP853.A[1:])))
+_EXTRA_STAGES = tuple(zip(_DOP853.C_EXTRA.tolist(), map(_nonzero, _DOP853.A_EXTRA)))
+_B, _E3, _E5 = map(_nonzero, (_DOP853.B, _DOP853.E3, _DOP853.E5))
+_D = tuple(map(_nonzero, _DOP853.D))
+
+
+def _dot(row: tuple, K: list) -> float:
+    acc = 0.0
+    for j, a in row:
+        acc += a * K[j]
+    return acc
+
+
+def _dense(x, F, y_old):
+    """The step's interpolant at the step fraction x (a float or an array)."""
+    y = 0.0
+    for i, coef in enumerate(reversed(F)):
+        y = (y + coef) * (x if i % 2 == 0 else 1.0 - x)
+    return y + y_old
+
+
+def _initial_step(f, s: float, y: float, dy: float, interval: float) -> float:
+    """Hairer-Wanner's starting step for the error estimator's order."""
+    scale = _ATOL + abs(y) * _RTOL
+    d0, d1 = abs(y) / scale, abs(dy) / scale
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    if h0 == 0.0:       # d1 overflowed: the step starts at the 10-ulp floor
+        return 0.0
+    d2 = abs(f(s + h0, y + h0 * dy) - dy) / scale / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100 * h0, h1, interval)
+
+
 def _integrate_adaptive(
     rhs: Callable[[float, float], float],
     y0: float,
@@ -111,31 +164,87 @@ def _integrate_adaptive(
 ) -> np.ndarray:
     """DOP853 (rtol 1e-10, atol 1e-12) from out_s[0], where y = y0, to out_s[-1].
 
-    Returns y at the increasing points out_s.  guard(s, y), if given, is a
-    terminal event: the solve raises ProfileBlowUp where it crosses zero.
-    A NaN derivative or a failed solve raises StepUnderflow.
+    The in-package scalar DOP853 loop: scipy's tableau, initial step,
+    5th/3rd-order error norm and step control, with a floor of 10 ulp of s
+    on the step.  Returns y at the increasing points out_s, read from the
+    dense output of the step that holds each point.  guard(s, y), if given,
+    is a terminal event, checked at the start and after each accepted step:
+    where it changes sign the root is located on that step's interpolant
+    and ProfileBlowUp is raised there.  A NaN derivative, or a step below
+    the floor, raises StepUnderflow.
     """
 
     def f(s, y):
-        dy = rhs(s, y[0])
+        try:
+            dy = rhs(s, y)
+        except OverflowError:
+            # a float power overflowed; numpy gives the signed inf, and the
+            # error control then rejects the step
+            dy = float(rhs(s, np.float64(y)))
         if math.isnan(dy):
             raise StepUnderflow(f"NaN derivative at s={s}")
-        return [dy]
+        return dy
 
-    events = None
-    if guard is not None:
-        def events(s, y):
-            return guard(s, y[0])
-        events.terminal = True
-    sol = integrate.solve_ivp(
-        f, (out_s[0], out_s[-1]), [y0], method="DOP853", t_eval=out_s,
-        events=events, rtol=1e-10, atol=1e-12,
-    )
-    if sol.status == 1:
-        raise ProfileBlowUp(math.exp(sol.t_events[0][0]), sol.y_events[0][0][0])
-    if sol.status == -1:
-        raise StepUnderflow(sol.message)
-    return sol.y[0]
+    out = out_s.tolist()
+    s, y, s_end = out[0], float(y0), out[-1]
+    if not s_end > s:
+        raise ValueError("out_s must increase")
+    dy = f(s, y)
+    h_abs = _initial_step(f, s, y, dy, s_end - s)
+    g = guard(s, y) if guard is not None else None
+    steps = []       # (s, s_new, h, y, F[0..6]) of the steps holding output
+    j = 0            # the first output point not yet covered by a step
+    while s < s_end:
+        min_step = 10.0 * (math.nextafter(s, math.inf) - s)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow(f"step size fell below 10 ulp at s={s}")
+            s_new = min(s + h_abs, s_end)
+            h_abs = h = s_new - s
+            K = [dy]
+            for c, row in _STAGES:
+                K.append(f(s + c * h, y + _dot(row, K) * h))
+            y_new = y + h * _dot(_B, K)
+            dy_new = f(s_new, y_new)
+            K.append(dy_new)
+            scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
+            e5, e3 = _dot(_E5, K) / scale, _dot(_E3, K) / scale
+            e5, e3 = e5 * e5, e3 * e3
+            err = h * e5 / math.sqrt(e5 + 0.01 * e3) if e5 or e3 else 0.0
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+
+        crossed = False
+        if guard is not None:
+            g_new = guard(s_new, y_new)
+            crossed = (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0)
+            g = g_new
+        if crossed or s_new >= out[j]:
+            for c, row in _EXTRA_STAGES:
+                K.append(f(s + c * h, y + _dot(row, K) * h))
+            delta = y_new - y
+            F = (delta, h * dy - delta, 2 * delta - h * (dy_new + dy),
+                 *(h * _dot(row, K) for row in _D))
+            if crossed:
+                root = optimize.brentq(
+                    lambda r: guard(r, _dense((r - s) / h, F, y)), s, s_new,
+                    xtol=_ROOT_TOL, rtol=_ROOT_TOL,
+                )
+                raise ProfileBlowUp(math.exp(root), _dense((root - s) / h, F, y))
+            steps.append((s, s_new, h, y, *F))
+            j = bisect.bisect_right(out, s_new, j)
+        s, y, dy = s_new, y_new, dy_new
+
+    s_old, ends, hs, y_old, *F = np.array(steps).T
+    i = np.searchsorted(ends, out_s)
+    return _dense((out_s - s_old[i]) / hs[i], [c[i] for c in F], y_old[i])
 
 
 @dataclass(frozen=True)
@@ -193,16 +302,18 @@ class EnvelopeForcing:
     mu: float
     sigma: float = 0.0
     sign_mode: str = "adversarial"
+    prefactor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.amplitude, self.mu, self.sigma))):
             raise ValueError("amplitude, mu and sigma must be finite")
         if self.sign_mode not in ("adversarial", "fixed"):
             raise ValueError("sign_mode must be 'adversarial' or 'fixed'")
+        sw = math.hypot(1.0, self.sigma)
+        object.__setattr__(self, "prefactor", self.amplitude * sw ** (-self.mu - 0.5))
 
     def envelope(self, t: float) -> float:
-        sw = math.hypot(1.0, self.sigma)
-        return self.amplitude * sw ** (-self.mu - 0.5) * t ** (2.0 * self.mu - 1.5)
+        return self.prefactor * t ** (2.0 * self.mu - 1.5)
 
     def __call__(self, t: float, v: float) -> float:
         env = self.envelope(t)
@@ -217,6 +328,7 @@ class TabulatedForcing:
 
     times: np.ndarray
     values: np.ndarray
+    log_times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -227,13 +339,14 @@ class TabulatedForcing:
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "log_times", np.log(t))
 
     def __call__(self, t: float, v: float) -> float:
         ts = self.times
         if t <= ts[0] or t >= ts[-1]:
             if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
                 return 0.0
-        return float(np.interp(math.log(t), np.log(ts), self.values))
+        return float(np.interp(math.log(t), self.log_times, self.values))
 
 
 @dataclass
@@ -280,11 +393,12 @@ def integrate_profile(
 ) -> ProfileSeries:
     """Integrate dV/dt = -P/(2t) V^3 + G from the ray start time.
 
-    DOP853 in log t with rtol 1e-10 and atol 1e-12; output on a
-    logarithmically spaced grid.  The initial amplitude defaults to
-    eps * <sigma>^(mu - 1), the a priori size of the profile.  Raises
-    ProfileBlowUp where |V| crosses BLOWUP_GUARD (a terminal event) and
-    StepUnderflow on a NaN derivative or a failed solve.
+    The scalar DOP853 loop of _integrate_adaptive in log t, rtol 1e-10
+    and atol 1e-12; output on a logarithmically spaced grid.  The initial
+    amplitude defaults to eps * <sigma>^(mu - 1), the a priori size of
+    the profile.  Raises ProfileBlowUp where |V| crosses BLOWUP_GUARD (a
+    terminal event) and StepUnderflow on a NaN derivative or a step below
+    10 ulp of log t.
     """
     if not 0 <= P_val < math.inf:
         raise ValueError("P_val must be nonnegative and finite")
@@ -304,7 +418,7 @@ def integrate_profile(
         return BLOWUP_GUARD - abs(v)
 
     vs = _integrate_adaptive(rhs, v0, out_s, guard=guard)
-    gs = np.array([forcing(t, v) for t, v in zip(out_t, vs)])
+    gs = np.array([forcing(t, v) for t, v in zip(out_t.tolist(), vs.tolist())])
     return ProfileSeries(
         times=out_t, V=vs, G=gs, Phi=P_val * vs ** 2,
         sigma=ray.sigma, P_val=P_val,

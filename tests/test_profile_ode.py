@@ -6,8 +6,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 
-from wavedecay import structure
+from wavedecay import profile_ode, structure
 from wavedecay.trig import Direction
 from wavedecay.profile_ode import (
     EnvelopeForcing,
@@ -228,3 +229,129 @@ def test_profile_csv_deterministic():
     assert a.getvalue() == b.getvalue()
     header = a.getvalue().splitlines()[0]
     assert header == "t,V,G,Phi"
+
+
+# ---------------------------------------------------------------------------
+# the scalar DOP853 loop against scipy's solve_ivp as an oracle
+
+
+def _oracle(rhs, y0, out_s, guard=None, rtol=1e-10, atol=1e-12):
+    events = None
+    if guard is not None:
+        def events(s, y):
+            return guard(s, y[0])
+        events.terminal = True
+    return integrate.solve_ivp(
+        lambda s, y: [rhs(s, y[0])], (out_s[0], out_s[-1]), [y0],
+        method="DOP853", t_eval=out_s, events=events, rtol=rtol, atol=atol,
+    )
+
+
+def _rel(a, b) -> float:
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records the arguments of every _integrate_adaptive call."""
+    calls = []
+
+    def spy(rhs, y0, out_s, guard=None):
+        calls.append((rhs, y0, out_s, guard))
+        return _integrate_adaptive(rhs, y0, out_s, guard=guard)
+
+    monkeypatch.setattr(profile_ode, "_integrate_adaptive", spy)
+    return calls
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: integrate_profile(2.0, _ray(t_end=1e8), ZeroForcing(), v0=0.5),
+    lambda: integrate_profile(
+        1.5, _ray(sigma=0.4, t_end=1e8), EnvelopeForcing(0.5, 0.05, sigma=0.4), v0=0.6
+    ),
+    lambda: check_matsumura_bound(
+        MatsumuraParams(c0=1.3, c1=0.8, p=2.7, q=1.4, t0=3.5, phi0=2.0), t_end=1e6
+    ),
+], ids=["unforced", "adversarial", "matsumura"])
+def test_scalar_loop_matches_solve_ivp(solves, solve):
+    solve()
+    (rhs, y0, out_s, guard), = solves
+    sol = _oracle(rhs, y0, out_s, guard)
+    assert sol.status == 0
+    assert _rel(_integrate_adaptive(rhs, y0, out_s, guard=guard), sol.y[0]) <= 1e-12
+
+
+def _tabulated_replay():
+    ray = _ray(t_end=1e4)
+    forced = integrate_profile(1.5, ray, EnvelopeForcing(amplitude=0.3, mu=0.05), v0=0.4)
+    integrate_profile(1.5, ray, TabulatedForcing(forced.times, forced.G), v0=0.4)
+
+
+def _sign_flip():
+    # a drift pulls V through zero, where the adversarial sign of G flips
+    forcing = EnvelopeForcing(amplitude=0.3, mu=0.05)
+
+    def rhs(s, v):
+        t = math.exp(s)
+        return -0.5 * v ** 3 + t * forcing(t, v) - 0.5
+
+    vs = profile_ode._integrate_adaptive(rhs, 0.3, np.log(np.geomspace(2.0, 1e4, 200)))
+    assert vs[0] > 0 > vs[-1]
+
+
+@pytest.mark.parametrize("solve", [_tabulated_replay, _sign_flip],
+                         ids=["tabulated", "sign-flip"])
+def test_scalar_loop_as_accurate_as_solve_ivp_past_kinks(solves, solve):
+    # A kink in the derivative (at every node of a table interpolated in
+    # log t, or where the adversarial sign flips) defeats the local error
+    # estimate.  Our sums round differently from numpy's fused multiply-add
+    # dot, so past a kink the two loops take different steps; each is then
+    # only as close to the solution as its error control allows.
+    solve()
+    rhs, y0, out_s, guard = solves[-1]
+    ours = _integrate_adaptive(rhs, y0, out_s, guard=guard)
+    oracle = _oracle(rhs, y0, out_s, guard).y[0]
+    tight = _oracle(rhs, y0, out_s, guard, rtol=1e-13, atol=1e-16).y[0]
+    assert _rel(ours, tight) <= 10 * _rel(oracle, tight)
+
+
+def test_blow_up_event_matches_solve_ivp(solves):
+    huge = EnvelopeForcing(amplitude=1e9, mu=0.05, sign_mode="fixed")
+    with pytest.raises(ProfileBlowUp) as info:
+        integrate_profile(0.0, _ray(), huge, v0=1.0)
+    (rhs, y0, out_s, guard), = solves
+    sol = _oracle(rhs, y0, out_s, guard)
+    assert sol.status == 1
+    assert info.value.t == pytest.approx(math.exp(sol.t_events[0][0]), rel=1e-10)
+    assert info.value.v == pytest.approx(sol.y_events[0][0][0], rel=1e-10)
+
+
+def test_finite_time_singularity_raises_step_underflow():
+    # y' = y^2, y(0) = 1 blows up at s = 1; with no guard the step control
+    # must shrink to the 10-ulp floor and stop there, not loop or return inf
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        assert len(calls) < 100_000
+        return y * y
+
+    with pytest.raises(StepUnderflow):
+        _integrate_adaptive(rhs, 1.0, np.linspace(0.0, 2.0, 9))
+    assert max(calls) < 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("solve", [
+    # |phi|^p overflows a Python float power at the first derivative
+    lambda: check_matsumura_bound(
+        MatsumuraParams(c0=1.0, c1=0.0, p=3.0, q=1.5, t0=2.0, phi0=1e300)
+    ),
+    # the scaled derivative overflows in the initial-step selection
+    lambda: integrate_profile(
+        0.0, _ray(), EnvelopeForcing(1e300, 0.05, sign_mode="fixed"), v0=1.0
+    ),
+], ids=["power-overflow", "initial-step-overflow"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_derivative_raises_step_underflow(solve):
+    with pytest.raises(StepUnderflow):
+        solve()
