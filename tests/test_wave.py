@@ -101,6 +101,65 @@ def test_blow_up_guard_on_field():
         WaveField(t=0.0, u=np.full((4, 4), 1e11), u_t=np.zeros((4, 4)), h=0.5, L=1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1e11])
+def test_blow_up_guard_on_single_cell(bad):
+    u = np.zeros((4, 4))
+    u[2, 1] = bad
+    with pytest.raises(BlowUpError):
+        WaveField(t=0.0, u=u, u_t=np.zeros((4, 4)), h=0.5, L=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint diagnostics against their plain full-grid formulas
+
+
+def _energy_oracle(state):
+    ux, uy = _gradients(state.u, state.h)
+    return 0.5 * state.h ** 2 * float(
+        np.sum(state.u_t ** 2 + ux ** 2 + uy ** 2)
+    )
+
+
+def _propagation_oracle(state, R):
+    xs = np.linspace(-state.L, state.L, state.u.shape[0])
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    outside = np.hypot(X, Y) > state.t + R + wave.PROPAGATION_SLACK_CELLS * state.h
+    if not outside.any():
+        return 0.0
+    return float(np.abs(state.u[outside]).max())
+
+
+def _random_field(rng, n, L, t, scale, ring_only):
+    u = rng.standard_normal((n, n)) * scale
+    u_t = rng.standard_normal((n, n)) * scale
+    if ring_only:   # only the boundary ring is nonzero
+        u[1:-1, 1:-1] = 0.0
+        u_t[1:-1, 1:-1] = 0.0
+    return WaveField(t=t, u=u, u_t=u_t, h=2.0 * L / (n - 1), L=L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    sizes=st.lists(st.sampled_from([2, 3, 5, 16, 33]), min_size=1, max_size=3),
+    Ls=st.lists(st.floats(0.5, 20.0), min_size=2, max_size=2),
+    t=st.floats(0.0, 30.0),
+    R=st.floats(0.0, 10.0),
+    scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]),
+    ring_only=st.booleans(),
+)
+def test_diagnostics_match_full_grid_formulas(seed, sizes, Ls, t, R, scale, ring_only):
+    rng = np.random.default_rng(seed)
+    # alternate grids of equal n and different L, then change n, so a
+    # stale cached radius grid would be read against the wrong field
+    for n in sizes:
+        for L in Ls + Ls[:1]:
+            state = _random_field(rng, n, L, t, scale, ring_only)
+            assert energy(state) == _energy_oracle(state)
+            assert check_propagation(state, R) == _propagation_oracle(state, R)
+            assert not wave._radius_grid(n, L).flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # 1D d'Alembert reference on plane-symmetric data
 
