@@ -142,7 +142,7 @@ def _random_field(rng, n, L, t, scale, ring_only):
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     sizes=st.lists(st.sampled_from([2, 3, 5, 16, 33]), min_size=1, max_size=3),
-    Ls=st.lists(st.floats(0.5, 20.0), min_size=2, max_size=2),
+    Ls=st.lists(st.floats(0.5, 20.0), min_size=2, max_size=2, unique=True),
     t=st.floats(0.0, 30.0),
     R=st.floats(0.0, 10.0),
     scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]),
