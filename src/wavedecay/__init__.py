@@ -46,9 +46,7 @@ from .wave import (
     WaveField,
     check_propagation,
     energy,
-    extract_ray,
     make_initial_data,
     residual_forcing,
     run,
-    step,
 )

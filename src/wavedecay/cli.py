@@ -121,24 +121,41 @@ def _apply_overrides(cfg: dict, sets) -> dict:
 def _coeffs_from_config(cfg: dict) -> NonlinearityCoefficients:
     try:
         return NonlinearityCoefficients.from_dict(cfg)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad coefficient tensors: {exc}") from exc
 
 
-def _get(cfg: dict, section: str, key: str, default=None):
-    sec = cfg.get(section, {})
+def _number(value, key: str) -> float:
+    """float(value) for the config entry `key`, or ConfigError."""
+    try:
+        return float(value)
+    except (ValueError, TypeError, OverflowError) as exc:   # ints beyond ~1.8e308
+        raise ConfigError(f"{key} must be a number: {exc}") from exc
+
+
+def _section(cfg: dict, name: str) -> dict:
+    sec = cfg.get(name, {})
     if not isinstance(sec, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    return sec.get(key, default)
+        raise ConfigError(f"section {name!r} must be an object")
+    return sec
+
+
+def _numbers(sec: dict, name: str, **defaults) -> dict:
+    """{key: number} for each keyword, read from section `name` or defaulted."""
+    return {k: _number(sec.get(k, d), f"{name}.{k}") for k, d in defaults.items()}
+
+
+def _delta(cfg: dict) -> float:
+    return _numbers(_section(cfg, "prediction"), "prediction", delta=0.01)["delta"]
 
 
 def _direction_from_ray(ray: dict) -> Direction:
     try:
         if "omega_angle" in ray:
-            return Direction.from_angle(float(ray["omega_angle"]))
+            return Direction.from_angle(_number(ray["omega_angle"], "ray.omega_angle"))
         if "omega" in ray:
             w = ray["omega"]
-            return Direction(float(w[0]), float(w[1]))
+            return Direction(_number(w[0], "ray.omega"), _number(w[1], "ray.omega"))
     except (InvalidDirectionError, ValueError, TypeError, IndexError) as exc:
         raise ConfigError(f"bad ray direction: {exc}") from exc
     raise ConfigError("ray section needs 'omega' or 'omega_angle'")
@@ -154,9 +171,9 @@ def _forcing_from_ray(ray: dict, mu: float, sigma: float):
     if kind == "envelope":
         try:
             return EnvelopeForcing(
-                amplitude=float(spec.get("amplitude", 1.0)),
-                mu=float(spec.get("mu", mu)),
-                sigma=float(spec.get("sigma", sigma)),
+                amplitude=_number(spec.get("amplitude", 1.0), "ray.forcing.amplitude"),
+                mu=_number(spec.get("mu", mu), "ray.forcing.mu"),
+                sigma=_number(spec.get("sigma", sigma), "ray.forcing.sigma"),
                 sign_mode=spec.get("sign_mode", "adversarial"),
             )
         except ValueError as exc:
@@ -238,8 +255,7 @@ def _run_command(name: str, body, args) -> int:
 
 def _analyze(config: dict, manifest: _Manifest) -> int:
     coeffs = _coeffs_from_config(config)
-    delta = float(_get(config, "prediction", "delta", 0.01))
-    report = analyze(coeffs, delta=delta)
+    report = analyze(coeffs, delta=_delta(config))
     _write_json(manifest.add(manifest.outdir / "report.json"), report.to_dict())
     agemi_ok = report.agemi.status is not AgemiStatus.FAILS
     manifest.checks["sign_condition"] = agemi_ok
@@ -259,21 +275,14 @@ DEGENERATE_P_TOL = 1e-12
 
 def _profile(config: dict, manifest: _Manifest) -> int:
     coeffs = _coeffs_from_config(config)
-    ray_sec = config.get("ray", {})
-    if not isinstance(ray_sec, dict):
-        raise ConfigError("section 'ray' must be an object")
+    ray_sec = _section(config, "ray")
     omega = _direction_from_ray(ray_sec)
-    ray = RayConfig(
-        sigma=float(ray_sec.get("sigma", 0.0)),
-        omega=omega,
-        eps=float(ray_sec.get("eps", 0.1)),
-        mu=float(ray_sec.get("mu", 0.05)),
-        t_end=float(ray_sec.get("t_end", 1e6)),
-        support_radius=float(ray_sec.get("support_radius", 1.0)),
-    )
+    ray = RayConfig(omega=omega, **_numbers(
+        ray_sec, "ray", sigma=0.0, eps=0.1, mu=0.05, t_end=1e6, support_radius=1.0
+    ))
     forcing = _forcing_from_ray(ray_sec, ray.mu, ray.sigma)
     v0 = ray_sec.get("v0")
-    v0 = None if v0 is None else float(v0)
+    v0 = None if v0 is None else _number(v0, "ray.v0")
 
     P_val = eval_cubic_symbol(coeffs, omega)
     scale = max(1.0, float(np.abs(coeffs.C).max()))
@@ -354,35 +363,31 @@ def _write_checkpoint(outdir: Path, idx: int, snap, R: float, eps: float) -> lis
 
 def _simulate(config: dict, manifest: _Manifest) -> int:
     coeffs = _coeffs_from_config(config)
-    grid = config.get("grid", {})
-    if not isinstance(grid, dict) or "h" not in grid or "T" not in grid:
+    grid = _section(config, "grid")
+    if "h" not in grid or "T" not in grid:
         raise ConfigError("grid section must provide at least h and T")
-    data_sec = config.get("data", {})
+    data_sec = _section(config, "data")
+    center = data_sec.get("center", [0.0, 0.0])
+    if not isinstance(center, list):
+        raise ConfigError("data.center must be a list of two numbers")
     data = InitialData(
         kind=data_sec.get("kind", "smooth_bump"),
-        R=float(data_sec.get("R", 1.0)),
-        eps=float(data_sec.get("eps", 0.1)),
-        center=tuple(data_sec.get("center", (0.0, 0.0))),
+        center=tuple(_number(c, "data.center") for c in center),
+        **_numbers(data_sec, "data", R=1.0, eps=0.1),
     )
-    L_default = float(grid["T"]) + data.R + 4.0 * float(grid["h"]) + 1.0
-    cfg = SolverConfig(
-        h=float(grid["h"]),
-        L=float(grid.get("L", L_default)),
-        T=float(grid["T"]),
-        nonlinearity=coeffs,
-        cfl=float(grid.get("cfl", 0.5)),
-        checkpoint_interval=float(grid.get("checkpoint_interval", 2.0)),
-    )
+    g = _numbers(grid, "grid", h=None, T=None, cfl=0.5, checkpoint_interval=2.0)
+    L = _number(grid.get("L", g["T"] + data.R + 4.0 * g["h"] + 1.0), "grid.L")
+    cfg = SolverConfig(L=L, nonlinearity=coeffs, **g)
     cfg.validate_domain(data.R)
-    rays = [
-        RayTap(
-            sigma=float(rspec.get("sigma", 0.0)),
-            omega=_direction_from_ray(rspec),
-            stride=int(rspec.get("stride", 2)),
-        )
-        for rspec in config.get("rays", [])
-    ]
-    report = analyze(coeffs, delta=float(_get(config, "prediction", "delta", 0.01)))
+    rays = []
+    for rspec in config.get("rays", []):
+        if not isinstance(rspec, dict):
+            raise ConfigError("each entry of 'rays' must be an object")
+        tap = _numbers(rspec, "rays", sigma=0.0, stride=2)
+        if not tap["stride"].is_integer():      # also false for inf and nan
+            raise ConfigError(f"rays.stride must be an integer: {rspec['stride']!r}")
+        rays.append(RayTap(tap["sigma"], _direction_from_ray(rspec), int(tap["stride"])))
+    report = analyze(coeffs, delta=_delta(config))
 
     result = run(cfg, data, rays=rays)
     outdir = manifest.outdir

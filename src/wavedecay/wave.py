@@ -4,9 +4,10 @@ Explicit leapfrog with the 5-point Laplacian on a square grid, Dirichlet
 outer boundary that the light cone never reaches, compactly supported
 smooth data.  The time derivative entering F is resolved by two fixed
 point iterations of the implicit centered difference.  Alongside the
-solver: discrete energy, finite-propagation diagnostics, and extraction
-of the outgoing ray profile V(t) = U(t, (t+sigma) omega) with
-U = (d_r - d_t)(sqrt(r) u)/2, which feeds the profile ODE module.
+solver: discrete energy, finite-propagation diagnostics, and ray taps
+that stream the outgoing ray profile V(t) = U(t, (t+sigma) omega) with
+U = (d_r - d_t)(sqrt(r) u)/2 during the run, which feeds the profile
+ODE module.
 
 The step is one fused kernel (LeapfrogSolver._next) with two invariants:
 
@@ -243,6 +244,16 @@ def _nonlinear_terms(coeffs: NonlinearityCoefficients) -> list:
     return terms
 
 
+def _nonzero_box(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int, int, int]]:
+    """(r0, r1, c0, c1) bounding the nonzero cells of a and b; None if both are 0."""
+    nonzero = (a != 0.0) | (b != 0.0)
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    if not rows.size:
+        return None
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 class LeapfrogSolver:
     """Leapfrog stepper with the fixed-point nonlinear update.
 
@@ -269,37 +280,22 @@ class LeapfrogSolver:
     """
 
     def __init__(self, cfg: SolverConfig, data: InitialData):
-        cfg.validate_domain(data.R if data.kind != "custom" else 0.0)
+        # custom grids carry no support radius: the cone starts at the origin
+        self.R = data.R if data.kind != "custom" else 0.0
+        cfg.validate_domain(self.R)
         field0 = make_initial_data(data, cfg)
-        self._setup(cfg, field0)
-        self._levels(field0.u, self._taylor_level(field0, self.dt))
-        self.step_index = 1          # u_cur lives at t = t0 + step_index * dt
-        self.initial_field = field0
-
-    @classmethod
-    def _from_field(cls, cfg: SolverConfig, state: WaveField) -> "LeapfrogSolver":
-        """Solver whose current level is `state`, started at t0 = state.t."""
-        solver = cls.__new__(cls)
-        solver._setup(cfg, state)
-        solver._levels(solver._taylor_level(state, -solver.dt), state.u)
-        solver.step_index = 0
-        return solver
-
-    def _setup(self, cfg: SolverConfig, field0: WaveField) -> None:
         self.cfg = cfg
         self.h = field0.h
         self.dt = cfg.cfl * field0.h
-        self.t0 = field0.t
         self._terms = _nonlinear_terms(cfg.nonlinearity)
         self.linear = not self._terms
         self._gradient_terms = any(any(index) for _, index in self._terms)
-
-    def _levels(self, u_prev: np.ndarray, u_cur: np.ndarray) -> None:
-        """Copy the two starting levels into owned buffers; find the box."""
-        self.u_prev = u_prev.copy()
-        self.u_cur = u_cur.copy()
-        self._spare = np.zeros_like(u_cur)
-        n = u_cur.shape[0]
+        # copy the two starting levels into owned buffers
+        level1 = self._taylor_level(field0)
+        self.u_prev = field0.u.copy()
+        self.u_cur = level1.copy()
+        self._spare = np.zeros_like(level1)
+        n = level1.shape[0]
         # a strip is STRIP_CELLS cells, or one row when a row is longer.
         # One array per role _next uses, none larger than a level: freeing
         # a larger block raises glibc's dynamic trim threshold, which
@@ -311,21 +307,17 @@ class LeapfrogSolver:
         if self._gradient_terms:
             roles += ["ux", "uy"]
         self._scratch = {role: np.empty(max(STRIP_CELLS, n)) for role in roles}
-        nonzero = (self.u_prev != 0.0) | (self.u_cur != 0.0)
-        rows = np.flatnonzero(nonzero.any(axis=1))
-        cols = np.flatnonzero(nonzero.any(axis=0))
-        self._box = (
-            (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
-            if rows.size else None
-        )
+        self._box = _nonzero_box(self.u_prev, self.u_cur)
+        self.step_index = 1          # u_cur lives at t = step_index * dt
+        self.initial_field = field0
 
-    def _taylor_level(self, field0: WaveField, d: float) -> np.ndarray:
-        """Second-order accurate level at t0 + d from (u, u_t)."""
-        u, ut = field0.u, field0.u_t
+    def _taylor_level(self, field0: WaveField) -> np.ndarray:
+        """Second-order accurate level at t = dt from (u, u_t) at t = 0."""
+        u, ut, dt = field0.u, field0.u_t, self.dt
         # overflow is left to the blow-up guard, which reports it
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = _laplacian(u, self.h) + self._force(ut, *_gradients(u, self.h))
-            level = u + d * ut + 0.5 * d ** 2 * rhs
+            level = u + dt * ut + 0.5 * dt ** 2 * rhs
         self._zero_boundary(level)
         return level
 
@@ -425,41 +417,14 @@ class LeapfrogSolver:
     def advance(self) -> None:
         unew, m = self._next()
         if not m <= BLOWUP_GUARD:
-            raise BlowUpError(self.t0 + (self.step_index + 1) * self.dt, m)
+            raise BlowUpError((self.step_index + 1) * self.dt, m)
         self._spare, self.u_prev, self.u_cur = self.u_prev, self.u_cur, unew
         self._box = self._region()
         self.step_index += 1
 
     @property
     def t(self) -> float:
-        return self.t0 + self.step_index * self.dt
-
-
-def _check_linear_growth(e0: float, e1: float, t: float) -> None:
-    """A linear run conserves energy, so 10% growth means instability."""
-    if e0 > 0 and e1 > 1.1 * e0:
-        raise InstabilityError(
-            f"linear energy grew by {e1 / e0 - 1.0:.1%} by t = {t:.2f}"
-        )
-
-
-def step(state: WaveField, cfg: SolverConfig) -> WaveField:
-    """Advance a snapshot by one time step.
-
-    Reconstructs the previous level from (u, u_t) to second order, runs
-    one leapfrog update, and centers the new time derivative with a
-    lookahead level.
-    """
-    solver = LeapfrogSolver._from_field(cfg, state)
-    solver.advance()
-    u_next, _ = solver._next()
-    new = WaveField(
-        t=solver.t, u=solver.u_cur,
-        u_t=(u_next - solver.u_prev) / (2.0 * solver.dt), h=state.h, L=state.L,
-    )
-    if solver.linear:
-        _check_linear_growth(energy(state), energy(new), new.t)
-    return new
+        return self.step_index * self.dt
 
 
 def energy(state: WaveField) -> float:
@@ -544,14 +509,6 @@ def _ray_V(
     return 0.5 * (w_r - w_t)
 
 
-def _ray_series(ts: list, vs: list, sigma: float) -> ProfileSeries:
-    vs = np.array(vs)
-    return ProfileSeries(
-        times=np.array(ts), V=vs, G=np.zeros_like(vs), Phi=np.zeros_like(vs),
-        sigma=sigma,
-    )
-
-
 @dataclass(frozen=True)
 class RayTap:
     sigma: float
@@ -569,27 +526,19 @@ class RunResult:
     energy: EnergySeries
     diagnostics: dict
     profiles: dict
-    snapshots: list
 
 
 def run(
-    cfg: SolverConfig,
-    data: InitialData,
-    rays: Sequence[RayTap] = (),
-    snapshot_stride: int = 0,
-    snapshot_window: Optional[tuple[float, float]] = None,
+    cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = ()
 ) -> RunResult:
     """Advance to T, tracking energy, propagation, and ray profiles.
 
     Checkpoints (full snapshots with centered u_t) are emitted at the
-    configured cadence; `snapshot_stride` > 0 additionally stores dense
-    snapshots every that many steps inside `snapshot_window` (for offline
-    ray extraction).  Ray taps stream V(t) during the run: spatial and
+    configured cadence.  Ray taps stream V(t) during the run: spatial and
     temporal differences use only the three live leapfrog levels.
     """
     solver = LeapfrogSolver(cfg, data)
-    dt = solver.dt
-    R = data.R if data.kind != "custom" else 0.0
+    dt, R = solver.dt, solver.R
     nsteps = int(round(cfg.T / dt))
     ckpt_every = max(1, int(round(cfg.checkpoint_interval / dt)))
 
@@ -597,7 +546,6 @@ def run(
     e_last = energy(solver.initial_field)
     en_E = [math.sqrt(e_last)]
     prop = [(0.0, check_propagation(solver.initial_field, R))]
-    snapshots: list[WaveField] = []
     ray_rows: list[tuple[list, list]] = [([], []) for _ in rays]
 
     for n in range(1, nsteps + 1):
@@ -614,32 +562,31 @@ def run(
             if v is not None:
                 ts.append(t_mid)
                 vs.append(v)
-        is_ckpt = n % ckpt_every == 0 or n == nsteps
-        is_dense = bool(snapshot_stride) and n % snapshot_stride == 0 and (
-            snapshot_window is None
-            or snapshot_window[0] <= t_mid <= snapshot_window[1]
-        )
-        if not (is_ckpt or is_dense):
+        if n % ckpt_every and n != nsteps:
             continue
         snap = WaveField(
             t=t_mid, u=solver.u_prev.copy(),
             u_t=(solver.u_cur - u_prevprev) / (2.0 * dt), h=solver.h, L=cfg.L,
         )
-        if is_ckpt:
-            checkpoints.append(snap)
-            e = energy(snap)
-            en_E.append(math.sqrt(e))
-            prop.append((snap.t, check_propagation(snap, R)))
-            if solver.linear:
-                _check_linear_growth(e_last, e, snap.t)
-            e_last = e
-        if is_dense:
-            snapshots.append(snap)
+        checkpoints.append(snap)
+        e = energy(snap)
+        en_E.append(math.sqrt(e))
+        prop.append((snap.t, check_propagation(snap, R)))
+        # a linear run conserves energy, so 10% growth means instability
+        if solver.linear and e_last > 0 and e > 1.1 * e_last:
+            raise InstabilityError(
+                f"linear energy grew by {e / e_last - 1.0:.1%} by t = {snap.t:.2f}"
+            )
+        e_last = e
 
-    profiles = {
-        i: _ray_series(ts, vs, tap.sigma)
-        for i, (tap, (ts, vs)) in enumerate(zip(rays, ray_rows)) if ts
-    }
+    profiles = {}
+    for i, (tap, (ts, vs)) in enumerate(zip(rays, ray_rows)):
+        if ts:
+            V = np.array(vs)
+            profiles[i] = ProfileSeries(
+                times=np.array(ts), V=V, G=np.zeros_like(V), Phi=np.zeros_like(V),
+                sigma=tap.sigma,
+            )
     diagnostics = {
         "propagation": prop,
         "max_propagation_leak": max(p for _, p in prop),
@@ -654,34 +601,7 @@ def run(
         ),
         diagnostics=diagnostics,
         profiles=profiles,
-        snapshots=snapshots,
     )
-
-
-def extract_ray(
-    states: Sequence[WaveField], sigma: float, omega: Direction
-) -> ProfileSeries:
-    """Ray profile V(t; sigma, omega) from uniformly spaced snapshots.
-
-    Spatial derivative by centered differencing of bilinear samples of
-    sqrt(r) u along the ray; time derivative by centered differencing
-    across neighboring snapshots.
-    """
-    if len(states) < 3:
-        raise ValueError("need at least three snapshots for centered differences")
-    dts = np.diff([s.t for s in states])
-    if not np.allclose(dts, dts[0], rtol=1e-8):
-        raise ValueError("snapshots must be uniformly spaced in time")
-    delta = float(dts[0])
-    ts, vs = [], []
-    for prev, s, nxt in zip(states, states[1:], states[2:]):
-        v = _ray_V((prev.u, s.u, nxt.u), s.t, sigma, omega, s.h, s.L, delta)
-        if v is not None:
-            ts.append(s.t)
-            vs.append(v)
-    if not ts:
-        raise RayOutsideDomain("no snapshot time admits the requested ray point")
-    return _ray_series(ts, vs, sigma)
 
 
 @dataclass(frozen=True)

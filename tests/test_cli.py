@@ -309,6 +309,10 @@ SMALL_CFG = {
 }
 
 
+# an integer literal beyond the float range: float() raises OverflowError
+HUGE_INT = "1" + "0" * 400
+
+
 def _run_quiet(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -320,6 +324,7 @@ def _run_quiet(argv):
     ("simulate", 'grid={"h": 0.25, "T": Infinity}'),     # L omitted
     ("simulate", "grid.checkpoint_interval=Infinity"),
     ("simulate", "data.center=[1]"),
+    ("simulate", 'data.center="12"'),      # a string is not two numbers
     ("simulate", "data.eps=NaN"),
     ("profile", "ray.t_end=NaN"),
     ("profile", "ray.eps=Infinity"),
@@ -327,6 +332,15 @@ def _run_quiet(argv):
     ("profile", 'ray.forcing={"type": "envelope", "amplitude": NaN}'),
     ("profile", 'ray.forcing={"type": "envelope", "mu": NaN}'),
     ("analyze", "C=[NaN" + ", 0" * 26 + "]"),
+    pytest.param("simulate", f"grid.h={HUGE_INT}", id="simulate-grid.h=HUGE_INT"),
+    pytest.param("profile", f"ray.v0={HUGE_INT}", id="profile-ray.v0=HUGE_INT"),
+    pytest.param(
+        "analyze", f"C=[{HUGE_INT}" + ", 0" * 26 + "]", id="analyze-C=[HUGE_INT, 0...]"
+    ),
+    ("simulate", 'rays=[{"sigma": 0.0, "omega": [1.0, 0.0], "stride": 2.5}]'),
+    ("simulate", 'rays=[{"sigma": 0.0, "omega": [1.0, 0.0], "stride": Infinity}]'),
+    ("simulate", "rays=[5]"),
+    ("simulate", "data=5"),
 ])
 def test_invalid_config_values_exit_64(tmp_path, command, override):
     cfg = _write_cfg(tmp_path, SMALL_CFG)
@@ -352,8 +366,11 @@ _OVERRIDE_KEYS = [
     "ray.t_end", "ray.v0", "ray.support_radius", "ray.forcing",
     "prediction.delta",
 ]
-# no large finite values, so no draw can ask for a huge grid
-_OVERRIDE_VALUES = ["NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null"]
+# no large finite values, so no draw can ask for a huge grid; HUGE_INT is
+# safe because every key fails to convert it before any grid is built
+_OVERRIDE_VALUES = [
+    "NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null", HUGE_INT,
+]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,4 @@
-"""Unit tests for the 2D leapfrog solver, diagnostics, and ray extraction."""
+"""Unit tests for the 2D leapfrog solver, diagnostics, and ray taps."""
 
 import io
 import math
@@ -16,20 +16,18 @@ from wavedecay.wave import (
     BlowUpError,
     InitialData,
     LeapfrogSolver,
-    RayOutsideDomain,
     RayTap,
     SolverConfig,
     WaveField,
     _gradients,
     _laplacian,
+    _ray_V,
     apply_nonlinearity,
     check_propagation,
     energy,
-    extract_ray,
     make_initial_data,
     residual_forcing,
     run,
-    step,
 )
 
 
@@ -190,7 +188,7 @@ def test_plane_wave_matches_dalembert():
     data = InitialData(
         kind="custom", eps=1.0, f_grid=f(X) * window(Y), g_grid=np.zeros_like(X)
     )
-    res = run(cfg, data, snapshot_stride=0)
+    res = run(cfg, data)
     final = res.checkpoints[-1]
     t = final.t
     mid = cfg.n // 2
@@ -237,18 +235,6 @@ def test_propagation_violation_detected():
     u[1, 1] = 1.0     # far corner, way outside the light cone of R=1 at t=0
     state = WaveField(t=0.0, u=u, u_t=np.zeros((n, n)), h=0.25, L=4.0)
     assert check_propagation(state, R=1.0) == pytest.approx(1.0)
-
-
-def test_step_matches_run_linear():
-    cfg = SolverConfig(h=0.2, L=8.0, T=1.0)
-    data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
-    state = make_initial_data(data, cfg)
-    for _ in range(5):
-        state = step(state, cfg)
-    assert state.t == pytest.approx(5 * cfg.dt)
-    # energy should be near-conserved across manual stepping too
-    e0 = energy(make_initial_data(data, cfg))
-    assert abs(energy(state) - e0) / e0 < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +307,22 @@ def test_fused_step_matches_full_grid_step(seed, kind, zero_data, edge, strip_ro
         assert not np.any(solver.u_cur) and not np.any(solver.u_prev)
 
 
-def test_run_checkpoints_keep_their_levels():
-    cfg = SolverConfig(
-        h=0.25, L=8.0, T=3.0, nonlinearity=_damping_coeffs(), checkpoint_interval=0.25
-    )
-    data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
+def _recorded_levels(cfg, data):
+    """Every level of a run, index k at t = k dt, from a separate solver."""
     solver = LeapfrogSolver(cfg, data)
     levels = [solver.u_prev.copy(), solver.u_cur.copy()]
     while len(levels) < round(cfg.T / cfg.dt) + 2:
         solver.advance()
         levels.append(solver.u_cur.copy())
+    return levels
+
+
+def test_run_checkpoints_keep_their_levels():
+    cfg = SolverConfig(
+        h=0.25, L=8.0, T=3.0, nonlinearity=_damping_coeffs(), checkpoint_interval=0.25
+    )
+    data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
+    levels = _recorded_levels(cfg, data)
     res = run(cfg, data)
     fresh = make_initial_data(data, cfg)
     assert np.array_equal(res.checkpoints[0].u, fresh.u)
@@ -342,77 +334,52 @@ def test_run_checkpoints_keep_their_levels():
         assert np.array_equal(snap.u_t, (levels[k + 1] - levels[k - 1]) / (2.0 * cfg.dt))
 
 
-def test_step_leaves_its_input_unchanged():
-    cfg = SolverConfig(h=0.25, L=8.0, T=1.0, nonlinearity=_damping_coeffs())
-    state = make_initial_data(InitialData(kind="smooth_bump", R=1.0, eps=0.1), cfg)
-    u, u_t = state.u.copy(), state.u_t.copy()
-    new = step(state, cfg)
-    assert np.array_equal(state.u, u) and np.array_equal(state.u_t, u_t)
-    assert not np.array_equal(new.u, u)
-
-
 # ---------------------------------------------------------------------------
-# ray extraction
+# ray taps
 
 
-def _synthetic_states(phi, dphi, times, cfg):
+def _outgoing_level(phi, t, cfg):
     """u = r^{-1/2} phi(r - t) away from the origin (exact outgoing wave ansatz)."""
     xs = cfg.axis()
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    R = np.hypot(X, Y)
-    Rc = np.maximum(R, 0.3)
-    states = []
-    for t in times:
-        u = Rc ** -0.5 * phi(Rc - t)
-        u_t = -(Rc ** -0.5) * dphi(Rc - t)
-        states.append(WaveField(t=t, u=u, u_t=u_t, h=cfg.h_eff, L=cfg.L))
-    return states
+    Rc = np.maximum(np.hypot(X, Y), 0.3)
+    return Rc ** -0.5 * phi(Rc - t)
 
 
-def test_extract_ray_recovers_profile_derivative():
+def test_ray_V_recovers_profile_derivative():
     # w = sqrt(r) u = phi(r - t):  V = (w_r - w_t)/2 = phi'(sigma)
     cfg = SolverConfig(h=0.05, L=16.0, T=1.0)
     phi = lambda s: np.exp(-(s ** 2))
-    dphi = lambda s: -2.0 * s * np.exp(-(s ** 2))
-    times = np.arange(4.0, 10.0, 0.1)
-    states = _synthetic_states(phi, dphi, times, cfg)
-    for sigma in (-0.5, 0.0, 0.7):
-        series = extract_ray(states, sigma, Direction(1.0, 0.0))
-        expected = -2.0 * sigma * math.exp(-(sigma ** 2))
-        assert np.abs(series.V - expected).max() < 5e-3
+    dt, omega = 0.1, Direction(1.0, 0.0)
+    times = 3.9 + dt * np.arange(62)        # centres t = 4.0 ... 9.9
+    us = [_outgoing_level(phi, t, cfg) for t in times]
+    for k in range(1, len(times) - 1):
+        for sigma in (-0.5, 0.0, 0.7):
+            v = _ray_V(tuple(us[k - 1:k + 2]), times[k], sigma, omega, cfg.h_eff, cfg.L, dt)
+            assert abs(v - -2.0 * sigma * math.exp(-(sigma ** 2))) < 5e-3
+    # r = t + sigma = 40 is outside the grid [-8, 8]^2
+    small = SolverConfig(h=0.25, L=8.0, T=1.0)
+    far = tuple(_outgoing_level(phi, t, small) for t in (39.9, 40.0, 40.1))
+    assert _ray_V(far, 40.0, 0.0, omega, small.h_eff, small.L, dt) is None
 
 
-def test_extract_ray_validates_input():
-    cfg = SolverConfig(h=0.25, L=8.0, T=1.0)
-    phi = lambda s: np.exp(-(s ** 2))
-    dphi = lambda s: -2.0 * s * np.exp(-(s ** 2))
-    states = _synthetic_states(phi, dphi, [4.0, 4.1, 4.3], cfg)
-    with pytest.raises(ValueError):
-        extract_ray(states, 0.0, Direction(1.0, 0.0))
-    with pytest.raises(ValueError):
-        extract_ray(states[:2], 0.0, Direction(1.0, 0.0))
-    far = _synthetic_states(phi, dphi, [40.0, 40.1, 40.2], cfg)
-    with pytest.raises(RayOutsideDomain):
-        extract_ray(far, 0.0, Direction(1.0, 0.0))
-
-
-def test_streamed_taps_match_offline_extraction():
-    coeffs = _damping_coeffs()
-    cfg = SolverConfig(h=0.25, L=12.0, T=10.0, nonlinearity=coeffs)
+def test_streamed_taps_match_recorded_levels():
+    cfg = SolverConfig(h=0.25, L=12.0, T=10.0, nonlinearity=_damping_coeffs())
     data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
-    # snapshots at every step so the offline centered differences use the
-    # same spacing as the streamed taps
     tap = RayTap(sigma=0.0, omega=Direction(1.0, 0.0), stride=4)
-    res = run(cfg, data, rays=[tap], snapshot_stride=1, snapshot_window=(2.0, 10.0))
-    streamed = res.profiles[0]
-    offline = extract_ray(res.snapshots, 0.0, Direction(1.0, 0.0))
-    common = np.intersect1d(
-        np.round(streamed.times, 9), np.round(offline.times, 9)
-    )
-    assert len(common) > 5
-    vs_s = np.interp(common, streamed.times, streamed.V)
-    vs_o = np.interp(common, offline.times, offline.V)
-    assert np.abs(vs_s - vs_o).max() < 1e-10
+    streamed = run(cfg, data, rays=[tap]).profiles[0]
+    levels, dt = _recorded_levels(cfg, data), cfg.dt
+    ts, vs = [], []
+    for n in range(tap.stride, round(cfg.T / dt) + 1, tap.stride):
+        t = (n + 1) * dt - dt        # the tap time as run() forms it
+        v = _ray_V(tuple(levels[n - 1:n + 2]), t, 0.0, tap.omega, cfg.h_eff, cfg.L, dt)
+        if v is not None:
+            ts.append(t)
+            vs.append(v)
+    assert len(ts) > 5
+    assert streamed.times.tobytes() == np.array(ts).tobytes()
+    assert streamed.V.tobytes() == np.array(vs).tobytes()
+    assert not np.any(streamed.G) and not np.any(streamed.Phi)
 
 
 def test_residual_of_exact_ode_solution_is_small():
