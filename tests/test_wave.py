@@ -346,7 +346,8 @@ def _outgoing_level(phi, t, cfg):
     return Rc ** -0.5 * phi(Rc - t)
 
 
-def test_ray_V_recovers_profile_derivative():
+def test_extract_ray_recovers_profile_derivative():
+    # _ray_V extracts the ray profile from three consecutive levels.
     # w = sqrt(r) u = phi(r - t):  V = (w_r - w_t)/2 = phi'(sigma)
     cfg = SolverConfig(h=0.05, L=16.0, T=1.0)
     phi = lambda s: np.exp(-(s ** 2))
@@ -357,7 +358,12 @@ def test_ray_V_recovers_profile_derivative():
         for sigma in (-0.5, 0.0, 0.7):
             v = _ray_V(tuple(us[k - 1:k + 2]), times[k], sigma, omega, cfg.h_eff, cfg.L, dt)
             assert abs(v - -2.0 * sigma * math.exp(-(sigma ** 2))) < 5e-3
-    # r = t + sigma = 40 is outside the grid [-8, 8]^2
+
+
+def test_extract_ray_validates_input():
+    # r = t + sigma = 40 is outside the grid [-8, 8]^2: no sample, not an error
+    phi = lambda s: np.exp(-(s ** 2))
+    dt, omega = 0.1, Direction(1.0, 0.0)
     small = SolverConfig(h=0.25, L=8.0, T=1.0)
     far = tuple(_outgoing_level(phi, t, small) for t in (39.9, 40.0, 40.1))
     assert _ray_V(far, 40.0, 0.0, omega, small.h_eff, small.L, dt) is None
