@@ -9,11 +9,11 @@ Commands
     verify    run a module invariant suite (algebra/structure/ode/pde-smoke/all)
     report    render the energy-vs-bound overlay of a simulate run as SVG
 
-Every command reads a single JSON config (sections "B", "C", "data",
-"grid", "ray", "prediction") and writes a manifest.json echoing the full
-configuration, the tool version, wall-clock, the output file list, and a
-pass/fail summary -- even when the command fails, with the error class
-recorded.  CSV bodies are deterministic (no timestamps).
+analyze, profile and simulate read a single JSON config (sections "B",
+"C", "data", "grid", "ray", "prediction") and write a manifest.json
+echoing the full configuration, the tool version, wall-clock, the output
+file list, and a pass/fail summary -- even when the command fails, with
+the error class recorded.  CSV bodies are deterministic (no timestamps).
 
 Exit codes: 0 ok; 2 domain-level condition failure (sign condition fails,
 non-dissipative direction); 3 numerical failure (blow-up, instability);
@@ -55,6 +55,7 @@ from .wave import (
     BlowUpError,
     InitialData,
     InstabilityError,
+    PROPAGATION_SLACK_CELLS,
     RayTap,
     SolverConfig,
     run,
@@ -140,13 +141,13 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
-def _numbers(sec: dict, name: str, **defaults) -> dict:
-    """{key: number} for each keyword, read from section `name` or defaulted."""
-    return {k: _number(sec.get(k, d), f"{name}.{k}") for k, d in defaults.items()}
+def _numbers(sec: dict, name: str, *keys: str) -> dict:
+    """{key: number} for those `keys` that section `name` sets (no defaults)."""
+    return {k: _number(sec[k], f"{name}.{k}") for k in keys if k in sec}
 
 
-def _delta(cfg: dict) -> float:
-    return _numbers(_section(cfg, "prediction"), "prediction", delta=0.01)["delta"]
+def _prediction(cfg: dict) -> dict:
+    return _numbers(_section(cfg, "prediction"), "prediction", "delta")
 
 
 def _direction_from_ray(ray: dict) -> Direction:
@@ -216,7 +217,7 @@ class _Manifest:
         })
 
 
-# exit code for each exception class a command body may raise
+# exit code for each exception class a command may raise
 _EXIT_CODES = {
     BlowUpError: EXIT_NUMERICAL,
     InstabilityError: EXIT_NUMERICAL,
@@ -226,6 +227,15 @@ _EXIT_CODES = {
     ValueError: EXIT_USAGE,        # includes ConfigError
     TypeError: EXIT_USAGE,
 }
+
+
+def _exit_code(exc: Exception) -> int:
+    """Print `exc` and return its exit code; an unmapped error propagates."""
+    code = next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), None)
+    if code is None:
+        raise exc
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def _run_command(name: str, body, args) -> int:
@@ -238,13 +248,7 @@ def _run_command(name: str, body, args) -> int:
         return body(manifest.config, manifest)
     except Exception as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
-        code = next(
-            (c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), None
-        )
-        if code is None:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return code
+        return _exit_code(exc)
     finally:
         manifest.write()
 
@@ -255,7 +259,7 @@ def _run_command(name: str, body, args) -> int:
 
 def _analyze(config: dict, manifest: _Manifest) -> int:
     coeffs = _coeffs_from_config(config)
-    report = analyze(coeffs, delta=_delta(config))
+    report = analyze(coeffs, **_prediction(config))
     _write_json(manifest.add(manifest.outdir / "report.json"), report.to_dict())
     agemi_ok = report.agemi.status is not AgemiStatus.FAILS
     manifest.checks["sign_condition"] = agemi_ok
@@ -277,9 +281,9 @@ def _profile(config: dict, manifest: _Manifest) -> int:
     coeffs = _coeffs_from_config(config)
     ray_sec = _section(config, "ray")
     omega = _direction_from_ray(ray_sec)
-    ray = RayConfig(omega=omega, **_numbers(
-        ray_sec, "ray", sigma=0.0, eps=0.1, mu=0.05, t_end=1e6, support_radius=1.0
-    ))
+    ray = RayConfig(omega=omega, **{"sigma": 0.0, **_numbers(
+        ray_sec, "ray", "sigma", "eps", "mu", "t_end", "support_radius"
+    )})
     forcing = _forcing_from_ray(ray_sec, ray.mu, ray.sigma)
     v0 = ray_sec.get("v0")
     v0 = None if v0 is None else _number(v0, "ray.v0")
@@ -314,7 +318,7 @@ def _profile(config: dict, manifest: _Manifest) -> int:
         c1 = float(np.max(forcing_term * series.times ** q)) if len(series.times) else 0.0
         params = MatsumuraParams(
             c0=1.0, c1=c1, p=2.0, q=q,
-            t0=max(2.0, ray.t_start), phi0=float(series.Phi[0]),
+            t0=ray.t_start, phi0=float(series.Phi[0]),
         )
         c2 = matsumura_constant(params)
         logs = np.log(np.maximum(series.times, 2.0))
@@ -373,21 +377,23 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
     data = InitialData(
         kind=data_sec.get("kind", "smooth_bump"),
         center=tuple(_number(c, "data.center") for c in center),
-        **_numbers(data_sec, "data", R=1.0, eps=0.1),
+        **_numbers(data_sec, "data", "R", "eps"),
     )
-    g = _numbers(grid, "grid", h=None, T=None, cfl=0.5, checkpoint_interval=2.0)
-    L = _number(grid.get("L", g["T"] + data.R + 4.0 * g["h"] + 1.0), "grid.L")
-    cfg = SolverConfig(L=L, nonlinearity=coeffs, **g)
+    g = _numbers(grid, "grid", "h", "T", "cfl", "checkpoint_interval")
+    L = grid.get("L", g["T"] + data.R + PROPAGATION_SLACK_CELLS * g["h"] + 1.0)
+    cfg = SolverConfig(L=_number(L, "grid.L"), nonlinearity=coeffs, **g)
     cfg.validate_domain(data.R)
     rays = []
     for rspec in config.get("rays", []):
         if not isinstance(rspec, dict):
             raise ConfigError("each entry of 'rays' must be an object")
-        tap = _numbers(rspec, "rays", sigma=0.0, stride=2)
-        if not tap["stride"].is_integer():      # also false for inf and nan
-            raise ConfigError(f"rays.stride must be an integer: {rspec['stride']!r}")
-        rays.append(RayTap(tap["sigma"], _direction_from_ray(rspec), int(tap["stride"])))
-    report = analyze(coeffs, delta=_delta(config))
+        tap = {"sigma": 0.0, **_numbers(rspec, "rays", "sigma", "stride")}
+        if "stride" in tap:
+            if not tap["stride"].is_integer():      # also false for inf and nan
+                raise ConfigError(f"rays.stride must be an integer: {rspec['stride']!r}")
+            tap["stride"] = int(tap["stride"])
+        rays.append(RayTap(omega=_direction_from_ray(rspec), **tap))
+    report = analyze(coeffs, **_prediction(config))
 
     result = run(cfg, data, rays=rays)
     outdir = manifest.outdir
@@ -525,7 +531,7 @@ def _suite_ode() -> list[tuple[str, bool]]:
     )
     from .profile_ode import check_matsumura_bound
 
-    chk = check_matsumura_bound(params, forcing_bound_active=False, t_end=1e6)
+    chk = check_matsumura_bound(params, t_end=1e6)
     checks.append(("saturating ODE respects the logarithmic bound", chk.holds))
 
     ray = RayConfig(sigma=0.0, omega=Direction(1.0, 0.0), eps=0.1, mu=0.05, t_end=1e6)
@@ -571,15 +577,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    name = args.suite
-    if name != "all" and name not in _SUITES:
-        print(
-            f"error: unknown suite {name!r}; choose from "
-            f"{sorted(_SUITES)} or 'all'",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    names = sorted(_SUITES) if name == "all" else [name]
+    names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for suite in names:
         for label, ok in _SUITES[suite]():
@@ -592,14 +590,27 @@ def cmd_verify(args) -> int:
 # report
 
 
+def _read_energy(path: Path) -> np.ndarray:
+    """energy.csv rows: a t,E[,E_bound] header, then finite numbers."""
+    if not path.is_file():
+        raise ConfigError(f"{path} not found (not a simulate run?)")
+    with open(path) as fh:
+        if fh.readline().strip().split(",")[:2] != ["t", "E"]:
+            raise ConfigError(f"{path} does not start with a t,E header")
+    rows = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    if rows.size == 0 or not all(np.isfinite(rows[c]).all() for c in rows.dtype.names):
+        raise ConfigError(f"{path} needs at least one row of finite numbers")
+    return rows
+
+
 def _energy_svg(rows) -> str:
     """Energy (solid) and fitted bound (dashed) against t as an SVG document."""
     W, H, PAD = 600, 400, 50
-    t = np.atleast_1d(rows["t"])
+    t = rows["t"]
     curves = [("E", "", "energy norm")]
-    if "E_bound" in (rows.dtype.names or ()):
+    if "E_bound" in rows.dtype.names:
         curves.append(("E_bound", ' stroke-dasharray="6 4"', "fitted logarithmic bound"))
-    ys = np.concatenate([np.atleast_1d(rows[c]) for c, _, _ in curves])
+    ys = np.concatenate([rows[c] for c, _, _ in curves])
     t0, t1 = float(t.min()), float(t.max())
     y0, y1 = min(0.0, float(ys.min())), float(ys.max())
 
@@ -617,7 +628,7 @@ def _energy_svg(rows) -> str:
         f'<text x="10" y="{PAD - 10}">E ({y0:g} to {y1:g})</text>',
     ]
     for k, (col, dash, label) in enumerate(curves):
-        pts = " ".join(xy(a, b) for a, b in zip(t, np.atleast_1d(rows[col])))
+        pts = " ".join(xy(a, b) for a, b in zip(t, rows[col]))
         out.append(f'<polyline points="{pts}" fill="none" stroke="black"{dash}/>')
         out.append(f'<text x="{W - PAD - 5}" y="{PAD + 20 * (k + 1)}"'
                    f' text-anchor="end">{label}</text>')
@@ -625,18 +636,14 @@ def _energy_svg(rows) -> str:
 
 
 def cmd_report(args) -> int:
+    """Write the SVG plot of a simulate run; no other file is written."""
     rundir = Path(args.rundir)
-    csv_path = rundir / "energy.csv"
-    if not csv_path.is_file():
-        print(f"error: {csv_path} not found (not a simulate run?)", file=sys.stderr)
-        return EXIT_USAGE
-    rows = np.genfromtxt(csv_path, delimiter=",", names=True)
-    manifest = _Manifest("report", rundir, {"rundir": str(rundir)})
     out = Path(args.out) if args.out else rundir / "report.svg"
-    out.write_text(_energy_svg(rows))
-    manifest.add(out)
-    manifest.checks["plot_emitted"] = True
-    manifest.write()
+    try:
+        svg = _energy_svg(_read_energy(rundir / "energy.csv"))
+    except Exception as exc:
+        return _exit_code(exc)
+    out.write_text(svg)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -669,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=functools.partial(_run_command, name, body))
 
     p = sub.add_parser("verify", help="run a module invariant suite")
-    p.add_argument("suite")
+    p.add_argument("suite", choices=[*sorted(_SUITES), "all"])
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="render the energy overlay plot")
@@ -685,7 +692,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors; remap to the documented code
         if exc.code not in (0, None):
-            raise SystemExit(EXIT_USAGE)
+            return EXIT_USAGE
         raise
     return args.func(args)
 

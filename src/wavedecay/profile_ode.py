@@ -247,6 +247,11 @@ def _integrate_adaptive(
     return _dense((out_s - s_old[i]) / hs[i], [c[i] for c in F], y_old[i])
 
 
+def ray_start(sigma: float) -> float:
+    """Start time max(2, -2 sigma) of the ray r = t + sigma."""
+    return max(2.0, -2.0 * sigma)
+
+
 @dataclass(frozen=True)
 class RayConfig:
     """One outgoing characteristic ray r = t + sigma in direction omega."""
@@ -268,7 +273,7 @@ class RayConfig:
             raise ValueError("mu must lie in (0, 1/10)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        t_start = max(2.0, -2.0 * self.sigma)
+        t_start = ray_start(self.sigma)
         object.__setattr__(self, "t_start", t_start)
         if self.t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
@@ -343,9 +348,8 @@ class TabulatedForcing:
 
     def __call__(self, t: float, v: float) -> float:
         ts = self.times
-        if t <= ts[0] or t >= ts[-1]:
-            if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
-                return 0.0
+        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
+            return 0.0
         return float(np.interp(math.log(t), self.log_times, self.values))
 
 
@@ -369,14 +373,16 @@ class ProfileSeries:
 
     def write_csv(self, fh, bound: Optional[np.ndarray] = None) -> None:
         """Deterministic CSV body: columns t, V, G, Phi [, bound]."""
-        cols = ["t", "V", "G", "Phi"]
-        data = [self.times, self.V, self.G, self.Phi]
-        if bound is not None:
-            cols.append("bound")
-            data.append(bound)
-        fh.write(",".join(cols) + "\n")
-        for row in zip(*data):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_csv_columns(fh, dict(t=self.times, V=self.V, G=self.G, Phi=self.Phi,
+                                   bound=bound))
+
+
+def write_csv_columns(fh, cols: dict) -> None:
+    """Header, then one %.17g row per sample; a column that is None is left out."""
+    cols = {name: col for name, col in cols.items() if col is not None}
+    fh.write(",".join(cols) + "\n")
+    for row in zip(*cols.values()):
+        fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def _log_grid(t_start: float, t_end: float) -> np.ndarray:
@@ -446,35 +452,29 @@ class MatsumuraCheck:
 
 def check_matsumura_bound(
     params: MatsumuraParams,
-    forcing_bound_active: bool = True,
     t_end: float = 1e6,
     slack: float = 1e-7,
 ) -> MatsumuraCheck:
     """Integrate the ODE saturating the lemma hypothesis and test the bound.
 
-    dPhi/dt = -(C0/t)|Phi|^p + C1/t^q (C1 dropped when the forcing bound
-    is inactive); the lemma's claim is Phi(t) <= C2 / (log t)^(p*-1) for
-    all t >= t0.
+    dPhi/dt = -(C0/t)|Phi|^p + C1/t^q; the lemma's claim is
+    Phi(t) <= C2 / (log t)^(p*-1) for all t >= t0.
     """
     if t_end <= params.t0:
         raise ValueError("t_end must exceed t0")
-    c1 = params.c1 if forcing_bound_active else 0.0
-    eff = MatsumuraParams(
-        c0=params.c0, c1=c1, p=params.p, q=params.q,
-        t0=params.t0, phi0=params.phi0,
-    )
-    c2 = matsumura_constant(eff)
+    c0, c1, p, q = params.c0, params.c1, params.p, params.q
+    c2 = matsumura_constant(params)
     out_t = _log_grid(params.t0, t_end)
     out_s = np.log(out_t)
 
     def rhs(s, phi):
         t = math.exp(s)
-        return -eff.c0 * abs(phi) ** eff.p + c1 * t ** (1.0 - eff.q)
+        return -c0 * abs(phi) ** p + c1 * t ** (1.0 - q)
 
     phis = _integrate_adaptive(rhs, params.phi0, out_s)
-    ratios = phis * np.log(out_t) ** (eff.p_star - 1.0) / c2
+    ratios = phis * np.log(out_t) ** (params.p_star - 1.0) / c2
     max_ratio = float(ratios.max())
-    holds = bool(np.all(phis <= c2 / np.log(out_t) ** (eff.p_star - 1.0) + slack))
+    holds = bool(np.all(phis <= c2 / np.log(out_t) ** (params.p_star - 1.0) + slack))
     return MatsumuraCheck(
         holds=holds, max_ratio=max_ratio, c2=c2, times=out_t, phi=phis
     )

@@ -256,32 +256,21 @@ class FourierSeries:
         return np.fft.irfft(c, n)
 
 
+def _restrict(tensor: np.ndarray) -> TrigPolynomial:
+    """Sum of c_J * hat omega_J over the entries of a coefficient tensor,
+    with hat omega = (-1, cos theta, sin theta); entries in C order."""
+    terms = []
+    for idx, c in np.ndenumerate(tensor):
+        if c != 0.0:
+            terms.append((idx.count(1), idx.count(2), (-1.0) ** idx.count(0) * c))
+    return TrigPolynomial(tuple(terms))
+
+
 def quadratic_to_trig_poly(coeffs: NonlinearityCoefficients) -> TrigPolynomial:
     """F_q(hat omega(theta)) as a degree-2 trigonometric polynomial."""
-    terms = []
-    for j in range(3):
-        for k in range(3):
-            c = coeffs.B[j, k]
-            if c == 0.0:
-                continue
-            sign = (-1.0) ** ((j == 0) + (k == 0))
-            p1 = (j == 1) + (k == 1)
-            p2 = (j == 2) + (k == 2)
-            terms.append((p1, p2, sign * c))
-    return TrigPolynomial(tuple(terms))
+    return _restrict(coeffs.B)
 
 
 def cubic_to_trig_poly(coeffs: NonlinearityCoefficients) -> TrigPolynomial:
     """Psi(theta) = P(cos theta, sin theta) for the cubic symbol."""
-    terms = []
-    for j in range(3):
-        for k in range(3):
-            for l in range(3):
-                c = coeffs.C[j, k, l]
-                if c == 0.0:
-                    continue
-                nzero = (j == 0) + (k == 0) + (l == 0)
-                p1 = (j == 1) + (k == 1) + (l == 1)
-                p2 = (j == 2) + (k == 2) + (l == 2)
-                terms.append((p1, p2, ((-1.0) ** nzero) * c))
-    return TrigPolynomial(tuple(terms))
+    return _restrict(coeffs.C)

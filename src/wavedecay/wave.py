@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .profile_ode import ProfileSeries
+from .profile_ode import ProfileSeries, ray_start, write_csv_columns
 from .trig import Direction, NonlinearityCoefficients
 
 BLOWUP_GUARD = 1e10
@@ -123,7 +123,7 @@ class SolverConfig:
         return np.linspace(-self.L, self.L, self.n)
 
     def validate_domain(self, R: float) -> None:
-        if self.L < self.T + R + 4 * self.h_eff:
+        if self.L < self.T + R + PROPAGATION_SLACK_CELLS * self.h_eff:
             raise ValueError(
                 "domain too small: need L >= T + R + 4h to keep the light "
                 "cone away from the boundary"
@@ -153,11 +153,7 @@ class EnergySeries:
     E: np.ndarray      # energy norm ||u(t)||_E = sqrt(0.5 * int |du|^2)
 
     def write_csv(self, fh, bound: Optional[np.ndarray] = None) -> None:
-        cols = ["t", "E"] + (["E_bound"] if bound is not None else [])
-        fh.write(",".join(cols) + "\n")
-        data = [self.times, self.E] + ([bound] if bound is not None else [])
-        for row in zip(*data):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_csv_columns(fh, {"t": self.times, "E": self.E, "E_bound": bound})
 
 
 def _bump_profile(rho2: np.ndarray) -> np.ndarray:
@@ -494,7 +490,7 @@ def _ray_V(
     r is too close to the origin, or the stencil leaves the grid.
     """
     r = t + sigma
-    if t < max(2.0, -2.0 * sigma) or r < max(t / 2.0, 1.0):
+    if t < ray_start(sigma) or r < max(t / 2.0, 1.0):
         return None
     u_m, u_c, u_p = levels
     try:
@@ -545,7 +541,7 @@ def run(
     checkpoints = [solver.initial_field]
     e_last = energy(solver.initial_field)
     en_E = [math.sqrt(e_last)]
-    prop = [(0.0, check_propagation(solver.initial_field, R))]
+    max_leak = check_propagation(solver.initial_field, R)
     ray_rows: list[tuple[list, list]] = [([], []) for _ in rays]
 
     for n in range(1, nsteps + 1):
@@ -571,7 +567,7 @@ def run(
         checkpoints.append(snap)
         e = energy(snap)
         en_E.append(math.sqrt(e))
-        prop.append((snap.t, check_propagation(snap, R)))
+        max_leak = max(max_leak, check_propagation(snap, R))
         # a linear run conserves energy, so 10% growth means instability
         if solver.linear and e_last > 0 and e > 1.1 * e_last:
             raise InstabilityError(
@@ -588,8 +584,7 @@ def run(
                 sigma=tap.sigma,
             )
     diagnostics = {
-        "propagation": prop,
-        "max_propagation_leak": max(p for _, p in prop),
+        "max_propagation_leak": max_leak,
         "dt": dt,
         "h": solver.h,
         "steps": nsteps,

@@ -170,7 +170,7 @@ def test_criterion_4_log_decay_lemma():
 
     # closed form: c1 = 0, p = 2 gives Phi = phi0 / (1 + c0 phi0 log(t/t0))
     params = MatsumuraParams(c0=1.3, c1=0.0, p=2.0, q=1.5, t0=2.0, phi0=0.8)
-    chk = check_matsumura_bound(params, forcing_bound_active=False, t_end=1e6)
+    chk = check_matsumura_bound(params, t_end=1e6)
     exact = params.phi0 / (1.0 + params.c0 * params.phi0 * np.log(chk.times / params.t0))
     ok &= float(np.max(np.abs(chk.phi - exact) / exact)) < 1e-8
 

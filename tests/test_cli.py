@@ -295,6 +295,25 @@ def test_report_requires_run_dir(tmp_path):
     assert main(["report", str(tmp_path)]) == 64
 
 
+@pytest.mark.parametrize("body", ["", "t,E\n", "x,E\n0,1\n", "t,E\n0,nan\n1,2\n"],
+                         ids=["empty", "header-only", "no-t-column", "nan-value"])
+def test_report_malformed_energy_exits_64(tmp_path, body, capsys):
+    (tmp_path / "energy.csv").write_text(body)
+    assert main(["report", str(tmp_path)]) == 64
+    assert not (tmp_path / "report.svg").exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_leaves_the_simulate_manifest(tmp_path):
+    cfg = _write_cfg(tmp_path, SIM_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out", str(out)]) == 0
+    before = (out / "manifest.json").read_bytes()
+    assert main(["report", str(out)]) == 0
+    assert (out / "manifest.json").read_bytes() == before
+    assert json.loads(before)["command"] == "simulate"
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: every input gives 0/2/3/64 and a manifest
 

@@ -109,7 +109,7 @@ def test_log_weight_integral_against_mpmath():
 def test_saturating_ode_matches_closed_form():
     # c1 = 0, p = 2: Phi(t) = phi0 / (1 + c0 phi0 log(t / t0))
     params = MatsumuraParams(c0=0.7, c1=0.0, p=2.0, q=1.5, t0=2.0, phi0=1.3)
-    chk = check_matsumura_bound(params, forcing_bound_active=False, t_end=1e6)
+    chk = check_matsumura_bound(params, t_end=1e6)
     exact = params.phi0 / (
         1.0 + params.c0 * params.phi0 * np.log(chk.times / params.t0)
     )

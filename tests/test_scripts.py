@@ -1,4 +1,5 @@
-"""Smoke test: every experiment script runs to completion."""
+"""Smoke tests run in a subprocess: every experiment script runs to
+completion, and the console entry point exits with the documented code."""
 
 import os
 import subprocess
@@ -11,15 +12,28 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
-def test_script_exits_0(script, tmp_path):
+def _run(argv, cwd, timeout):
+    """Run `python argv` in cwd with the package's src/ on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    # run in a temporary directory: scripts may write results/ under the cwd
-    proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=240,
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_exits_0(script, tmp_path):
+    # run in a temporary directory: scripts may write results/ under the cwd
+    proc = _run([str(script)], tmp_path, 240)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("args", [["verify", "bogus"], ["report", "."]],
+                         ids=["verify-bogus", "report-empty-dir"])
+def test_cli_process_exits_64(args, tmp_path):
+    proc = _run(["-m", "wavedecay.cli", *args], tmp_path, 60)
+    assert proc.returncode == 64, proc.stderr[-2000:]
+    assert not (tmp_path / "manifest.json").exists()
