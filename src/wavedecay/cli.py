@@ -23,6 +23,7 @@ non-dissipative direction); 3 numerical failure (blow-up, instability);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -47,9 +48,10 @@ from .profile_ode import (
     RayConfig,
     StepUnderflow,
     ZeroForcing,
+    check_matsumura_bound,
+    check_profile_bound,
     check_sqrtlog_decay,
     integrate_profile,
-    matsumura_constant,
 )
 from .wave import (
     BlowUpError,
@@ -146,6 +148,11 @@ def _numbers(sec: dict, name: str, *keys: str) -> dict:
     return {k: _number(sec[k], f"{name}.{k}") for k in keys if k in sec}
 
 
+def _given(sec: dict, *keys: str) -> dict:
+    """{key: value} for those `keys` that `sec` sets (no defaults)."""
+    return {k: sec[k] for k in keys if k in sec}
+
+
 def _prediction(cfg: dict) -> dict:
     return _numbers(_section(cfg, "prediction"), "prediction", "delta")
 
@@ -175,7 +182,7 @@ def _forcing_from_ray(ray: dict, mu: float, sigma: float):
                 amplitude=_number(spec.get("amplitude", 1.0), "ray.forcing.amplitude"),
                 mu=_number(spec.get("mu", mu), "ray.forcing.mu"),
                 sigma=_number(spec.get("sigma", sigma), "ray.forcing.sigma"),
-                sign_mode=spec.get("sign_mode", "adversarial"),
+                **_given(spec, "sign_mode"),
             )
         except ValueError as exc:
             raise ConfigError(f"bad envelope forcing: {exc}") from exc
@@ -189,10 +196,9 @@ def _write_json(path: Path, body) -> None:
 
 
 class _Manifest:
-    """Collects outputs/checks and always lands on disk."""
+    """Collects outputs/checks; lands on disk wherever its directory exists."""
 
     def __init__(self, command: str, outdir: Path, config: dict):
-        outdir.mkdir(parents=True, exist_ok=True)
         self.command = command
         self.outdir = outdir
         self.config = config
@@ -226,6 +232,7 @@ _EXIT_CODES = {
     SignConditionViolated: EXIT_CONDITION,
     ValueError: EXIT_USAGE,        # includes ConfigError
     TypeError: EXIT_USAGE,
+    OSError: EXIT_USAGE,           # an output path that cannot be written
 }
 
 
@@ -239,18 +246,20 @@ def _exit_code(exc: Exception) -> int:
 
 
 def _run_command(name: str, body, args) -> int:
-    """Load the config with its --set overrides, run `body`, and always
-    write the manifest; a raised error is recorded and mapped to its
-    exit code (unmapped errors propagate after the manifest is written)."""
+    """Make the output directory, load the config (with --set overrides) and
+    run `body`; an error is recorded and mapped to its exit code (unmapped
+    errors propagate).  The manifest is written wherever the directory exists."""
     manifest = _Manifest(name, Path(args.out), {"config_path": args.config})
     try:
+        manifest.outdir.mkdir(parents=True, exist_ok=True)
         manifest.config = _apply_overrides(_load_config(args.config), args.set)
         return body(manifest.config, manifest)
     except Exception as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
         return _exit_code(exc)
     finally:
-        manifest.write()
+        if manifest.outdir.is_dir():
+            manifest.write()
 
 
 # ---------------------------------------------------------------------------
@@ -311,32 +320,14 @@ def _profile(config: dict, manifest: _Manifest) -> int:
     }
     bound_col = None
     if not degenerate:
-        # Phi = P V^2 obeys dPhi/dt = -Phi^2/t + 2 P V G; fit the forcing
-        # constant c1 empirically from the sampled series
-        q = 1.5 - 2.0 * ray.mu
-        forcing_term = np.abs(2.0 * P_val * series.V * series.G)
-        c1 = float(np.max(forcing_term * series.times ** q)) if len(series.times) else 0.0
-        params = MatsumuraParams(
-            c0=1.0, c1=c1, p=2.0, q=q,
-            t0=ray.t_start, phi0=float(series.Phi[0]),
-        )
-        c2 = matsumura_constant(params)
-        logs = np.log(np.maximum(series.times, 2.0))
-        bound_col = c2 / logs ** (params.p_star - 1.0)
-        holds = bool(np.all(series.Phi <= bound_col * (1.0 + 1e-9) + 1e-12))
-        sqrtlog = check_sqrtlog_decay(series, P_val)
-        bound_report.update(
-            {
-                "matsumura": {
-                    "c0": params.c0, "c1": params.c1, "p": params.p,
-                    "q": params.q, "t0": params.t0, "phi0": params.phi0,
-                    "C2": c2,
-                },
-                "bound_holds": holds,
-                "sqrtlog_constant": sqrtlog,
-            }
-        )
-        manifest.checks["matsumura_bound"] = holds
+        params, chk = check_profile_bound(series, ray)
+        bound_col = chk.bound
+        bound_report.update({
+            "matsumura": {**dataclasses.asdict(params), "C2": chk.c2},
+            "bound_holds": chk.holds,
+            "sqrtlog_constant": check_sqrtlog_decay(series, P_val),
+        })
+        manifest.checks["matsumura_bound"] = chk.holds
     manifest.checks["dissipative_direction"] = True
 
     with open(manifest.add(manifest.outdir / "profile.csv"), "w") as fh:
@@ -371,14 +362,12 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
     if "h" not in grid or "T" not in grid:
         raise ConfigError("grid section must provide at least h and T")
     data_sec = _section(config, "data")
-    center = data_sec.get("center", [0.0, 0.0])
-    if not isinstance(center, list):
-        raise ConfigError("data.center must be a list of two numbers")
-    data = InitialData(
-        kind=data_sec.get("kind", "smooth_bump"),
-        center=tuple(_number(c, "data.center") for c in center),
-        **_numbers(data_sec, "data", "R", "eps"),
-    )
+    data_kw = {**_given(data_sec, "kind"), **_numbers(data_sec, "data", "R", "eps")}
+    if "center" in data_sec:
+        if not isinstance(data_sec["center"], list):
+            raise ConfigError("data.center must be a list of two numbers")
+        data_kw["center"] = tuple(_number(c, "data.center") for c in data_sec["center"])
+    data = InitialData(**data_kw)
     g = _numbers(grid, "grid", "h", "T", "cfl", "checkpoint_interval")
     L = grid.get("L", g["T"] + data.R + PROPAGATION_SLACK_CELLS * g["h"] + 1.0)
     cfg = SolverConfig(L=_number(L, "grid.L"), nonlinearity=coeffs, **g)
@@ -421,10 +410,7 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
             series.write_csv(fh)
 
     diag = {
-        "max_propagation_leak": result.diagnostics["max_propagation_leak"],
-        "dt": result.diagnostics["dt"],
-        "h": result.diagnostics["h"],
-        "steps": result.diagnostics["steps"],
+        **result.diagnostics,
         "fitted_energy_constant": fitted_C,
         "lambda": report.prediction.lam if report.prediction else None,
     }
@@ -450,7 +436,7 @@ def _suite_algebra() -> list[tuple[str, bool]]:
         )
         poly = TrigPolynomial(terms)
         th = rng.uniform(0, 2 * math.pi, size=16)
-        if not np.allclose(poly(th), poly.eval_fourier(th), atol=1e-10, rtol=1e-10):
+        if not np.allclose(poly(th), poly.fourier(th), atol=1e-10, rtol=1e-10):
             ok = False
     checks.append(("monomial/Fourier agreement on random polynomials", ok))
 
@@ -525,13 +511,10 @@ def _suite_structure() -> list[tuple[str, bool]]:
 def _suite_ode() -> list[tuple[str, bool]]:
     checks = []
     params = MatsumuraParams(c0=1.0, c1=0.0, p=2.0, q=1.5, t0=2.0, phi0=1.0)
-    c2 = matsumura_constant(params)
-    checks.append(
-        ("closed-form constant log2 + 1", abs(c2 - (math.log(2.0) + 1.0)) < 1e-12)
-    )
-    from .profile_ode import check_matsumura_bound
-
     chk = check_matsumura_bound(params, t_end=1e6)
+    checks.append(
+        ("closed-form constant log2 + 1", abs(chk.c2 - (math.log(2.0) + 1.0)) < 1e-12)
+    )
     checks.append(("saturating ODE respects the logarithmic bound", chk.holds))
 
     ray = RayConfig(sigma=0.0, omega=Direction(1.0, 0.0), eps=0.1, mu=0.05, t_end=1e6)
@@ -640,10 +623,9 @@ def cmd_report(args) -> int:
     rundir = Path(args.rundir)
     out = Path(args.out) if args.out else rundir / "report.svg"
     try:
-        svg = _energy_svg(_read_energy(rundir / "energy.csv"))
+        out.write_text(_energy_svg(_read_energy(rundir / "energy.csv")))
     except Exception as exc:
         return _exit_code(exc)
-    out.write_text(svg)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -247,6 +247,11 @@ def _integrate_adaptive(
     return _dense((out_s - s_old[i]) / hs[i], [c[i] for c in F], y_old[i])
 
 
+def sigma_weight(sigma: float) -> float:
+    """Japanese bracket <sigma> = sqrt(1 + sigma^2)."""
+    return math.hypot(1.0, sigma)
+
+
 def ray_start(sigma: float) -> float:
     """Start time max(2, -2 sigma) of the ray r = t + sigma."""
     return max(2.0, -2.0 * sigma)
@@ -278,14 +283,9 @@ class RayConfig:
         if self.t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
         c0 = max(2.0, 2.0 * (1.0 + self.support_radius))
-        s = math.hypot(1.0, self.sigma)
+        s = sigma_weight(self.sigma)
         if not (s / c0 <= t_start <= c0 * s):
             raise ValueError("ray start time violates the <sigma>-comparability bounds")
-
-    @property
-    def sigma_weight(self) -> float:
-        """Japanese bracket <sigma>."""
-        return math.hypot(1.0, self.sigma)
 
 
 class ZeroForcing:
@@ -314,8 +314,8 @@ class EnvelopeForcing:
             raise ValueError("amplitude, mu and sigma must be finite")
         if self.sign_mode not in ("adversarial", "fixed"):
             raise ValueError("sign_mode must be 'adversarial' or 'fixed'")
-        sw = math.hypot(1.0, self.sigma)
-        object.__setattr__(self, "prefactor", self.amplitude * sw ** (-self.mu - 0.5))
+        prefactor = self.amplitude * sigma_weight(self.sigma) ** (-self.mu - 0.5)
+        object.__setattr__(self, "prefactor", prefactor)
 
     def envelope(self, t: float) -> float:
         return self.prefactor * t ** (2.0 * self.mu - 1.5)
@@ -409,7 +409,7 @@ def integrate_profile(
     if not 0 <= P_val < math.inf:
         raise ValueError("P_val must be nonnegative and finite")
     if v0 is None:
-        v0 = ray.eps * ray.sigma_weight ** (ray.mu - 1.0)
+        v0 = ray.eps * sigma_weight(ray.sigma) ** (ray.mu - 1.0)
     if not abs(v0) <= BLOWUP_GUARD:
         raise ProfileBlowUp(ray.t_start, v0)
 
@@ -448,6 +448,17 @@ class MatsumuraCheck:
     c2: float
     times: np.ndarray
     phi: np.ndarray
+    bound: np.ndarray       # C2 / (log max(t, 2))^(p* - 1) at each time
+
+
+def _matsumura_check(params, times, phi, slack, rel=0.0) -> MatsumuraCheck:
+    """The lemma's bound at `times`; it holds if phi <= bound (1 + rel) + slack."""
+    c2 = matsumura_constant(params)
+    decay = np.log(np.maximum(times, 2.0)) ** (params.p_star - 1.0)
+    bound = c2 / decay
+    return MatsumuraCheck(holds=bool(np.all(phi <= bound * (1.0 + rel) + slack)),
+                          max_ratio=float((phi * decay / c2).max()), c2=c2,
+                          times=times, phi=phi, bound=bound)
 
 
 def check_matsumura_bound(
@@ -463,7 +474,6 @@ def check_matsumura_bound(
     if t_end <= params.t0:
         raise ValueError("t_end must exceed t0")
     c0, c1, p, q = params.c0, params.c1, params.p, params.q
-    c2 = matsumura_constant(params)
     out_t = _log_grid(params.t0, t_end)
     out_s = np.log(out_t)
 
@@ -472,9 +482,20 @@ def check_matsumura_bound(
         return -c0 * abs(phi) ** p + c1 * t ** (1.0 - q)
 
     phis = _integrate_adaptive(rhs, params.phi0, out_s)
-    ratios = phis * np.log(out_t) ** (params.p_star - 1.0) / c2
-    max_ratio = float(ratios.max())
-    holds = bool(np.all(phis <= c2 / np.log(out_t) ** (params.p_star - 1.0) + slack))
-    return MatsumuraCheck(
-        holds=holds, max_ratio=max_ratio, c2=c2, times=out_t, phi=phis
+    return _matsumura_check(params, out_t, phis, slack)
+
+
+def check_profile_bound(series: ProfileSeries, ray: RayConfig) -> tuple:
+    """(MatsumuraParams, MatsumuraCheck) for Phi = P V^2 of a profile on `ray`.
+
+    Phi obeys dPhi/dt = -Phi^2/t + 2 P V G, so c0 = 1, p = 2 and
+    q = 3/2 - 2 mu; c1 is the smallest constant with |2 P V G| <= c1 t^-q
+    on the samples.  The bound holds if Phi <= bound (1 + 1e-9) + 1e-12.
+    """
+    q = 1.5 - 2.0 * ray.mu
+    forcing_term = np.abs(2.0 * series.P_val * series.V * series.G)
+    params = MatsumuraParams(
+        c0=1.0, c1=float(np.max(forcing_term * series.times ** q)), p=2.0, q=q,
+        t0=ray.t_start, phi0=float(series.Phi[0]),
     )
+    return params, _matsumura_check(params, series.times, series.Phi, 1e-12, rel=1e-9)

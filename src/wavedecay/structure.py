@@ -19,7 +19,6 @@ import numpy as np
 
 from .trig import (
     TWO_PI,
-    FourierSeries,
     NonlinearityCoefficients,
     TrigPolynomial,
     cubic_to_trig_poly,
@@ -178,11 +177,14 @@ class ConditionReport:
         return d
 
 
+def _vanishes(poly: TrigPolynomial) -> bool:
+    """All Fourier coefficients of poly are below tolerance: zero on the circle."""
+    return poly.fourier.max_abs() < FOURIER_NULL_TOL * max(1.0, poly.max_abs_coef)
+
+
 def check_quadratic_null(coeffs: NonlinearityCoefficients) -> bool:
     """True iff the quadratic symbol vanishes identically on the circle."""
-    poly = quadratic_to_trig_poly(coeffs)
-    scale = max(1.0, poly.max_abs_coef)
-    return FourierSeries(*poly.to_fourier()).max_abs() < FOURIER_NULL_TOL * scale
+    return _vanishes(quadratic_to_trig_poly(coeffs))
 
 
 def _circ_dist(a: float, b: float) -> float:
@@ -283,12 +285,12 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
     strictly positive (refined global minimum above tolerance), or a
     finite set of zeros, each with an even vanishing order and a strictly
     positive leading coefficient.  The grid scan, the refinements and the
-    derivatives read Psi in Fourier form, from one FourierSeries.
+    derivatives read Psi in Fourier form, from psi.fourier.
     """
-    scale = max(1.0, psi.max_abs_coef)
-    series = FourierSeries(*psi.to_fourier())
-    if series.max_abs() < FOURIER_NULL_TOL * scale:
+    if _vanishes(psi):
         return ZeroClassification(case=ZeroCase.IDENTICALLY_ZERO)
+    scale = max(1.0, psi.max_abs_coef)
+    series = psi.fourier
 
     thetas = TWO_PI * np.arange(GRID_POINTS) / GRID_POINTS
     vals = series.grid(GRID_POINTS)
@@ -439,7 +441,7 @@ def verify_integrability(
         raise ValueError("the classified zero orders exceed twice the degree of psi")
     # more than 2 * degree points, so a product that matches Psi on the grid matches it
     grid = TWO_PI * np.arange(256 + 4 * psi.degree) / (256 + 4 * psi.degree)
-    psi_grid = FourierSeries(*psi.to_fourier()).grid(len(grid))
+    psi_grid = psi.fourier.grid(len(grid))
     sines = np.prod(np.abs(np.sin(0.5 * (grid[:, None] - th))) ** order, axis=1)
     dist = np.abs((grid[:, None] - th + math.pi) % TWO_PI - math.pi).min(axis=1)
     fit = dist >= min(FIT_EXCLUSION, half_gaps.min() / 2.0)

@@ -12,6 +12,7 @@ derivatives from the Fourier coefficients, which is how Psi is read.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -190,8 +191,9 @@ class TrigPolynomial:
     def __sub__(self, other):
         return self + (-other)
 
-    def to_fourier(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fourier coefficients (a, b) with Psi = a_0 + sum a_k cos k th + b_k sin k th.
+    @functools.cached_property
+    def fourier(self) -> "FourierSeries":
+        """Psi = a_0 + sum a_k cos k th + b_k sin k th, built once per polynomial.
 
         Computed by FFT on a uniform grid dense enough that the transform
         of a degree-d trigonometric polynomial is exact.
@@ -199,19 +201,11 @@ class TrigPolynomial:
         d = self.degree
         n = 2 * d + 2  # strictly above Nyquist for degree d
         thetas = TWO_PI * np.arange(n) / n
-        vals = self(thetas)
-        coef = np.fft.rfft(np.atleast_1d(vals)) / n
-        a = np.zeros(d + 1)
-        b = np.zeros(d + 1)
-        a[0] = coef[0].real
-        for k in range(1, d + 1):
-            a[k] = 2.0 * coef[k].real
-            b[k] = -2.0 * coef[k].imag
-        return a, b
-
-    def eval_fourier(self, theta) -> np.ndarray:
-        """Evaluate via the Fourier form; cross-check for __call__."""
-        return FourierSeries(*self.to_fourier())(theta)
+        coef = np.fft.rfft(self(thetas))[: d + 1] / n
+        a, b = 2.0 * coef.real, -2.0 * coef.imag
+        a[0], b[0] = coef[0].real, 0.0
+        a.flags.writeable = b.flags.writeable = False   # shared by every reader
+        return FourierSeries(a, b)
 
 
 class FourierSeries:

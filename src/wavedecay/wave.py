@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .profile_ode import ProfileSeries, ray_start, write_csv_columns
+from .profile_ode import EnvelopeForcing, ProfileSeries, ray_start, write_csv_columns
 from .trig import Direction, NonlinearityCoefficients
 
 BLOWUP_GUARD = 1e10
@@ -616,7 +616,6 @@ def residual_forcing(
     H = dv + 0.5 * P_val * v ** 3 / t
     # interior points only: np.gradient is one-sided at the ends
     tt, HH = t[1:-1], H[1:-1]
-    sw = math.hypot(1.0, series.sigma)
-    env = eps * tt ** (2.0 * mu - 1.5) * sw ** (-mu - 0.5)
+    env = EnvelopeForcing(amplitude=eps, mu=mu, sigma=series.sigma).envelope(tt)
     c = float(np.max(np.abs(HH) / env))
     return ResidualReport(times=tt, H=HH, envelope_constant=c)

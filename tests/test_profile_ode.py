@@ -21,6 +21,7 @@ from wavedecay.profile_ode import (
     ZeroForcing,
     _integrate_adaptive,
     check_matsumura_bound,
+    check_profile_bound,
     check_sqrtlog_decay,
     integrate_profile,
     log_weight_integral,
@@ -139,6 +140,24 @@ def test_bound_check_on_grid_with_ulp_shifted_start():
     params = MatsumuraParams(c0=1.0, c1=0.5, p=2.0, q=1.5,
                              t0=4.192351290772627, phi0=1.0)
     assert check_matsumura_bound(params, t_end=4480927.125045097).holds
+
+
+def test_lemma_on_forced_profile():
+    # Phi = P V^2 obeys dPhi/dt = -Phi^2/t + 2 P V G with |2 P V G| <= c1 t^-q
+    ray = _ray(sigma=-1.5)
+    forcing = EnvelopeForcing(amplitude=0.05, mu=ray.mu, sigma=ray.sigma)
+    series = integrate_profile(1.0, ray, forcing)
+    params, chk = check_profile_bound(series, ray)
+    assert (params.c0, params.p, params.q) == (1.0, 2.0, 1.5 - 2.0 * ray.mu)
+    assert (params.t0, params.phi0) == (ray.t_start, series.Phi[0])
+    # c1 is the smallest constant that bounds the sampled forcing term
+    ratio = np.abs(2.0 * series.V * series.G) / (params.c1 * series.times ** -params.q)
+    assert params.c1 > 0.0
+    assert ratio.max() == pytest.approx(1.0, rel=1e-14)
+    assert np.all(ratio <= 1.0 + 1e-14)
+    expected = matsumura_constant(params) / np.log(series.times) ** (params.p_star - 1.0)
+    np.testing.assert_allclose(chk.bound, expected, rtol=1e-15)
+    assert chk.holds
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,17 @@ def test_script_exits_0(script, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("args", [["verify", "bogus"], ["report", "."]],
-                         ids=["verify-bogus", "report-empty-dir"])
-def test_cli_process_exits_64(args, tmp_path):
+@pytest.mark.parametrize("args, files", [
+    (["verify", "bogus"], {}),
+    (["report", "."], {}),
+    # an output path that cannot be written: no such directory, or a file
+    (["report", ".", "--out", "missing_dir/x.svg"], {"energy.csv": "t,E\n0,1\n1,0.5\n"}),
+    (["analyze", "cfg.json", "--out", "cfg.json"], {"cfg.json": "{}"}),
+], ids=["verify-bogus", "report-empty-dir", "report-out-missing-dir", "analyze-out-is-file"])
+def test_cli_process_exits_64(args, files, tmp_path):
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
     proc = _run(["-m", "wavedecay.cli", *args], tmp_path, 60)
     assert proc.returncode == 64, proc.stderr[-2000:]
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr[-2000:]
     assert not (tmp_path / "manifest.json").exists()

@@ -379,6 +379,21 @@ def test_quadrature_rejects_a_classification_that_does_not_factor_psi():
         verify_integrability(_cos2(), 0.3, classification=classify(planted_factor(1.0)))
 
 
+def test_fourier_form_built_once_per_polynomial(monkeypatch):
+    # classify and then verify_integrability read one cached psi.fourier
+    calls = []
+    monomial_sum = TrigPolynomial.__call__
+
+    def counted(self, theta):
+        calls.append(theta)
+        return monomial_sum(self, theta)
+
+    monkeypatch.setattr(TrigPolynomial, "__call__", counted)
+    psi = planted_factor(1.0)
+    verify_integrability(psi, 0.3, classification=classify(psi))
+    assert len(calls) == 1
+
+
 def test_gauss_legendre_rule_matches_numpy():
     nodes, weights = _gauss_legendre(32)
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wavedecay.trig import (
     Direction,
-    FourierSeries,
     InvalidDirectionError,
     NonlinearityCoefficients,
     TrigPolynomial,
@@ -159,7 +158,7 @@ def test_fourier_form_agrees_with_monomial_form(seed):
     p = TrigPolynomial(terms)
     thetas = rng.uniform(0, TWO_PI, size=32)
     scale = max(1.0, p.max_abs_coef)
-    assert np.abs(p(thetas) - p.eval_fourier(thetas)).max() < 1e-11 * scale
+    assert np.abs(p(thetas) - p.fourier(thetas)).max() < 1e-11 * scale
 
 
 def _monomial_derivative(p: TrigPolynomial) -> TrigPolynomial:
@@ -191,7 +190,7 @@ def test_derivative_matches_fourier_differentiation(seed):
         for _ in range(5)
     )
     p = TrigPolynomial(terms)
-    series = FourierSeries(*p.to_fourier())
+    series = p.fourier
     thetas = rng.uniform(0, TWO_PI, size=16)
     scale = max(1.0, p.max_abs_coef)
     for _ in range(2 * p.degree):
@@ -204,9 +203,9 @@ def test_product_rule():
     rng = np.random.default_rng(11)
     f = TrigPolynomial(((2, 0, 1.5), (0, 1, -0.5)))
     g = TrigPolynomial(((1, 1, 2.0), (0, 0, 1.0)))
-    df, dg = (FourierSeries(*h.to_fourier()).derivative() for h in (f, g))
+    df, dg = (h.fourier.derivative() for h in (f, g))
     thetas = rng.uniform(0, TWO_PI, size=32)
-    lhs = FourierSeries(*(f * g).to_fourier()).derivative()(thetas)
+    lhs = (f * g).fourier.derivative()(thetas)
     rhs = df(thetas) * g(thetas) + f(thetas) * dg(thetas)
     assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -216,7 +215,7 @@ def test_product_rule():
 def test_fourier_series_scalar_vector_and_grid_paths_agree(seed):
     rng = np.random.default_rng(seed)
     p = _random_poly(rng)
-    series = FourierSeries(*p.to_fourier())
+    series = p.fourier
     scale = max(1.0, p.max_abs_coef)
     thetas = rng.uniform(-TWO_PI, 2 * TWO_PI, size=32)
     vector = series(thetas)
