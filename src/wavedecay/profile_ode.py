@@ -253,7 +253,10 @@ def sigma_weight(sigma: float) -> float:
 
 
 def ray_start(sigma: float) -> float:
-    """Start time max(2, -2 sigma) of the ray r = t + sigma."""
+    """Start time max(2, -2 sigma) of the ray r = t + sigma.
+
+    Lies in [<sigma>/c0, c0 <sigma>], c0 = max(2, 2(1 + R)), for support radius R >= sigma.
+    """
     return max(2.0, -2.0 * sigma)
 
 
@@ -282,10 +285,6 @@ class RayConfig:
         object.__setattr__(self, "t_start", t_start)
         if self.t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
-        c0 = max(2.0, 2.0 * (1.0 + self.support_radius))
-        s = sigma_weight(self.sigma)
-        if not (s / c0 <= t_start <= c0 * s):
-            raise ValueError("ray start time violates the <sigma>-comparability bounds")
 
 
 class ZeroForcing:

@@ -25,7 +25,7 @@ from .trig import (
     quadratic_to_trig_poly,
 )
 
-# tolerances (scale-relative via max(1, max coefficient magnitude))
+# tolerances, relative to max |coef| in classify, else to max(1, max |coef|)
 FOURIER_NULL_TOL = 1e-12
 NEGATIVITY_TOL = 1e-10
 ZERO_VALUE_TOL = 1e-9
@@ -289,7 +289,7 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
     """
     if _vanishes(psi):
         return ZeroClassification(case=ZeroCase.IDENTICALLY_ZERO)
-    scale = max(1.0, psi.max_abs_coef)
+    scale = psi.max_abs_coef        # positive, since Psi does not vanish
     series = psi.fourier
 
     thetas = TWO_PI * np.arange(GRID_POINTS) / GRID_POINTS

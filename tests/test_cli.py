@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavedecay import cli
@@ -236,6 +236,18 @@ def test_simulate_blow_up_exits_3(tmp_path, c0, data, grid):
     assert "BlowUpError" in manifest["error"]
 
 
+def test_simulate_under_resolved_linear_run_exits_0(tmp_path):
+    # a stable run whose E jumps at the first checkpoint (exact u_t at
+    # t = 0, centred differences later) ends like any other
+    body = json.loads(json.dumps(SIM_CFG))
+    body["data"] = {"R": 0.5}
+    body["grid"] = {"h": 0.45, "T": 8.0, "checkpoint_interval": 0.5}
+    cfg = _write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["error"] is None
+
+
 def test_set_flag_overrides_config(tmp_path):
     body = dict(EXAMPLE_CFG)
     body["ray"] = {"sigma": 0.0, "omega": [1.0, 0.0], "t_end": 1e4, "v0": 0.5}
@@ -379,16 +391,18 @@ def test_profile_huge_amplitude_exits_3(tmp_path, v0):
 
 
 _OVERRIDE_KEYS = [
-    "grid.h", "grid.L", "grid.T", "grid.cfl", "grid.checkpoint_interval",
+    "C", "grid.h", "grid.L", "grid.T", "grid.cfl", "grid.checkpoint_interval",
     "data.kind", "data.R", "data.eps", "data.center",
     "ray.sigma", "ray.omega", "ray.omega_angle", "ray.eps", "ray.mu",
     "ray.t_end", "ray.v0", "ray.support_radius", "ray.forcing",
     "prediction.delta",
 ]
+# a symbol far below 1 in size: Psi = 1e-9 cos^2(theta)
+TINY_C = json.dumps([0.0] * 12 + [-1e-9] + [0.0] * 14)
 # no large finite values, so no draw can ask for a huge grid; HUGE_INT is
 # safe because every key fails to convert it before any grid is built
 _OVERRIDE_VALUES = [
-    "NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null", HUGE_INT,
+    "NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null", HUGE_INT, TINY_C,
 ]
 
 
@@ -399,6 +413,7 @@ _OVERRIDE_VALUES = [
         min_size=1, max_size=3,
     )
 )
+@example([("C", TINY_C)])
 def test_any_override_exits_with_documented_code(overrides):
     sets = [a for key, value in overrides for a in ("--set", f"{key}={value}")]
     with tempfile.TemporaryDirectory() as tmp:

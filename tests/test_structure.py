@@ -139,13 +139,18 @@ def test_planted_zeros_recovered():
             assert z.leading == pytest.approx(lead, rel=1e-6)
 
 
-def test_scaling_invariance_of_classification():
-    for scale in (1e-6, 1.0, 1e6):
-        cl = classify(_cos2() * scale)
-        assert cl.case is ZeroCase.FINITE_ZEROS
-        assert sorted(z.order for z in cl.zeros) == [2, 2]
-        for z in cl.zeros:
-            assert z.leading == pytest.approx(scale, rel=1e-8)
+@pytest.mark.parametrize("c", [1e-11, 1e-9, 1e-6, 0.3, 1.0, 1e3, 1e6])
+def test_scaling_invariance_of_classification(c):
+    # every tolerance of classify scales with the symbol, so a tiny
+    # c cos^2 still has its two order-2 zeros
+    cl = classify(_cos2() * c)
+    assert cl.case is ZeroCase.FINITE_ZEROS
+    zeros = sorted(cl.zeros, key=lambda z: z.theta)
+    assert [z.order for z in zeros] == [2, 2]
+    assert abs(zeros[0].theta - math.pi / 2) < 1e-9
+    assert abs(zeros[1].theta - 3 * math.pi / 2) < 1e-9
+    for z in zeros:
+        assert z.leading == pytest.approx(c, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

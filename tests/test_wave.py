@@ -208,6 +208,17 @@ def test_linear_energy_conservation_small_grid():
     assert np.abs(E - E[0]).max() / E[0] < 0.01
 
 
+def test_under_resolved_linear_run_keeps_its_energy():
+    # E(0) uses the exact u_t and later checkpoints the centred difference,
+    # so on this coarse grid E jumps by ~17% at the first checkpoint; the
+    # stable scheme then holds it there
+    # L = T + R + 4h + 1, the CLI's default
+    cfg = SolverConfig(h=0.45, L=43.3, T=40.0, checkpoint_interval=0.5)
+    res = run(cfg, InitialData(R=0.5))
+    E = res.energy.E
+    assert np.abs(E[1:] - E[1]).max() / E[1] < 0.05
+
+
 def test_damping_energy_monotone_resolved_grid():
     cfg = SolverConfig(h=0.1, L=8.0, T=5.0, nonlinearity=_damping_coeffs())
     res = run(cfg, InitialData(kind="smooth_bump", R=1.0, eps=0.1))
