@@ -139,8 +139,17 @@ def test_planted_zeros_recovered():
             assert z.leading == pytest.approx(lead, rel=1e-6)
 
 
-@pytest.mark.parametrize("c", [1e-11, 1e-9, 1e-6, 0.3, 1.0, 1e3, 1e6])
-def test_scaling_invariance_of_classification(c):
+def test_scaling_invariance_of_classification():
+    for scale in (1e-6, 1.0, 1e6):
+        cl = classify(_cos2() * scale)
+        assert cl.case is ZeroCase.FINITE_ZEROS
+        assert sorted(z.order for z in cl.zeros) == [2, 2]
+        for z in cl.zeros:
+            assert z.leading == pytest.approx(scale, rel=1e-8)
+
+
+@pytest.mark.parametrize("c", [1e-11, 1e-9, 0.3, 1.0, 1e3])
+def test_classification_at_symbol_scale(c):
     # every tolerance of classify scales with the symbol, so a tiny
     # c cos^2 still has its two order-2 zeros
     cl = classify(_cos2() * c)
