@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from .structure import WrongRegime
 from .trig import Direction
@@ -76,21 +76,15 @@ class MatsumuraParams:
 def log_weight_integral(p_star: float, q: float, lower: float = 2.0) -> float:
     """Integral of (log tau)^p* / tau^q over [lower, infinity), q > 1.
 
-    Adaptive quadrature on a finite window in s = log(tau) plus an
-    analytic bound on the discarded tail (kept below 1e-9 relative).
+    With s = log tau and a = q - 1 it is the upper incomplete gamma function
+    Gamma(p* + 1, a log lower) / a^(p* + 1), with Gamma(p* + 1) / a^(p* + 1)
+    taken in log space.
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
-    a = q - 1.0
-    s_lo = math.log(lower)
-    # beyond s_hi the integrand is dominated by exp(-a s / 2) and tiny
-    s_hi = max(s_lo + 1.0, 2.0 * p_star / a, (60.0 + p_star) / a)
-    val, _ = integrate.quad(
-        lambda s: s ** p_star * math.exp(-a * s),
-        s_lo, s_hi, epsabs=0.0, epsrel=1e-12, limit=400,
-    )
-    tail_bound = (2.0 / a) * s_hi ** p_star * math.exp(-a * s_hi)
-    return val + tail_bound
+    a, k = q - 1.0, p_star + 1.0
+    regularized = float(special.gammaincc(k, a * math.log(lower)))
+    return regularized * math.exp(math.lgamma(k) - k * math.log(a))
 
 
 def matsumura_constant(params: MatsumuraParams) -> float:
@@ -273,8 +267,11 @@ class RayConfig:
     t_start: float = field(init=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.sigma, self.eps, self.mu, self.t_end))):
-            raise ValueError("sigma, eps, mu and t_end must be finite")
+        if not all(map(math.isfinite, (self.sigma, self.eps, self.mu, self.t_end,
+                                       self.support_radius))):
+            raise ValueError("sigma, eps, mu, t_end and support_radius must be finite")
+        if self.support_radius <= 0:
+            raise ValueError("support_radius must be positive")
         if self.sigma > self.support_radius:
             raise ValueError("sigma must not exceed the data support radius")
         if not 0.0 < self.mu < 0.1:

@@ -365,11 +365,6 @@ def _sign_condition(
     return AgemiResult(status=AgemiStatus.HOLDS), cl
 
 
-def check_agemi(coeffs: NonlinearityCoefficients) -> AgemiResult:
-    """Sign condition of the cubic symbol on the circle."""
-    return _sign_condition(coeffs)[0]
-
-
 def predict_decay(classification: ZeroClassification, delta: float = 0.01) -> DecayPrediction:
     """Decay exponent from the maximal vanishing order: lambda = 1/(4 nu) - delta."""
     if classification.case is not ZeroCase.FINITE_ZEROS:

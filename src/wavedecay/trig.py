@@ -20,9 +20,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: tolerance for the unit-circle constraint on directions
-UNIT_TOL = 1e-12
-
 
 class InvalidDirectionError(ValueError):
     """Raised when a direction fails the unit-circle constraint."""
@@ -49,10 +46,6 @@ class Direction:
     @property
     def hat(self) -> tuple[float, float, float]:
         return (-1.0, self.omega1, self.omega2)
-
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.omega2, self.omega1) % TWO_PI
 
 
 def _as_tensor(arr, shape, name):
@@ -91,19 +84,6 @@ class NonlinearityCoefficients:
             C = np.asarray(d["C"], dtype=float).reshape(3, 3, 3)
         return cls(B=B, C=C)
 
-    def to_dict(self) -> dict:
-        return {"B": self.B.ravel().tolist(), "C": self.C.ravel().tolist()}
-
-    def symmetrized(self) -> "NonlinearityCoefficients":
-        Bs = 0.5 * (self.B + self.B.T)
-        Cs = np.zeros((3, 3, 3))
-        import itertools
-
-        for perm in itertools.permutations(range(3)):
-            Cs += np.transpose(self.C, perm)
-        Cs /= 6.0
-        return NonlinearityCoefficients(B=Bs, C=Cs)
-
 
 def eval_quadratic_symbol(coeffs: NonlinearityCoefficients, direction: Direction) -> float:
     """Quadratic symbol sum_{jk} B_jk w_j w_k with w = (-1, omega1, omega2)."""
@@ -140,10 +120,6 @@ class TrigPolynomial:
             (p1, p2, c) for (p1, p2), c in sorted(merged.items()) if c != 0.0
         )
         object.__setattr__(self, "terms", canon)
-
-    @classmethod
-    def zero(cls) -> "TrigPolynomial":
-        return cls(())
 
     @classmethod
     def constant(cls, c: float) -> "TrigPolynomial":

@@ -286,7 +286,7 @@ def test_verify_failed_check_exits_2(monkeypatch, capsys):
     assert "[broken] FAIL: always fails" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("suite", ["algebra", "structure", "ode"])
+@pytest.mark.parametrize("suite", ["algebra", "structure", "ode", "pde-smoke"])
 def test_verify_suites_pass(suite, capsys):
     assert main(["verify", suite]) == 0
     out = capsys.readouterr().out
@@ -360,6 +360,8 @@ def _run_quiet(argv):
     ("profile", "ray.t_end=NaN"),
     ("profile", "ray.eps=Infinity"),
     ("profile", "ray.omega_angle=NaN"),
+    ("profile", "ray.support_radius=NaN"),
+    ("profile", "ray.support_radius=0"),
     ("profile", 'ray.forcing={"type": "envelope", "amplitude": NaN}'),
     ("profile", 'ray.forcing={"type": "envelope", "mu": NaN}'),
     ("analyze", "C=[NaN" + ", 0" * 26 + "]"),

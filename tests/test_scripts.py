@@ -45,3 +45,13 @@ def test_cli_process_exits_64(args, files, tmp_path):
     assert proc.returncode == 64, proc.stderr[-2000:]
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr[-2000:]
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_symbol_layers_import_without_scipy(tmp_path):
+    # trig and structure are pure numpy; the package root must not pull in
+    # profile_ode, wave or scipy behind them
+    code = ("import sys, wavedecay.trig, wavedecay.structure; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = _run(["-c", code], tmp_path, 60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -17,7 +17,6 @@ from wavedecay.structure import (
     ZeroCase,
     _gauss_legendre,
     analyze,
-    check_agemi,
     check_quadratic_null,
     classify,
     predict_decay,
@@ -48,7 +47,7 @@ def _cos2_times_one_minus_sin():
 
 
 def test_identically_zero():
-    cl = classify(TrigPolynomial.zero())
+    cl = classify(TrigPolynomial())
     assert cl.case is ZeroCase.IDENTICALLY_ZERO
     # cos^2 + sin^2 - 1 cancels only semantically (Fourier side)
     p = TrigPolynomial(((2, 0, 1.0), (0, 2, 1.0), (0, 0, -1.0)))
@@ -80,7 +79,7 @@ def test_every_sign_condition_witness_is_negative():
     failing = 0
     for C in tensors:
         coeffs = NonlinearityCoefficients(C=C)
-        res = check_agemi(coeffs)
+        res = analyze(coeffs).agemi
         if res.status is not AgemiStatus.FAILS:
             continue
         failing += 1
@@ -190,17 +189,17 @@ def test_cubic_null_identity():
 def test_agemi_statuses():
     C = np.zeros((3, 3, 3))
     C[0, 0, 0] = -1.0   # F = -(u_t)^3, symbol identically one
-    res = check_agemi(NonlinearityCoefficients(C=C))
+    res = analyze(NonlinearityCoefficients(C=C)).agemi
     assert res.status is AgemiStatus.HOLDS_STRICTLY
     assert res.min_value == pytest.approx(1.0, rel=1e-9)
 
     C = np.zeros((3, 3, 3))
     C[1, 1, 0] = -1.0   # symbol cos^2, zeros on the circle
-    assert check_agemi(NonlinearityCoefficients(C=C)).status is AgemiStatus.HOLDS
+    assert analyze(NonlinearityCoefficients(C=C)).agemi.status is AgemiStatus.HOLDS
 
     C = np.zeros((3, 3, 3))
     C[0, 0, 0] = 1.0    # F = +(u_t)^3, symbol identically -1
-    res = check_agemi(NonlinearityCoefficients(C=C))
+    res = analyze(NonlinearityCoefficients(C=C)).agemi
     assert res.status is AgemiStatus.FAILS
     assert res.witness is not None
 
