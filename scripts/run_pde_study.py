@@ -22,6 +22,7 @@ from wavedecay.wave import (
     SolverConfig,
     residual_forcing,
     run,
+    stream,
 )
 
 
@@ -31,7 +32,7 @@ def conservation_study(spacings):
     prev = None
     for h in spacings:
         cfg = SolverConfig(h=h, L=10.0, T=5.0, checkpoint_interval=1e-9)
-        E = run(cfg, data).energy.E
+        E = np.array([c.E for c in stream(cfg, data)])
         drift = float(np.abs(E - E[0]).max() / E[0])
         ratio = "" if prev is None else f"  ratio vs previous = {prev / drift:.3f}"
         print(f"  h = {h:<7g} relative drift = {drift:.3e}"

@@ -40,27 +40,12 @@ ROOT_ITERS = 60         # bisection steps of _refine_root
 QUAD_LEVELS = 6
 QUAD_R0 = 0.05
 QUAD_SHRINK = 1.0 / 16.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 # it fits Psi / prod sin^o on grid points min(FIT_EXCLUSION, smallest zero
 # gap / 4) or more from every zero, and allows a misfit of FIT_TOL * scale
 FIT_EXCLUSION = 0.3
 FIT_TOL = 1e-8
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1], by Newton's method on the Legendre three-term recurrence."""
-    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(8):
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (p0 - x * p1) / (1.0 - x * x)       # P_n'(x)
-        x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(32)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 
 class NegativityDetected(ValueError):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -101,6 +101,10 @@ class SolverConfig:
             raise ValueError("h, L, T must be finite with 0 < h < L and T > 0")
         if not 0 <= self.checkpoint_interval < math.inf:
             raise ValueError("checkpoint_interval must be finite and >= 0")
+        # a subnormal h or cfl overflows these counts to inf (or dt to 0)
+        if not (math.isfinite(2.0 * self.L / self.h) and self.dt > 0
+                and math.isfinite(self.T / self.dt)):
+            raise ValueError("2L/h and T/dt must be finite")
 
     @property
     def n(self) -> int:
@@ -114,6 +118,10 @@ class SolverConfig:
     @property
     def dt(self) -> float:
         return self.cfl * self.h_eff
+
+    @property
+    def steps(self) -> int:
+        return int(round(self.T / self.dt))
 
     def axis(self) -> np.ndarray:
         return np.linspace(-self.L, self.L, self.n)
@@ -253,7 +261,7 @@ class LeapfrogSolver:
     `u_cur` are its own memory (the initial levels are copied in), and
     `advance()` writes the new level into the third buffer.  A level is
     overwritten by the third `advance()` after the one that made it
-    current (so the level before `u_prev` is still there for `run()`'s
+    current (so the level before `u_prev` is still there for `stream()`'s
     ray taps); copy it to keep it longer.
 
     Invariants of the fused step:
@@ -508,6 +516,8 @@ class RayTap:
     stride: int = 2        # sample every this many steps
 
     def __post_init__(self):
+        if not math.isfinite(self.sigma):
+            raise ValueError("ray sigma must be finite")
         if not isinstance(self.stride, int) or self.stride < 1:
             raise ValueError("ray stride must be an integer >= 1")
 
@@ -520,25 +530,31 @@ class RunResult:
     profiles: dict
 
 
-def run(
-    cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = ()
-) -> RunResult:
-    """Advance to T, tracking energy, propagation, and ray profiles.
+@dataclass
+class Checkpoint:
+    field: WaveField
+    E: float            # energy norm sqrt(energy(field))
+    leak: float         # check_propagation(field, R)
+    samples: list       # per ray tap, the (t, V) taken since the previous checkpoint
 
-    Checkpoints (full snapshots with centered u_t) are emitted at the
-    configured cadence.  Ray taps stream V(t) during the run: spatial and
-    temporal differences use only the three live leapfrog levels.
+
+def stream(
+    cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = ()
+) -> Iterator[Checkpoint]:
+    """Advance to T, yielding each checkpoint (a snapshot with centered u_t)
+    as it is made: t = 0, every checkpoint_interval, and T.  None is kept
+    after it is yielded.  Ray taps sample V(t) from the three live levels.
     """
     solver = LeapfrogSolver(cfg, data)
     dt, R = solver.dt, solver.R
-    nsteps = int(round(cfg.T / dt))
+    nsteps = cfg.steps
     ckpt_every = max(1, int(round(cfg.checkpoint_interval / dt)))
 
-    checkpoints = [solver.initial_field]
-    en_E = [math.sqrt(energy(solver.initial_field))]
-    max_leak = check_propagation(solver.initial_field, R)
-    ray_rows: list[tuple[list, list]] = [([], []) for _ in rays]
+    def checkpoint(snap: WaveField, samples: list) -> Checkpoint:
+        return Checkpoint(snap, math.sqrt(energy(snap)), check_propagation(snap, R), samples)
 
+    yield checkpoint(solver.initial_field, [[] for _ in rays])
+    samples = [[] for _ in rays]
     for n in range(1, nsteps + 1):
         u_prevprev = solver.u_prev
         solver.advance()
@@ -546,43 +562,46 @@ def run(
         # at t+dt, so everything centered at t is available
         t_mid = solver.t - dt
         levels = (u_prevprev, solver.u_prev, solver.u_cur)
-        for tap, (ts, vs) in zip(rays, ray_rows):
+        for tap, taken in zip(rays, samples):
             if n % tap.stride:
                 continue
             v = _ray_V(levels, t_mid, tap.sigma, tap.omega, solver.h, cfg.L, dt)
             if v is not None:
-                ts.append(t_mid)
-                vs.append(v)
+                taken.append((t_mid, v))
         if n % ckpt_every and n != nsteps:
             continue
         snap = WaveField(
             t=t_mid, u=solver.u_prev.copy(),
             u_t=(solver.u_cur - u_prevprev) / (2.0 * dt), h=solver.h, L=cfg.L,
         )
-        checkpoints.append(snap)
-        en_E.append(math.sqrt(energy(snap)))
-        max_leak = max(max_leak, check_propagation(snap, R))
+        yield checkpoint(snap, samples)
+        samples = [[] for _ in rays]
 
+
+def run(
+    cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = ()
+) -> RunResult:
+    """Every checkpoint of `stream`, its energy series and ray profiles."""
+    kept = list(stream(cfg, data, rays))
     profiles = {}
-    for i, (tap, (ts, vs)) in enumerate(zip(rays, ray_rows)):
-        if ts:
-            V = np.array(vs)
+    for i, tap in enumerate(rays):
+        taken = [s for c in kept for s in c.samples[i]]
+        if taken:
+            times, V = (np.array(column) for column in zip(*taken))
             profiles[i] = ProfileSeries(
-                times=np.array(ts), V=V, G=np.zeros_like(V), Phi=np.zeros_like(V),
-                sigma=tap.sigma,
+                times=times, V=V, G=np.zeros_like(V), Phi=np.zeros_like(V), sigma=tap.sigma
             )
-    diagnostics = {
-        "max_propagation_leak": max_leak,
-        "dt": dt,
-        "h": solver.h,
-        "steps": nsteps,
-    }
     return RunResult(
-        checkpoints=checkpoints,
+        checkpoints=[c.field for c in kept],
         energy=EnergySeries(
-            times=np.array([c.t for c in checkpoints]), E=np.array(en_E)
+            times=np.array([c.field.t for c in kept]), E=np.array([c.E for c in kept])
         ),
-        diagnostics=diagnostics,
+        diagnostics={
+            "max_propagation_leak": max(c.leak for c in kept),
+            "dt": cfg.dt,
+            "h": cfg.h_eff,
+            "steps": cfg.steps,
+        },
         profiles=profiles,
     )
 

@@ -374,6 +374,12 @@ def _run_quiet(argv):
     ("simulate", 'rays=[{"sigma": 0.0, "omega": [1.0, 0.0], "stride": Infinity}]'),
     ("simulate", "rays=[5]"),
     ("simulate", "data=5"),
+    ("simulate", 'rays=[{"sigma": Infinity, "omega": [1.0, 0.0]}]'),
+    ("simulate", 'rays=[{"sigma": -Infinity, "omega": [1.0, 0.0]}]'),
+    ("simulate", 'rays=[{"sigma": NaN, "omega": [1.0, 0.0]}]'),
+    ("simulate", "grid.h=1e-310"),         # 2L/h overflows
+    ("simulate", "grid.cfl=1e-320"),       # T/dt overflows
+    ("simulate", "grid.cfl=5e-324"),       # dt underflows to 0
 ])
 def test_invalid_config_values_exit_64(tmp_path, command, override):
     cfg = _write_cfg(tmp_path, SMALL_CFG)
@@ -402,9 +408,11 @@ _OVERRIDE_KEYS = [
 # a symbol far below 1 in size: Psi = 1e-9 cos^2(theta)
 TINY_C = json.dumps([0.0] * 12 + [-1e-9] + [0.0] * 14)
 # no large finite values, so no draw can ask for a huge grid; HUGE_INT is
-# safe because every key fails to convert it before any grid is built
+# safe because every key fails to convert it before any grid is built, and
+# 1e-310 because every count derived from a subnormal overflows to inf
 _OVERRIDE_VALUES = [
     "NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null", HUGE_INT, TINY_C,
+    "1e-310",
 ]
 
 

@@ -15,7 +15,6 @@ from wavedecay.structure import (
     NegativityDetected,
     WrongRegime,
     ZeroCase,
-    _gauss_legendre,
     analyze,
     check_quadratic_null,
     classify,
@@ -405,13 +404,6 @@ def test_fourier_form_built_once_per_polynomial(monkeypatch):
     psi = planted_factor(1.0)
     verify_integrability(psi, 0.3, classification=classify(psi))
     assert len(calls) == 1
-
-
-def test_gauss_legendre_rule_matches_numpy():
-    nodes, weights = _gauss_legendre(32)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
-    assert np.abs(nodes - ref_nodes).max() < 1e-14
-    assert np.abs(weights - ref_weights).max() < 1e-14
 
 
 def test_quadrature_requires_finite_zero_regime():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from wavedecay.wave import (
     make_initial_data,
     residual_forcing,
     run,
+    stream,
 )
 
 
@@ -209,9 +211,10 @@ def test_linear_energy_conservation_small_grid():
 
 
 def test_under_resolved_linear_run_keeps_its_energy():
-    # E(0) uses the exact u_t and later checkpoints the centred difference,
-    # so on this coarse grid E jumps by ~17% at the first checkpoint; the
-    # stable scheme then holds it there
+    # the scheme does not conserve the centred energy: it oscillates at
+    # O(h^2), here 0.0340 -> 0.0438 -> 0.0397 -> 0.0388 -> 0.0408 over the
+    # first steps (a centred u_t at t = 0 gives the same E(0)), so E(0) is
+    # ~17% below the later checkpoints; the stable scheme then holds E there
     # L = T + R + 4h + 1, the CLI's default
     cfg = SolverConfig(h=0.45, L=43.3, T=40.0, checkpoint_interval=0.5)
     res = run(cfg, InitialData(R=0.5))
@@ -345,6 +348,44 @@ def test_run_checkpoints_keep_their_levels():
         assert np.array_equal(snap.u_t, (levels[k + 1] - levels[k - 1]) / (2.0 * cfg.dt))
 
 
+def _traced_peak(fn):
+    """fn() and the peak of the memory it allocates."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_holds_no_field():
+    # a checkpoint at every step: run keeps 2 levels per checkpoint, the
+    # stream only the levels of the one it is making
+    cfg = SolverConfig(h=0.1, L=8.0, T=4.0, checkpoint_interval=0.0)
+    data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
+    rays = [RayTap(sigma=0.0, omega=Direction(1.0, 0.0), stride=1)]
+    level = cfg.n ** 2 * 8
+    checkpoints = stream(cfg, data, rays)
+    first = next(checkpoints)          # the solver is set up
+    rest, stream_peak = _traced_peak(lambda: [(c.E, c.leak, c.samples) for c in checkpoints])
+    res, run_peak = _traced_peak(lambda: run(cfg, data, rays))
+    assert len(rest) == cfg.steps == 80
+    assert stream_peak < 10 * level
+    assert run_peak > 2 * cfg.steps * level
+
+    E, leaks, samples = zip((first.E, first.leak, first.samples), *rest)
+    assert res.energy.E.tolist() == list(E)
+    assert res.diagnostics["max_propagation_leak"] == max(leaks)
+    taken = [s for per_tap in samples for s in per_tap[0]]
+    assert len(taken) > 5
+    assert res.profiles[0].times.tolist() == [t for t, _ in taken]
+    assert res.profiles[0].V.tolist() == [v for _, v in taken]
+    kept = res.checkpoints
+    assert len(kept) == len(E)
+    for snap, c in zip(kept, stream(cfg, data, rays)):
+        assert snap.t == c.field.t
+        assert np.array_equal(snap.u, c.field.u) and np.array_equal(snap.u_t, c.field.u_t)
+
+
 # ---------------------------------------------------------------------------
 # ray taps
 
@@ -388,7 +429,7 @@ def test_streamed_taps_match_recorded_levels():
     levels, dt = _recorded_levels(cfg, data), cfg.dt
     ts, vs = [], []
     for n in range(tap.stride, round(cfg.T / dt) + 1, tap.stride):
-        t = (n + 1) * dt - dt        # the tap time as run() forms it
+        t = (n + 1) * dt - dt        # the tap time as stream() forms it
         v = _ray_V(tuple(levels[n - 1:n + 2]), t, 0.0, tap.omega, cfg.h_eff, cfg.L, dt)
         if v is not None:
             ts.append(t)
