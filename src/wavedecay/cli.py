@@ -337,16 +337,16 @@ def _profile(config: dict, manifest: _Manifest) -> int:
 # simulate
 
 
-def _write_checkpoint(outdir: Path, idx: int, snap, R: float, eps: float) -> list[Path]:
+def _write_checkpoint(outdir: Path, idx: int, ckpt, cfg: SolverConfig, data) -> list[Path]:
     base = f"checkpoint_{idx:04d}"
     bin_path = outdir / f"{base}.bin"
     hdr_path = outdir / f"{base}.json"
     with open(bin_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(snap.u, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(snap.u_t, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(ckpt.u, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(ckpt.u_t, dtype="<f8").tobytes())
     header = {
-        "t": snap.t, "h": snap.h, "L": snap.L, "R": R, "eps": eps,
-        "n": snap.u.shape[0], "dtype": "<f8", "layout": "u then u_t, row-major",
+        "t": ckpt.t, "h": cfg.h_eff, "L": cfg.L, "R": data.R, "eps": data.eps,
+        "n": ckpt.u.shape[0], "dtype": "<f8", "layout": "u then u_t, row-major",
     }
     _write_json(hdr_path, header)
     return [bin_path, hdr_path]
@@ -365,7 +365,7 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
         data_kw["center"] = tuple(_number(c, "data.center") for c in data_sec["center"])
     data = InitialData(**data_kw)
     g = _numbers(grid, "grid", "h", "T", "cfl", "checkpoint_interval")
-    L = grid.get("L", g["T"] + data.R + PROPAGATION_SLACK_CELLS * g["h"] + 1.0)
+    L = grid.get("L", g["T"] + data.reach + PROPAGATION_SLACK_CELLS * g["h"] + 1.0)
     cfg = SolverConfig(L=_number(L, "grid.L"), nonlinearity=coeffs, **g)
     rays = []
     for rspec in config.get("rays", []):
@@ -395,8 +395,8 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
     with open(out_csv, "w") as fh:
         result.energy.write_csv(fh, bound=bound)
 
-    for idx, snap in enumerate(result.checkpoints):
-        for p in _write_checkpoint(outdir, idx, snap, data.R, data.eps):
+    for idx, ckpt in enumerate(result.checkpoints):
+        for p in _write_checkpoint(outdir, idx, ckpt, cfg, data):
             manifest.add(p)
 
     for i, series in result.profiles.items():

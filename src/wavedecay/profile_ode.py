@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
-from .structure import WrongRegime
+from .structure import WrongRegime, _refine_root
 from .trig import Direction
 
 LOG2 = math.log(2.0)
@@ -105,7 +105,6 @@ _DOP853 = integrate.DOP853
 _RTOL, _ATOL = 1e-10, 1e-12
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / (_DOP853.error_estimator_order + 1)
-_ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
 def _nonzero(row) -> tuple:
@@ -227,10 +226,7 @@ def _integrate_adaptive(
             F = (delta, h * dy - delta, 2 * delta - h * (dy_new + dy),
                  *(h * _dot(row, K) for row in _D))
             if crossed:
-                root = optimize.brentq(
-                    lambda r: guard(r, _dense((r - s) / h, F, y)), s, s_new,
-                    xtol=_ROOT_TOL, rtol=_ROOT_TOL,
-                )
+                root = _refine_root(lambda r: guard(r, _dense((r - s) / h, F, y)), s, s_new)
                 raise ProfileBlowUp(math.exp(root), _dense((root - s) / h, F, y))
             steps.append((s, s_new, h, y, *F))
             j = bisect.bisect_right(out, s_new, j)

@@ -62,7 +62,8 @@ class InitialData:
     kinds:
       smooth_bump  f = bump, g = -d1(bump)   (radiates in all directions)
       deriv_bump   f = 0,    g = -d1(bump)
-      custom       tabulated grids (eps still multiplies them)
+      custom       tabulated grids, at least one given (eps still
+                   multiplies them; a missing one is zero)
     """
 
     kind: str = "smooth_bump"
@@ -75,12 +76,22 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in ("smooth_bump", "deriv_bump", "custom"):
             raise ValueError(f"unknown data kind {self.kind!r}")
-        if not 0 < self.R < math.inf:
-            raise ValueError("support radius must be positive and finite")
+        # R * R, not R ** 2: float ** raises OverflowError where * gives inf
+        if not (self.R > 0 and 0 < self.R * self.R < math.inf):
+            raise ValueError("support radius must be positive with a nonzero, finite square")
         if not math.isfinite(self.eps):
             raise ValueError("eps must be finite")
         if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
             raise ValueError("center must be two finite numbers")
+        if self.kind == "custom" and self.f_grid is None and self.g_grid is None:
+            raise ValueError("custom data needs f_grid or g_grid")
+
+    @property
+    def reach(self) -> float:
+        """How far the data extends from the origin: R + |center|, 0 for custom grids."""
+        if self.kind == "custom":
+            return 0.0
+        return self.R + math.hypot(*self.center)
 
 
 @dataclass(frozen=True)
@@ -126,29 +137,13 @@ class SolverConfig:
     def axis(self) -> np.ndarray:
         return np.linspace(-self.L, self.L, self.n)
 
-    def validate_domain(self, R: float) -> None:
-        if self.L < self.T + R + PROPAGATION_SLACK_CELLS * self.h_eff:
+    def validate_domain(self, reach: float) -> None:
+        """Reject a grid whose boundary the cone |x| <= T + reach + 4h crosses."""
+        if self.L < self.T + reach + PROPAGATION_SLACK_CELLS * self.h_eff:
             raise ValueError(
-                "domain too small: need L >= T + R + 4h to keep the light "
-                "cone away from the boundary"
+                "domain too small: need L >= T + reach + 4h (reach = R + |center|) "
+                "to keep the light cone away from the boundary"
             )
-
-
-@dataclass
-class WaveField:
-    """Snapshot at time t: u and the centered time derivative u_t."""
-
-    t: float
-    u: np.ndarray
-    u_t: np.ndarray
-    h: float
-    L: float
-
-    def __post_init__(self):
-        u = self.u
-        m = max(float(u.max()), -float(u.min())) if u.size else 0.0
-        if not m <= BLOWUP_GUARD:
-            raise BlowUpError(self.t, m)
 
 
 @dataclass
@@ -168,7 +163,8 @@ def _bump_profile(rho2: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_initial_data(data: InitialData, cfg: SolverConfig) -> WaveField:
+def make_initial_data(data: InitialData, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u_t) at t = 0 on the solver grid."""
     xs = cfg.axis()
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     if data.kind == "custom":
@@ -178,21 +174,20 @@ def make_initial_data(data: InitialData, cfg: SolverConfig) -> WaveField:
             raise ValueError("custom data grids must match the solver grid")
     else:
         cx, cy = data.center
-        rho2 = ((X - cx) ** 2 + (Y - cy) ** 2) / data.R ** 2
+        R2 = data.R * data.R
+        rho2 = ((X - cx) ** 2 + (Y - cy) ** 2) / R2
         bump = _bump_profile(rho2)
         inside = rho2 < 1.0
         dbump = np.zeros_like(bump)
         # analytic d1 of the bump: bump * (-2 x1 / R^2) / (1 - rho^2)^2
         dbump[inside] = bump[inside] * (
-            -2.0 * (X[inside] - cx) / data.R ** 2
+            -2.0 * (X[inside] - cx) / R2
         ) / (1.0 - rho2[inside]) ** 2
         if data.kind == "smooth_bump":
             f, g = bump, -dbump
         else:  # deriv_bump: g-only data
             f, g = np.zeros_like(bump), -dbump
-    return WaveField(
-        t=0.0, u=data.eps * f, u_t=data.eps * g, h=cfg.h_eff, L=cfg.L
-    )
+    return data.eps * f, data.eps * g
 
 
 def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
@@ -280,22 +275,24 @@ class LeapfrogSolver:
     """
 
     def __init__(self, cfg: SolverConfig, data: InitialData):
-        # custom grids carry no support radius: the cone starts at the origin
-        self.R = data.R if data.kind != "custom" else 0.0
-        cfg.validate_domain(self.R)
-        field0 = make_initial_data(data, cfg)
+        cfg.validate_domain(data.reach)
+        u, u_t = make_initial_data(data, cfg)
         self.cfg = cfg
-        self.h = field0.h
-        self.dt = cfg.cfl * field0.h
+        self.h = cfg.h_eff
+        self.dt = cfg.dt
         self._terms = _nonlinear_terms(cfg.nonlinearity)
         self.linear = not self._terms
         self._gradient_terms = any(any(index) for _, index in self._terms)
-        # copy the two starting levels into owned buffers
-        level1 = self._taylor_level(field0)
-        self.u_prev = field0.u.copy()
-        self.u_cur = level1.copy()
-        self._spare = np.zeros_like(level1)
-        n = level1.shape[0]
+        self.initial = (u, u_t)          # the data at t = 0, for stream()
+        # copy the two starting levels into owned buffers.  Copying level1
+        # changes no result; it keeps glibc's malloc thresholds where
+        # perfbench's host-scale kernel was calibrated (~1.6x off without).
+        level1 = self._taylor_level(u, u_t)
+        self.u_prev, self.u_cur = u.copy(), level1.copy()
+        for k, level in enumerate((self.u_prev, self.u_cur)):
+            self._guard(max(float(level.max()), -float(level.min())), k)
+        self._spare = np.zeros_like(u)
+        n = u.shape[0]
         # a strip is STRIP_CELLS cells, or one row when a row is longer.
         # One array per role _next uses, none larger than a level: freeing
         # a larger block raises glibc's dynamic trim threshold, which
@@ -309,11 +306,15 @@ class LeapfrogSolver:
         self._scratch = {role: np.empty(max(STRIP_CELLS, n)) for role in roles}
         self._box = _nonzero_box(self.u_prev, self.u_cur)
         self.step_index = 1          # u_cur lives at t = step_index * dt
-        self.initial_field = field0
 
-    def _taylor_level(self, field0: WaveField) -> np.ndarray:
+    def _guard(self, maxu: float, step_index: int) -> None:
+        """Raise BlowUpError unless a level's max |u| is finite and within BLOWUP_GUARD."""
+        if not maxu <= BLOWUP_GUARD:
+            raise BlowUpError(step_index * self.dt, maxu)
+
+    def _taylor_level(self, u: np.ndarray, ut: np.ndarray) -> np.ndarray:
         """Second-order accurate level at t = dt from (u, u_t) at t = 0."""
-        u, ut, dt = field0.u, field0.u_t, self.dt
+        dt = self.dt
         # overflow is left to the blow-up guard, which reports it
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = _laplacian(u, self.h) + self._force(ut, *_gradients(u, self.h))
@@ -416,8 +417,7 @@ class LeapfrogSolver:
 
     def advance(self) -> None:
         unew, m = self._next()
-        if not m <= BLOWUP_GUARD:
-            raise BlowUpError((self.step_index + 1) * self.dt, m)
+        self._guard(m, self.step_index + 1)
         self._spare, self.u_prev, self.u_cur = self.u_prev, self.u_cur, unew
         self._box = self._region()
         self.step_index += 1
@@ -427,20 +427,20 @@ class LeapfrogSolver:
         return self.step_index * self.dt
 
 
-def energy(state: WaveField) -> float:
-    """Discrete 0.5 * int |du|^2 dx (squared energy norm).
+def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
+    """Discrete 0.5 * int |du|^2 dx (squared energy norm) on a grid of spacing h.
 
     The centered gradients are zero on the rows (columns) they skip, so
     adding each one into the interior only gives the same sum as
     u_t^2 + ux^2 + uy^2 over the whole grid, bit for bit.
     """
-    u, two_h = state.u, 2.0 * state.h
-    acc = np.square(state.u_t)
+    two_h = 2.0 * h
+    acc = np.square(u_t)
     d = np.subtract(u[2:, :], u[:-2, :])
     acc[1:-1, :] += np.square(np.divide(d, two_h, out=d), out=d)
     d = np.subtract(u[:, 2:], u[:, :-2])
     acc[:, 1:-1] += np.square(np.divide(d, two_h, out=d), out=d)
-    return 0.5 * state.h ** 2 * float(np.sum(acc))
+    return 0.5 * h ** 2 * float(np.sum(acc))
 
 
 @functools.lru_cache(maxsize=1)
@@ -452,13 +452,13 @@ def _radius_grid(n: int, L: float) -> np.ndarray:
     return r
 
 
-def check_propagation(state: WaveField, R: float) -> float:
-    """max |u| outside the slack cone |x| > t + R + 4h."""
-    r = _radius_grid(state.u.shape[0], state.L)
-    outside = r > state.t + R + PROPAGATION_SLACK_CELLS * state.h
+def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float) -> float:
+    """max |u| outside the slack cone |x| > t + reach + 4h; u spans [-L, L]^2."""
+    r = _radius_grid(u.shape[0], L)
+    outside = r > t + reach + PROPAGATION_SLACK_CELLS * h
     if not outside.any():
         return 0.0
-    return float(np.abs(state.u[outside]).max())
+    return float(np.abs(u[outside]).max())
 
 
 def _bilinear(u: np.ndarray, x: float, y: float, h: float, L: float) -> float:
@@ -524,7 +524,7 @@ class RayTap:
 
 @dataclass
 class RunResult:
-    checkpoints: list
+    checkpoints: list   # every Checkpoint of the run, t = 0 first
     energy: EnergySeries
     diagnostics: dict
     profiles: dict
@@ -532,28 +532,33 @@ class RunResult:
 
 @dataclass
 class Checkpoint:
-    field: WaveField
-    E: float            # energy norm sqrt(energy(field))
-    leak: float         # check_propagation(field, R)
+    """Snapshot at time t: u, the centered u_t, and their diagnostics."""
+
+    t: float
+    u: np.ndarray
+    u_t: np.ndarray
+    E: float            # energy norm sqrt(energy(u, u_t, h))
+    leak: float         # check_propagation(u, t, h, L, data.reach)
     samples: list       # per ray tap, the (t, V) taken since the previous checkpoint
 
 
 def stream(
     cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = ()
 ) -> Iterator[Checkpoint]:
-    """Advance to T, yielding each checkpoint (a snapshot with centered u_t)
-    as it is made: t = 0, every checkpoint_interval, and T.  None is kept
-    after it is yielded.  Ray taps sample V(t) from the three live levels.
+    """Advance to T, yielding each checkpoint as it is made: t = 0, every
+    checkpoint_interval, and T.  Each holds its own u and u_t, and none is
+    kept after it is yielded.  Ray taps sample V(t) from the three live levels.
     """
     solver = LeapfrogSolver(cfg, data)
-    dt, R = solver.dt, solver.R
+    dt, h, L = solver.dt, solver.h, cfg.L
     nsteps = cfg.steps
     ckpt_every = max(1, int(round(cfg.checkpoint_interval / dt)))
 
-    def checkpoint(snap: WaveField, samples: list) -> Checkpoint:
-        return Checkpoint(snap, math.sqrt(energy(snap)), check_propagation(snap, R), samples)
+    def checkpoint(t: float, u: np.ndarray, u_t: np.ndarray, samples: list) -> Checkpoint:
+        E = math.sqrt(energy(u, u_t, h))
+        return Checkpoint(t, u, u_t, E, check_propagation(u, t, h, L, data.reach), samples)
 
-    yield checkpoint(solver.initial_field, [[] for _ in rays])
+    yield checkpoint(0.0, *solver.initial, [[] for _ in rays])
     samples = [[] for _ in rays]
     for n in range(1, nsteps + 1):
         u_prevprev = solver.u_prev
@@ -565,16 +570,13 @@ def stream(
         for tap, taken in zip(rays, samples):
             if n % tap.stride:
                 continue
-            v = _ray_V(levels, t_mid, tap.sigma, tap.omega, solver.h, cfg.L, dt)
+            v = _ray_V(levels, t_mid, tap.sigma, tap.omega, h, L, dt)
             if v is not None:
                 taken.append((t_mid, v))
         if n % ckpt_every and n != nsteps:
             continue
-        snap = WaveField(
-            t=t_mid, u=solver.u_prev.copy(),
-            u_t=(solver.u_cur - u_prevprev) / (2.0 * dt), h=solver.h, L=cfg.L,
-        )
-        yield checkpoint(snap, samples)
+        u_t = (solver.u_cur - u_prevprev) / (2.0 * dt)
+        yield checkpoint(t_mid, solver.u_prev.copy(), u_t, samples)
         samples = [[] for _ in rays]
 
 
@@ -592,9 +594,9 @@ def run(
                 times=times, V=V, G=np.zeros_like(V), Phi=np.zeros_like(V), sigma=tap.sigma
             )
     return RunResult(
-        checkpoints=[c.field for c in kept],
+        checkpoints=kept,
         energy=EnergySeries(
-            times=np.array([c.field.t for c in kept]), E=np.array([c.E for c in kept])
+            times=np.array([c.t for c in kept]), E=np.array([c.E for c in kept])
         ),
         diagnostics={
             "max_propagation_leak": max(c.leak for c in kept),

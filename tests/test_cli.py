@@ -380,11 +380,20 @@ def _run_quiet(argv):
     ("simulate", "grid.h=1e-310"),         # 2L/h overflows
     ("simulate", "grid.cfl=1e-320"),       # T/dt overflows
     ("simulate", "grid.cfl=5e-324"),       # dt underflows to 0
+    ("simulate", "data.kind=custom"),      # the CLI cannot pass grids
+    ("simulate", "data.R=1e-310"),         # R * R underflows to 0
+    pytest.param(                          # R * R overflows, on a grid that fits R
+        "simulate", ["data.R=1e200", 'grid={"h": 1e199, "T": 1e199, "L": 2e200}'],
+        id="simulate-data.R=1e200",
+    ),
+    ("simulate", "data.center=[3, 0]"),    # reach 4 does not fit L = 6, T = 2
 ])
 def test_invalid_config_values_exit_64(tmp_path, command, override):
     cfg = _write_cfg(tmp_path, SMALL_CFG)
     out = tmp_path / "out"
-    assert _run_quiet([command, cfg, "--set", override, "--out", str(out)]) == 64
+    overrides = [override] if isinstance(override, str) else override
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert _run_quiet([command, cfg, *sets, "--out", str(out)]) == 64
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"]
 

@@ -19,7 +19,6 @@ from wavedecay.wave import (
     LeapfrogSolver,
     RayTap,
     SolverConfig,
-    WaveField,
     _gradients,
     _laplacian,
     _ray_V,
@@ -51,7 +50,7 @@ def test_config_validation():
     cfg = SolverConfig(h=0.1, L=8.0, T=5.0)
     assert cfg.dt == pytest.approx(0.05)
     with pytest.raises(ValueError):
-        cfg.validate_domain(R=4.0)   # needs L >= T + R + 4h
+        cfg.validate_domain(reach=4.0)   # needs L >= T + reach + 4h
 
 
 def test_initial_data_kinds():
@@ -60,23 +59,23 @@ def test_initial_data_kinds():
     with pytest.raises(ValueError):
         InitialData(R=-1.0)
     cfg = SolverConfig(h=0.1, L=8.0, T=5.0)
-    smooth = make_initial_data(InitialData(kind="smooth_bump", R=1.0, eps=0.2), cfg)
-    assert smooth.u.max() == pytest.approx(0.2 * math.exp(-1.0), rel=1e-12)
-    gonly = make_initial_data(InitialData(kind="deriv_bump", R=1.0, eps=0.2), cfg)
-    assert np.all(gonly.u == 0.0)
-    np.testing.assert_allclose(gonly.u_t, smooth.u_t)
+    smooth_u, smooth_ut = make_initial_data(InitialData(R=1.0, eps=0.2), cfg)
+    assert smooth_u.max() == pytest.approx(0.2 * math.exp(-1.0), rel=1e-12)
+    gonly_u, gonly_ut = make_initial_data(InitialData("deriv_bump", R=1.0, eps=0.2), cfg)
+    assert np.all(gonly_u == 0.0)
+    np.testing.assert_allclose(gonly_ut, smooth_ut)
 
 
 def test_initial_velocity_matches_numerical_derivative():
     cfg = SolverConfig(h=0.05, L=8.0, T=2.0)
-    field = make_initial_data(InitialData(kind="smooth_bump", R=2.0, eps=1.0), cfg)
+    u, u_t = make_initial_data(InitialData(kind="smooth_bump", R=2.0, eps=1.0), cfg)
     # g = -d1 f: compare with a centered difference of the f grid
-    num = np.zeros_like(field.u)
-    num[1:-1, :] = -(field.u[2:, :] - field.u[:-2, :]) / (2 * cfg.h_eff)
+    num = np.zeros_like(u)
+    num[1:-1, :] = -(u[2:, :] - u[:-2, :]) / (2 * cfg.h_eff)
     # the bump's third derivative is large near the support edge; the
     # centered difference is only h^2 f'''/6 accurate there
-    interior = np.abs(field.u) > 1e-6
-    assert np.abs((field.u_t - num)[interior]).max() < 2e-2
+    interior = np.abs(u) > 1e-6
+    assert np.abs((u_t - num)[interior]).max() < 2e-2
 
 
 def test_custom_data_shape_checked():
@@ -92,50 +91,63 @@ def test_energy_hand_value():
     h = 0.5
     u = np.zeros((n, n))
     u_t = np.ones((n, n))
-    state = WaveField(t=0.0, u=u, u_t=u_t, h=h, L=4.0)
-    assert energy(state) == pytest.approx(0.5 * h * h * n * n)
+    assert energy(u, u_t, h) == pytest.approx(0.5 * h * h * n * n)
+
+
+# custom grids reach 0: the domain needs L >= T + 4h
+GUARD_CFG = SolverConfig(h=0.5, L=4.0, T=1.0)
 
 
 def test_blow_up_guard_on_field():
-    with pytest.raises(BlowUpError):
-        WaveField(t=0.0, u=np.full((4, 4), 1e11), u_t=np.zeros((4, 4)), h=0.5, L=1.0)
+    f = np.full((GUARD_CFG.n, GUARD_CFG.n), 1e11)
+    with pytest.raises(BlowUpError) as err:
+        LeapfrogSolver(GUARD_CFG, InitialData(kind="custom", eps=1.0, f_grid=f))
+    assert err.value.t == 0.0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1e11])
 def test_blow_up_guard_on_single_cell(bad):
-    u = np.zeros((4, 4))
-    u[2, 1] = bad
-    with pytest.raises(BlowUpError):
-        WaveField(t=0.0, u=u, u_t=np.zeros((4, 4)), h=0.5, L=1.0)
+    f = np.zeros((GUARD_CFG.n, GUARD_CFG.n))
+    f[2, 1] = bad
+    with pytest.raises(BlowUpError) as err:
+        LeapfrogSolver(GUARD_CFG, InitialData(kind="custom", eps=1.0, f_grid=f))
+    assert err.value.t == 0.0
+
+
+def test_blow_up_guard_on_taylor_level():
+    # u(0) = 0 passes the guard; the Taylor level, ~dt * u_t(0) ~ 1e119,
+    # does not, and the solver reports it at t = dt while it is set up
+    cfg = SolverConfig(h=0.25, L=6.0, T=2.0, nonlinearity=_damping_coeffs())
+    with pytest.raises(BlowUpError) as err:
+        LeapfrogSolver(cfg, InitialData(kind="deriv_bump", eps=1e120))
+    assert err.value.t == cfg.dt
 
 
 # ---------------------------------------------------------------------------
 # the checkpoint diagnostics against their plain full-grid formulas
 
 
-def _energy_oracle(state):
-    ux, uy = _gradients(state.u, state.h)
-    return 0.5 * state.h ** 2 * float(
-        np.sum(state.u_t ** 2 + ux ** 2 + uy ** 2)
-    )
+def _energy_oracle(u, u_t, h):
+    ux, uy = _gradients(u, h)
+    return 0.5 * h ** 2 * float(np.sum(u_t ** 2 + ux ** 2 + uy ** 2))
 
 
-def _propagation_oracle(state, R):
-    xs = np.linspace(-state.L, state.L, state.u.shape[0])
+def _propagation_oracle(u, t, h, L, reach):
+    xs = np.linspace(-L, L, u.shape[0])
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    outside = np.hypot(X, Y) > state.t + R + wave.PROPAGATION_SLACK_CELLS * state.h
+    outside = np.hypot(X, Y) > t + reach + wave.PROPAGATION_SLACK_CELLS * h
     if not outside.any():
         return 0.0
-    return float(np.abs(state.u[outside]).max())
+    return float(np.abs(u[outside]).max())
 
 
-def _random_field(rng, n, L, t, scale, ring_only):
+def _random_field(rng, n, scale, ring_only):
     u = rng.standard_normal((n, n)) * scale
     u_t = rng.standard_normal((n, n)) * scale
     if ring_only:   # only the boundary ring is nonzero
         u[1:-1, 1:-1] = 0.0
         u_t[1:-1, 1:-1] = 0.0
-    return WaveField(t=t, u=u, u_t=u_t, h=2.0 * L / (n - 1), L=L)
+    return u, u_t
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,9 +166,10 @@ def test_diagnostics_match_full_grid_formulas(seed, sizes, Ls, t, R, scale, ring
     # stale cached radius grid would be read against the wrong field
     for n in sizes:
         for L in Ls + Ls[:1]:
-            state = _random_field(rng, n, L, t, scale, ring_only)
-            assert energy(state) == _energy_oracle(state)
-            assert check_propagation(state, R) == _propagation_oracle(state, R)
+            u, u_t = _random_field(rng, n, scale, ring_only)
+            h = 2.0 * L / (n - 1)
+            assert energy(u, u_t, h) == _energy_oracle(u, u_t, h)
+            assert check_propagation(u, t, h, L, R) == _propagation_oracle(u, t, h, L, R)
             assert not wave._radius_grid(n, L).flags.writeable
 
 
@@ -247,8 +260,18 @@ def test_propagation_violation_detected():
     n = 33
     u = np.zeros((n, n))
     u[1, 1] = 1.0     # far corner, way outside the light cone of R=1 at t=0
-    state = WaveField(t=0.0, u=u, u_t=np.zeros((n, n)), h=0.25, L=4.0)
-    assert check_propagation(state, R=1.0) == pytest.approx(1.0)
+    assert check_propagation(u, t=0.0, h=0.25, L=4.0, reach=1.0) == pytest.approx(1.0)
+
+
+def test_off_centre_data_leaks_nothing_at_t0():
+    # the bump lies inside the cone of its reach R + |center| = 4
+    data = InitialData(R=1.0, center=(3.0, 0.0))
+    assert data.reach == 4.0 and InitialData(R=1.0).reach == 1.0
+    # L = T + reach + 4h + 1, the CLI's default
+    cfg = SolverConfig(h=0.25, L=2.0 + data.reach + 4 * 0.25 + 1.0, T=2.0)
+    first = next(stream(cfg, data))
+    assert first.u.max() == pytest.approx(data.eps * math.exp(-1.0))
+    assert first.leak == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +361,9 @@ def test_run_checkpoints_keep_their_levels():
     data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
     levels = _recorded_levels(cfg, data)
     res = run(cfg, data)
-    fresh = make_initial_data(data, cfg)
-    assert np.array_equal(res.checkpoints[0].u, fresh.u)
-    assert np.array_equal(res.checkpoints[0].u_t, fresh.u_t)
+    u0, ut0 = make_initial_data(data, cfg)
+    assert np.array_equal(res.checkpoints[0].u, u0)
+    assert np.array_equal(res.checkpoints[0].u_t, ut0)
     assert len(res.checkpoints) > 3
     for snap in res.checkpoints[1:]:
         k = round(snap.t / cfg.dt)
@@ -382,8 +405,8 @@ def test_stream_holds_no_field():
     kept = res.checkpoints
     assert len(kept) == len(E)
     for snap, c in zip(kept, stream(cfg, data, rays)):
-        assert snap.t == c.field.t
-        assert np.array_equal(snap.u, c.field.u) and np.array_equal(snap.u_t, c.field.u_t)
+        assert snap.t == c.t
+        assert np.array_equal(snap.u, c.u) and np.array_equal(snap.u_t, c.u_t)
 
 
 # ---------------------------------------------------------------------------
