@@ -56,10 +56,10 @@ from .profile_ode import (
 from .wave import (
     BlowUpError,
     InitialData,
-    PROPAGATION_SLACK_CELLS,
     RayTap,
     SolverConfig,
     run,
+    slack_cone,
     stream,
 )
 
@@ -365,7 +365,7 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
         data_kw["center"] = tuple(_number(c, "data.center") for c in data_sec["center"])
     data = InitialData(**data_kw)
     g = _numbers(grid, "grid", "h", "T", "cfl", "checkpoint_interval")
-    L = grid.get("L", g["T"] + data.reach + PROPAGATION_SLACK_CELLS * g["h"] + 1.0)
+    L = grid.get("L", slack_cone(g["T"], data.reach, g["h"]) + 1.0)
     cfg = SolverConfig(L=_number(L, "grid.L"), nonlinearity=coeffs, **g)
     rays = []
     for rspec in config.get("rays", []):

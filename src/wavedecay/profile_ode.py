@@ -10,8 +10,8 @@ lemma).  This module integrates both ODEs on the log-time axis with its
 own scalar DOP853 loop (scipy's tableau and step control, rtol 1e-10,
 atol 1e-12), evaluates the explicit bound constant, and fits the
 1/sqrt(P log t) decay of V.  An integration ends in one of two failures:
-ProfileBlowUp where |V| crosses BLOWUP_GUARD, or StepUnderflow when the
-derivative is NaN or the step falls below 10 ulp of log t.
+ProfileBlowUp where |V| crosses BLOWUP_GUARD, or StepUnderflow on a NaN
+derivative, a step below 10 ulp of log t, or STEP_BUDGET steps spent.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .trig import Direction
 LOG2 = math.log(2.0)
 OUTPUT_POINTS_PER_DECADE = 64
 BLOWUP_GUARD = 1e6
+# Attempted DOP853 steps per integration; an envelope of amplitude 1e6 takes 12k-16k.
+STEP_BUDGET = 100_000
 
 
 class ProfileBlowUp(RuntimeError):
@@ -42,7 +44,7 @@ class ProfileBlowUp(RuntimeError):
 
 
 class StepUnderflow(RuntimeError):
-    """The ODE solve failed: a NaN derivative, or a DOP853 step below 10 ulp of s."""
+    """The ODE solve failed: a NaN derivative, a step below 10 ulp, or STEP_BUDGET spent."""
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,8 @@ def _integrate_adaptive(
     dense output of the step that holds each point.  guard(s, y), if given,
     is a terminal event, checked at the start and after each accepted step:
     where it changes sign the root is located on that step's interpolant
-    and ProfileBlowUp is raised there.  A NaN derivative, or a step below
-    the floor, raises StepUnderflow.
+    and ProfileBlowUp is raised there.  A NaN derivative, a step below
+    the floor, or more than STEP_BUDGET attempted steps raises StepUnderflow.
     """
 
     def f(s, y):
@@ -187,6 +189,7 @@ def _integrate_adaptive(
     g = guard(s, y) if guard is not None else None
     steps = []       # (s, s_new, h, y, F[0..6]) of the steps holding output
     j = 0            # the first output point not yet covered by a step
+    attempts = 0
     while s < s_end:
         min_step = 10.0 * (math.nextafter(s, math.inf) - s)
         h_abs = max(h_abs, min_step)
@@ -194,6 +197,9 @@ def _integrate_adaptive(
         while True:
             if h_abs < min_step:
                 raise StepUnderflow(f"step size fell below 10 ulp at s={s}")
+            if attempts == STEP_BUDGET:
+                raise StepUnderflow(f"{STEP_BUDGET} steps did not reach s={s_end} (at s={s})")
+            attempts += 1
             s_new = min(s + h_abs, s_end)
             h_abs = h = s_new - s
             K = [dy]
@@ -395,8 +401,8 @@ def integrate_profile(
     and atol 1e-12; output on a logarithmically spaced grid.  The initial
     amplitude defaults to eps * <sigma>^(mu - 1), the a priori size of
     the profile.  Raises ProfileBlowUp where |V| crosses BLOWUP_GUARD (a
-    terminal event) and StepUnderflow on a NaN derivative or a step below
-    10 ulp of log t.
+    terminal event) and StepUnderflow on a NaN derivative, a step below
+    10 ulp of log t, or a ray too stiff for STEP_BUDGET steps.
     """
     if not 0 <= P_val < math.inf:
         raise ValueError("P_val must be nonnegative and finite")

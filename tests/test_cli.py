@@ -387,6 +387,7 @@ def _run_quiet(argv):
         id="simulate-data.R=1e200",
     ),
     ("simulate", "data.center=[3, 0]"),    # reach 4 does not fit L = 6, T = 2
+    ("simulate", "grid.T=0.05"),           # T < dt/2 = 0.0625: no step
 ])
 def test_invalid_config_values_exit_64(tmp_path, command, override):
     cfg = _write_cfg(tmp_path, SMALL_CFG)

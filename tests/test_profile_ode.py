@@ -169,6 +169,21 @@ def test_nan_derivative_raises_step_underflow():
         _integrate_adaptive(lambda s, y: math.nan, 1.0, np.linspace(0.0, 1.0, 5))
 
 
+def test_step_budget_raises_step_underflow(monkeypatch):
+    # a solve that needs more attempted steps than the budget stops there
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        return -y
+
+    monkeypatch.setattr(profile_ode, "STEP_BUDGET", 3)
+    with pytest.raises(StepUnderflow, match="3 steps"):
+        _integrate_adaptive(rhs, 1.0, np.linspace(0.0, 50.0, 9))
+    # the initial step's 2 calls, then 12 per step and 3 more for dense output
+    assert len(calls) <= 2 + 3 * (12 + 3)
+
+
 def test_unforced_profile_matches_closed_form():
     # dV/dt = -P V^3 / (2t)  =>  V = V0 / sqrt(1 + P V0^2 log(t/t0))
     ray = _ray(t_end=1e8)

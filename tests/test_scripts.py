@@ -1,6 +1,7 @@
 """Smoke tests run in a subprocess: every experiment script runs to
 completion, and the console entry point exits with the documented code."""
 
+import json
 import os
 import subprocess
 import sys
@@ -45,6 +46,21 @@ def test_cli_process_exits_64(args, files, tmp_path):
     assert proc.returncode == 64, proc.stderr[-2000:]
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr[-2000:]
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_stiff_profile_exits_3_within_the_step_budget(tmp_path):
+    # a forced ray this stiff shrinks the DOP853 step without end; the step
+    # budget ends it with StepUnderflow long before the timeout
+    cfg = {
+        "C": [0.0] * 12 + [-1.0] + [0.0] * 14,
+        "ray": {"sigma": 0.0, "omega": [1.0, 0.0], "eps": 0.1, "mu": 0.05, "t_end": 1e6,
+                "forcing": {"type": "envelope", "amplitude": 1e12}},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = _run(["-m", "wavedecay.cli", "profile", "cfg.json", "--out", "out"], tmp_path, 60)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["error"].startswith("StepUnderflow")
 
 
 def test_symbol_layers_import_without_scipy(tmp_path):

@@ -53,6 +53,23 @@ def test_config_validation():
         cfg.validate_domain(reach=4.0)   # needs L >= T + reach + 4h
 
 
+def _initial_data_oracle(data, cfg):
+    """(u, u_t) from the bump and its d1 on full meshgrid coordinates."""
+    X, Y = np.meshgrid(cfg.axis(), cfg.axis(), indexing="ij")
+    cx, cy = data.center
+    R2 = data.R * data.R
+    rho2 = ((X - cx) ** 2 + (Y - cy) ** 2) / R2
+    inside = rho2 < 1.0
+    bump = np.zeros_like(X)
+    bump[inside] = np.exp(-1.0 / (1.0 - rho2[inside]))
+    dbump = np.zeros_like(X)
+    dbump[inside] = bump[inside] * (
+        -2.0 * (X[inside] - cx) / R2
+    ) / (1.0 - rho2[inside]) ** 2
+    f = bump if data.kind == "smooth_bump" else np.zeros_like(X)
+    return data.eps * f, data.eps * -dbump
+
+
 def test_initial_data_kinds():
     with pytest.raises(ValueError):
         InitialData(kind="bogus")
@@ -64,6 +81,15 @@ def test_initial_data_kinds():
     gonly_u, gonly_ut = make_initial_data(InitialData("deriv_bump", R=1.0, eps=0.2), cfg)
     assert np.all(gonly_u == 0.0)
     np.testing.assert_allclose(gonly_ut, smooth_ut)
+    # bit for bit, signed zeros included (u_t is -0.0 off the support)
+    for kind in ("smooth_bump", "deriv_bump"):
+        for center in ((0.0, 0.0), (0.25, -0.5), (-1.3, 0.7)):
+            for h, R in ((0.1, 1.0), (0.21, 2.0), (0.05, 0.37), (0.25, 1e-3)):
+                cfg = SolverConfig(h=h, L=8.0, T=2.0)
+                data = InitialData(kind, R=R, eps=0.1, center=center)
+                got, want = make_initial_data(data, cfg), _initial_data_oracle(data, cfg)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                assert np.signbit(got[1][0, 0])
 
 
 def test_initial_velocity_matches_numerical_derivative():
