@@ -16,8 +16,9 @@ file list, and a pass/fail summary -- even when the command fails, with
 the error class recorded.  CSV bodies are deterministic (no timestamps).
 
 Exit codes: 0 ok; 2 domain-level condition failure (sign condition fails,
-non-dissipative direction); 3 numerical failure (blow-up);
-64 usage or malformed config.
+non-dissipative direction); 3 numerical failure (blow-up, or no significant
+derivative up to order 2*degree at a detected zero of Psi); 64 usage or
+malformed config (a non-finite ray.v0 included).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .trig import (
     NonlinearityCoefficients,
     eval_cubic_symbol,
 )
-from .structure import AgemiStatus, analyze
+from .structure import AgemiStatus, OrderOverflow, analyze
 from .profile_ode import (
     EnvelopeForcing,
     MatsumuraParams,
@@ -223,11 +224,13 @@ class _Manifest:
         })
 
 
-# exit code for each exception class a command may raise
+# exit code for each exception class a command may raise; main maps an
+# error to the code of its nearest listed class, and any other propagates
 _EXIT_CODES = {
     BlowUpError: EXIT_NUMERICAL,
     ProfileBlowUp: EXIT_NUMERICAL,
     StepUnderflow: EXIT_NUMERICAL,
+    OrderOverflow: EXIT_NUMERICAL,
     SignConditionViolated: EXIT_CONDITION,
     ValueError: EXIT_USAGE,        # includes ConfigError
     TypeError: EXIT_USAGE,
@@ -235,19 +238,10 @@ _EXIT_CODES = {
 }
 
 
-def _exit_code(exc: Exception) -> int:
-    """Print `exc` and return its exit code; an unmapped error propagates."""
-    code = next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), None)
-    if code is None:
-        raise exc
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
 def _run_command(name: str, body, args) -> int:
     """Make the output directory, load the config (with --set overrides) and
-    run `body`; an error is recorded and mapped to its exit code (unmapped
-    errors propagate).  The manifest is written wherever the directory exists."""
+    run `body`; an error is recorded in the manifest and re-raised.  The
+    manifest is written wherever the directory exists."""
     manifest = _Manifest(name, Path(args.out), {"config_path": args.config})
     try:
         manifest.outdir.mkdir(parents=True, exist_ok=True)
@@ -255,7 +249,7 @@ def _run_command(name: str, body, args) -> int:
         return body(manifest.config, manifest)
     except Exception as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
-        return _exit_code(exc)
+        raise
     finally:
         if manifest.outdir.is_dir():
             manifest.write()
@@ -612,10 +606,7 @@ def cmd_report(args) -> int:
     """Write the SVG plot of a simulate run; no other file is written."""
     rundir = Path(args.rundir)
     out = Path(args.out) if args.out else rundir / "report.svg"
-    try:
-        out.write_text(_energy_svg(_read_energy(rundir / "energy.csv")))
-    except Exception as exc:
-        return _exit_code(exc)
+    out.write_text(_energy_svg(_read_energy(rundir / "energy.csv")))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -666,7 +657,11 @@ def main(argv=None) -> int:
         if exc.code not in (0, None):
             return EXIT_USAGE
         raise
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -75,17 +75,17 @@ class MatsumuraParams:
         return self.p / (self.p - 1.0)
 
 
-def log_weight_integral(p_star: float, q: float, lower: float = 2.0) -> float:
-    """Integral of (log tau)^p* / tau^q over [lower, infinity), q > 1.
+def log_weight_integral(p_star: float, q: float) -> float:
+    """Integral of (log tau)^p* / tau^q over [2, infinity), q > 1.
 
     With s = log tau and a = q - 1 it is the upper incomplete gamma function
-    Gamma(p* + 1, a log lower) / a^(p* + 1), with Gamma(p* + 1) / a^(p* + 1)
+    Gamma(p* + 1, a log 2) / a^(p* + 1), with Gamma(p* + 1) / a^(p* + 1)
     taken in log space.
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
     a, k = q - 1.0, p_star + 1.0
-    regularized = float(special.gammaincc(k, a * math.log(lower)))
+    regularized = float(special.gammaincc(k, a * LOG2))
     return regularized * math.exp(math.lgamma(k) - k * math.log(a))
 
 
@@ -400,15 +400,18 @@ def integrate_profile(
     The scalar DOP853 loop of _integrate_adaptive in log t, rtol 1e-10
     and atol 1e-12; output on a logarithmically spaced grid.  The initial
     amplitude defaults to eps * <sigma>^(mu - 1), the a priori size of
-    the profile.  Raises ProfileBlowUp where |V| crosses BLOWUP_GUARD (a
-    terminal event) and StepUnderflow on a NaN derivative, a step below
-    10 ulp of log t, or a ray too stiff for STEP_BUDGET steps.
+    the profile.  Raises ValueError on a non-finite v0, ProfileBlowUp
+    where |V| crosses BLOWUP_GUARD (a terminal event) and StepUnderflow
+    on a NaN derivative, a step below 10 ulp of log t, or a ray too stiff
+    for STEP_BUDGET steps.
     """
     if not 0 <= P_val < math.inf:
         raise ValueError("P_val must be nonnegative and finite")
     if v0 is None:
         v0 = ray.eps * sigma_weight(ray.sigma) ** (ray.mu - 1.0)
-    if not abs(v0) <= BLOWUP_GUARD:
+    if not math.isfinite(v0):
+        raise ValueError("v0 must be finite")
+    if abs(v0) > BLOWUP_GUARD:
         raise ProfileBlowUp(ray.t_start, v0)
 
     out_t = _log_grid(ray.t_start, ray.t_end)

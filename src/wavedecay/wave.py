@@ -558,6 +558,7 @@ def stream(
         return Checkpoint(t, u, u_t, E, check_propagation(u, t, h, L, data.reach), samples)
 
     yield checkpoint(0.0, *solver.initial, [[] for _ in rays])
+    del solver.initial
     samples = [[] for _ in rays]
     for n in range(1, nsteps + 1):
         u_prevprev = solver.u_prev

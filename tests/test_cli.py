@@ -7,13 +7,14 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavedecay import cli
+from wavedecay import cli, profile_ode, structure, trig, wave
 from wavedecay.cli import main
 
 EXAMPLE_CFG = {
@@ -286,6 +287,17 @@ def test_verify_failed_check_exits_2(monkeypatch, capsys):
     assert "[broken] FAIL: always fails" in capsys.readouterr().out
 
 
+def test_verify_error_exits_with_its_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_SUITES", {
+        "mapped": mock.Mock(side_effect=structure.OrderOverflow("no derivative")),
+        "unmapped": mock.Mock(side_effect=KeyError("radii")),
+    })
+    assert main(["verify", "mapped"]) == 3
+    assert capsys.readouterr().err == "error: no derivative\n"
+    with pytest.raises(KeyError):        # not in the table: it propagates
+        main(["verify", "unmapped"])
+
+
 @pytest.mark.parametrize("suite", ["algebra", "structure", "ode", "pde-smoke"])
 def test_verify_suites_pass(suite, capsys):
     assert main(["verify", suite]) == 0
@@ -362,6 +374,8 @@ def _run_quiet(argv):
     ("profile", "ray.omega_angle=NaN"),
     ("profile", "ray.support_radius=NaN"),
     ("profile", "ray.support_radius=0"),
+    ("profile", "ray.v0=NaN"),
+    ("profile", "ray.v0=Infinity"),
     ("profile", 'ray.forcing={"type": "envelope", "amplitude": NaN}'),
     ("profile", 'ray.forcing={"type": "envelope", "mu": NaN}'),
     ("analyze", "C=[NaN" + ", 0" * 26 + "]"),
@@ -408,6 +422,33 @@ def test_profile_huge_amplitude_exits_3(tmp_path, v0):
     assert manifest["error"].startswith("ProfileBlowUp")
 
 
+# Psi = 1e-3 cos^2(theta), written with monomials of size 1e6 that cancel:
+# -1e6 + (1e6 + 1e-3) cos^2 + 1e6 sin^2.  classify measures the zeros'
+# derivatives against the monomials and finds none significant
+CANCEL_C = json.dumps([1e6] + [0.0] * 11 + [-1e6 - 1e-3] + [0.0] * 11 + [-1e6, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_cancelling_symbol_exits_3(tmp_path, command):
+    cfg = _write_cfg(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert _run_quiet([command, cfg, "--set", f"C={CANCEL_C}", "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"].startswith("OrderOverflow")
+
+
+def test_every_package_error_has_an_exit_code():
+    errors = [
+        obj for module in (trig, structure, profile_ode, wave, cli)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__ == module.__name__
+    ]
+    assert {"ConfigError", "OrderOverflow", "BlowUpError"} <= {e.__name__ for e in errors}
+    for error in errors:
+        assert issubclass(error, tuple(cli._EXIT_CODES)), error
+
+
 _OVERRIDE_KEYS = [
     "C", "grid.h", "grid.L", "grid.T", "grid.cfl", "grid.checkpoint_interval",
     "data.kind", "data.R", "data.eps", "data.center",
@@ -418,11 +459,12 @@ _OVERRIDE_KEYS = [
 # a symbol far below 1 in size: Psi = 1e-9 cos^2(theta)
 TINY_C = json.dumps([0.0] * 12 + [-1e-9] + [0.0] * 14)
 # no large finite values, so no draw can ask for a huge grid; HUGE_INT is
-# safe because every key fails to convert it before any grid is built, and
-# 1e-310 because every count derived from a subnormal overflows to inf
+# safe because every key fails to convert it before any grid is built,
+# 1e-310 because every count derived from a subnormal overflows to inf, and
+# CANCEL_C because only C takes a list of 27 numbers
 _OVERRIDE_VALUES = [
     "NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null", HUGE_INT, TINY_C,
-    "1e-310",
+    CANCEL_C, "1e-310",
 ]
 
 
@@ -434,6 +476,7 @@ _OVERRIDE_VALUES = [
     )
 )
 @example([("C", TINY_C)])
+@example([("C", CANCEL_C)])
 def test_any_override_exits_with_documented_code(overrides):
     sets = [a for key, value in overrides for a in ("--set", f"{key}={value}")]
     with tempfile.TemporaryDirectory() as tmp:

@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -433,6 +434,18 @@ def test_stream_holds_no_field():
     for snap, c in zip(kept, stream(cfg, data, rays)):
         assert snap.t == c.t
         assert np.array_equal(snap.u, c.u) and np.array_equal(snap.u_t, c.u_t)
+
+
+def test_stream_drops_the_initial_data():
+    # once the t = 0 checkpoint is out, the stream keeps neither of its levels
+    cfg = SolverConfig(h=0.5, L=6.0, T=2.0)
+    data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
+    checkpoints = stream(cfg, data)
+    first = next(checkpoints)
+    refs = [weakref.ref(first.u), weakref.ref(first.u_t)]
+    del first
+    next(checkpoints)
+    assert all(r() is None for r in refs)
 
 
 # ---------------------------------------------------------------------------
