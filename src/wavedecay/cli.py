@@ -359,7 +359,9 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
         data_kw["center"] = tuple(_number(c, "data.center") for c in data_sec["center"])
     data = InitialData(**data_kw)
     g = _numbers(grid, "grid", "h", "T", "cfl", "checkpoint_interval")
-    L = grid.get("L", slack_cone(g["T"], data.reach, g["h"]) + 1.0)
+    # round(2L/h) cells make h_eff exceed h by at most h^2/(4L - h); past the
+    # cone, a margin of max(1, h/4) covers four times that
+    L = grid.get("L", slack_cone(g["T"], data.reach, g["h"]) + max(1.0, g["h"] / 4.0))
     cfg = SolverConfig(L=_number(L, "grid.L"), nonlinearity=coeffs, **g)
     rays = []
     for rspec in config.get("rays", []):

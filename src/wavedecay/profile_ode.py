@@ -7,11 +7,13 @@ Along an outgoing ray r = t + sigma the wave amplitude V obeys
 and Phi = P V^2 then satisfies a scalar differential inequality whose
 decay is controlled by an explicit logarithmic bound (Matsumura-type
 lemma).  This module integrates both ODEs on the log-time axis with its
-own scalar DOP853 loop (scipy's tableau and step control, rtol 1e-10,
-atol 1e-12), evaluates the explicit bound constant, and fits the
-1/sqrt(P log t) decay of V.  An integration ends in one of two failures:
-ProfileBlowUp where |V| crosses BLOWUP_GUARD, or StepUnderflow on a NaN
-derivative, a step below 10 ulp of log t, or STEP_BUDGET steps spent.
+own scalar DOP853 loop (rtol 1e-10, atol 1e-12; Hairer's DOP853 tableau,
+embedded here and pinned bitwise to scipy's by a test, and scipy's step
+control), evaluates the explicit bound constant, and fits the
+1/sqrt(P log t) decay of V.  It needs numpy only.  An integration ends in
+one of two failures: ProfileBlowUp where |V| crosses BLOWUP_GUARD, or
+StepUnderflow on a NaN derivative, a step below 10 ulp of log t, or
+STEP_BUDGET steps spent.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
 
 from .structure import WrongRegime, _refine_root
 from .trig import Direction
@@ -85,8 +86,46 @@ def log_weight_integral(p_star: float, q: float) -> float:
     if q <= 1:
         raise ValueError("q must exceed 1")
     a, k = q - 1.0, p_star + 1.0
-    regularized = float(special.gammaincc(k, a * LOG2))
-    return regularized * math.exp(math.lgamma(k) - k * math.log(a))
+    return _gammaincc(k, a * LOG2) * math.exp(math.lgamma(k) - k * math.log(a))
+
+
+def _gammaincc(k: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(k, x) = Gamma(k, x) / Gamma(k), k, x > 0.
+
+    1 - P from P's power series below x = k + 1, else the continued fraction
+    (modified Lentz).  Both scale x^k e^-x / Gamma(k), formed directly where
+    it is representable (~2e-15 relative for k <= 60), else through lgamma.
+    """
+    if x == math.inf:
+        return 0.0
+    try:
+        front = x ** k / math.gamma(k) * math.exp(-x)
+    except OverflowError:
+        front = 0.0
+    if front < 1e-290:
+        front = math.exp(k * math.log(x) - x - math.lgamma(k))
+    if x < k + 1.0:
+        term = total = 1.0 / k
+        n = k
+        while term > total * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        return 1.0 - front * total
+    tiny = 1e-300       # stands in for a vanishing denominator
+    b = x + 1.0 - k
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        a = i * (k - i)
+        b += 2.0
+        d = 1.0 / (a * d + b or tiny)
+        c = b + a / c or tiny
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return front * h
 
 
 def matsumura_constant(params: MatsumuraParams) -> float:
@@ -102,22 +141,84 @@ def matsumura_constant(params: MatsumuraParams) -> float:
 
 
 # The DOP853 method of Hairer, Norsett and Wanner (Solving ODEs I, II.4-II.6)
-# with scipy's tableau and step control, run on one Python-float component.
-_DOP853 = integrate.DOP853
+# with scipy's step control, run on one Python-float component.  The tableau
+# is Hairer's DOP853, written out as the (index, coefficient) nonzeros of each
+# row; tests/test_profile_ode.py pins it bitwise to scipy.integrate.DOP853.
 _RTOL, _ATOL = 1e-10, 1e-12
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / (_DOP853.error_estimator_order + 1)
+_ERROR_EXPONENT = -1 / 8        # -1 / (error estimator order 7 + 1)
 
-
-def _nonzero(row) -> tuple:
-    """(index, coefficient) pairs of a tableau row's nonzero entries."""
-    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
-
-
-_STAGES = tuple(zip(_DOP853.C[1:].tolist(), map(_nonzero, _DOP853.A[1:])))
-_EXTRA_STAGES = tuple(zip(_DOP853.C_EXTRA.tolist(), map(_nonzero, _DOP853.A_EXTRA)))
-_B, _E3, _E5 = map(_nonzero, (_DOP853.B, _DOP853.E3, _DOP853.E5))
-_D = tuple(map(_nonzero, _DOP853.D))
+# (c, row of A) of stages 1-11; stage 0 is the derivative at the step's start
+# and stage 12 the derivative at its end
+_STAGES = (
+    (0.05260015195876773, ((0, 0.05260015195876773),)),
+    (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
+    (0.1183503419072274, ((0, 0.02958758547680685), (2, 0.08876275643042054))),
+    (0.2816496580927726, ((0, 0.2413651341592667), (2, -0.8845494793282861),
+                          (3, 0.924834003261792))),
+    (0.3333333333333333, ((0, 0.037037037037037035), (3, 0.17082860872947386),
+                          (4, 0.12546768756682242))),
+    (0.25, ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+            (5, -0.017578125))),
+    (0.3076923076923077, ((0, 0.03709200011850479), (3, 0.17038392571223998),
+                          (4, 0.10726203044637328), (5, -0.015319437748624402),
+                          (6, 0.008273789163814023))),
+    (0.6512820512820513, ((0, 0.6241109587160757), (3, -3.3608926294469414),
+                          (4, -0.868219346841726), (5, 27.59209969944671),
+                          (6, 20.154067550477894), (7, -43.48988418106996))),
+    (0.6, ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+           (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+           (8, -0.020331201708508627))),
+    (0.8571428571428571, ((0, -0.9371424300859873), (3, 5.186372428844064),
+                          (4, 1.0914373489967295), (5, -8.149787010746927),
+                          (6, -18.52006565999696), (7, 22.739487099350505),
+                          (8, 2.4936055526796523), (9, -3.0467644718982196))),
+    (1.0, ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+           (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+           (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636))),
+)
+# (c, row of A) of the three dense-output stages 13-15
+_EXTRA_STAGES = (
+    (0.1, ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+           (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+           (11, 0.007567897660545699), (12, -0.008298))),
+    (0.2, ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+           (7, -0.05492374857139099), (10, -0.00010834732869724932),
+           (11, 0.0003825710908356584), (12, -0.00034046500868740456),
+           (13, 0.1413124436746325))),
+    (0.7777777777777778, ((0, -0.42889630158379194), (5, -4.697621415361164),
+                          (6, 7.683421196062599), (7, 4.06898981839711),
+                          (8, 0.3567271874552811), (12, -0.0013990241651590145),
+                          (13, 2.9475147891527724), (14, -9.15095847217987))),
+)
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+      (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+       (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+       (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+# the dense-output polynomial's coefficients 3-6
+_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
+)
 
 
 def _dot(row: tuple, K: list) -> float:
@@ -159,9 +260,10 @@ def _integrate_adaptive(
 ) -> np.ndarray:
     """DOP853 (rtol 1e-10, atol 1e-12) from out_s[0], where y = y0, to out_s[-1].
 
-    The in-package scalar DOP853 loop: scipy's tableau, initial step,
-    5th/3rd-order error norm and step control, with a floor of 10 ulp of s
-    on the step.  Returns y at the increasing points out_s, read from the
+    The in-package scalar DOP853 loop: Hairer's DOP853 tableau, embedded
+    in this module and pinned bitwise to scipy's by a test, and scipy's
+    initial step, 5th/3rd-order error norm and step control, with a floor
+    of 10 ulp of s on the step.  Returns y at the increasing points out_s, read from the
     dense output of the step that holds each point.  guard(s, y), if given,
     is a terminal event, checked at the start and after each accepted step:
     where it changes sign the root is located on that step's interpolant

@@ -490,11 +490,11 @@ def _ray_V(
 
     w = sqrt(r) u; w_r is a centered difference on the middle level, w_t
     one across the outer levels.  None when t is before the ray start or
-    the stencil leaves the grid.
+    the stencil leaves the grid or, at r < h, crosses the origin.
     """
-    if t < ray_start(sigma):
-        return None
     r = t + sigma
+    if t < ray_start(sigma) or r < h:
+        return None
     u_m, u_c, u_p = levels
     try:
         wr_p = _ray_w(u_c, r + h, omega, h, L)

@@ -249,6 +249,31 @@ def test_simulate_under_resolved_linear_run_exits_0(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["error"] is None
 
 
+# the example config of the README
+README_CFG = {
+    "C": [0.0] * 12 + [-1.0] + [0.0] * 14,
+    "data": {"kind": "smooth_bump", "R": 1.0, "eps": 0.1},
+    "grid": {"h": 0.25, "T": 10.0, "L": 16.0, "checkpoint_interval": 2.0},
+    "rays": [{"sigma": 0.0, "omega": [1.0, 0.0]}],
+    "ray": {"sigma": 0.0, "omega": [1.0, 0.0], "eps": 0.1, "mu": 0.05, "t_end": 1e6},
+}
+
+
+@pytest.mark.parametrize("h", [4.0, 4.5, 13.0, 30.0])
+def test_simulate_default_L_passes_its_domain_check(tmp_path, h):
+    # without L the default must fit the cone at the adjusted h_eff: with a
+    # margin of 1, h = 13 and T = 26 gave L = 80 < 80.33 and exited 64.  On
+    # h = 4.5 and 30 the ray tap samples at r < h, where the r-stencil would
+    # cross the origin
+    cfg = _write_cfg(tmp_path, README_CFG)
+    out = tmp_path / "out"
+    grid = json.dumps({"h": h, "T": 26.0})
+    assert _run_quiet(["simulate", cfg, "--set", f"grid={grid}", "--out", str(out)]) == 0
+    header = json.loads((out / "checkpoint_0000.json").read_text())
+    assert header["L"] >= wave.slack_cone(26.0, 1.0, header["h"])
+    assert json.loads((out / "manifest.json").read_text())["error"] is None
+
+
 def test_set_flag_overrides_config(tmp_path):
     body = dict(EXAMPLE_CFG)
     body["ray"] = {"sigma": 0.0, "omega": [1.0, 0.0], "t_end": 1e4, "v0": 0.5}

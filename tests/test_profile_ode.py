@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from wavedecay import profile_ode, structure
 from wavedecay.trig import Direction
@@ -92,15 +92,48 @@ def test_constant_with_forcing_matches_mpmath():
 
 
 def test_log_weight_integral_against_mpmath():
-    for p_star, q in ((2.0, 1.5), (3.5, 1.2), (1.3, 2.5)):
+    # (1.3, 10) puts a log 2 = 6.2 above p* + 2: the continued-fraction branch
+    for p_star, q in ((2.0, 1.5), (3.5, 1.2), (1.3, 2.5), (1.3, 10.0)):
         # substitute s = log tau; mpmath handles the exponential tail well
-        expected = float(
-            mp.quad(
-                lambda s: s ** p_star * mp.e ** (-(q - 1.0) * s),
-                [mp.log(2), mp.inf],
+        with mp.workdps(30):
+            expected = float(
+                mp.quad(
+                    lambda s: s ** p_star * mp.e ** (-(q - 1.0) * s),
+                    [mp.log(2), mp.inf],
+                )
             )
-        )
-        assert log_weight_integral(p_star, q) == pytest.approx(expected, rel=1e-7)
+        assert log_weight_integral(p_star, q) == pytest.approx(expected, rel=1e-13)
+
+
+def _incomplete_gamma_draws(n, seed):
+    """(k, x) = (p* + 1, (q - 1) log 2) of the tail integral for seeded (p, q)."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(1.1, 4.0, n)
+    q = 1.0 + np.exp(rng.uniform(math.log(1e-3), math.log(30.0), n))
+    return p / (p - 1.0) + 1.0, (q - 1.0) * math.log(2.0)
+
+
+def test_gammaincc_matches_scipy():
+    # scipy's own Q drifts to ~1e-14 from mpmath for k above ~12, so the
+    # draws keep p* <= 11; both branches of the in-module Q are hit
+    k, x = _incomplete_gamma_draws(20000, 20240817)
+    series = x < k + 1.0
+    assert 1000 < series.sum() < len(k) - 1000
+    ours = np.array([profile_ode._gammaincc(a, b) for a, b in zip(k.tolist(), x.tolist())])
+    expected = special.gammaincc(k, x)
+    assert np.max(np.abs(ours - expected) / expected) <= 1e-14
+
+
+def test_gammaincc_against_mpmath():
+    # beyond scipy's 1e-14 range: k up to 60, x up to 2k + 5
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        k = float(rng.uniform(2.0, 60.0))
+        x = float(rng.uniform(1e-3, 2.0 * k + 5.0))
+        with mp.workdps(30):
+            expected = mp.gammainc(k, x, mp.inf, regularized=True)
+            assert abs(profile_ode._gammaincc(k, x) - expected) <= 1e-14 * expected
+    assert profile_ode._gammaincc(3.0, math.inf) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +316,25 @@ def _oracle(rhs, y0, out_s, guard=None, rtol=1e-10, atol=1e-12):
 
 def _rel(a, b) -> float:
     return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+def test_embedded_tableau_is_scipys_dop853():
+    # float == is bitwise on these nonzero, finite coefficients; the tuples
+    # compare the indices of the nonzeros too
+    D = integrate.DOP853
+
+    def nonzero(row):
+        return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+    assert D.C[0] == 0.0 and not D.A[0].any()      # stage 0 is the step's start
+    assert profile_ode._STAGES == tuple(zip(D.C[1:].tolist(), map(nonzero, D.A[1:])))
+    assert profile_ode._EXTRA_STAGES == tuple(
+        zip(D.C_EXTRA.tolist(), map(nonzero, D.A_EXTRA)))
+    assert profile_ode._B == nonzero(D.B)
+    assert profile_ode._E3 == nonzero(D.E3)
+    assert profile_ode._E5 == nonzero(D.E5)
+    assert profile_ode._D == tuple(map(nonzero, D.D))
+    assert profile_ode._ERROR_EXPONENT == -1.0 / (D.error_estimator_order + 1)
 
 
 @pytest.fixture

@@ -71,3 +71,38 @@ def test_symbol_layers_import_without_scipy(tmp_path):
     proc = _run(["-c", code], tmp_path, 60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_imports_without_scipy(tmp_path):
+    # scipy is a test-only oracle: no command's import chain loads it
+    code = ("import sys, wavedecay.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = _run(["-c", code], tmp_path, 60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_with_scipy_unimportable(tmp_path, monkeypatch):
+    # an install without scipy: a scipy package that fails to import shadows
+    # the real one
+    stub = tmp_path / "no_scipy"
+    (stub / "scipy").mkdir(parents=True)
+    (stub / "scipy" / "__init__.py").write_text("raise ImportError('no scipy here')\n")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [str(stub)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    assert _run(["-c", "import scipy"], tmp_path, 60).returncode != 0
+    cfg = {
+        "C": [0.0] * 12 + [-1.0] + [0.0] * 14,
+        "data": {"kind": "smooth_bump", "R": 1.0, "eps": 0.1},
+        "grid": {"h": 0.25, "T": 3.0, "L": 5.0, "checkpoint_interval": 1.0},
+        "rays": [{"sigma": 0.0, "omega": [1.0, 0.0]}],
+        "ray": {"sigma": 0.0, "omega": [1.0, 0.0], "eps": 0.1, "mu": 0.05, "t_end": 1e6},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    for argv in (["analyze", "cfg.json", "--out", "analyze"],
+                 ["profile", "cfg.json", "--out", "profile"],
+                 ["simulate", "cfg.json", "--out", "simulate"],
+                 ["verify", "algebra"]):
+        proc = _run(["-m", "wavedecay.cli", *argv], tmp_path, 120)
+        assert proc.returncode == 0, (argv, proc.stderr[-2000:])

@@ -481,6 +481,10 @@ def test_extract_ray_validates_input():
     small = SolverConfig(h=0.25, L=8.0, T=1.0)
     far = tuple(_outgoing_level(phi, t, small) for t in (39.9, 40.0, 40.1))
     assert _ray_V(far, 40.0, 0.0, omega, small.h_eff, small.L, dt) is None
+    # at r = 2 < h = 4 the stencil point r - h lies behind the origin
+    coarse = SolverConfig(h=4.0, L=44.0, T=26.0)
+    near = tuple(_outgoing_level(phi, t, coarse) for t in (0.0, 2.0, 4.0))
+    assert _ray_V(near, 2.0, 0.0, omega, coarse.h_eff, coarse.L, 2.0) is None
 
 
 def test_streamed_taps_match_recorded_levels():
