@@ -336,8 +336,9 @@ def _write_checkpoint(outdir: Path, idx: int, ckpt, cfg: SolverConfig, data) -> 
     bin_path = outdir / f"{base}.bin"
     hdr_path = outdir / f"{base}.json"
     with open(bin_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(ckpt.u, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ckpt.u_t, dtype="<f8").tobytes())
+        # written through the buffer protocol: no bytes copy of the level
+        fh.write(np.ascontiguousarray(ckpt.u, dtype="<f8"))
+        fh.write(np.ascontiguousarray(ckpt.u_t, dtype="<f8"))
     header = {
         "t": ckpt.t, "h": cfg.h_eff, "L": cfg.L, "R": data.R, "eps": data.eps,
         "n": ckpt.u.shape[0], "dtype": "<f8", "layout": "u then u_t, row-major",

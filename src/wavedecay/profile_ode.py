@@ -60,6 +60,9 @@ class MatsumuraParams:
     phi0: float
 
     def __post_init__(self):
+        for name in ("c0", "c1", "p", "q", "t0", "phi0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.c0 <= 0:
             raise ValueError("c0 must be positive")
         if self.c1 < 0:

@@ -9,6 +9,14 @@ that stream the outgoing ray profile V(t) = U(t, (t+sigma) omega) with
 U = (d_r - d_t)(sqrt(r) u)/2 during the run, which feeds the profile
 ODE module.
 
+The step and the checkpoint diagnostics run over the level in row strips
+of about STRIP_CELLS cells (_row_strips), so their scratch stays in
+cache.  The diagnostics keep no buffer between calls: each call makes
+strip-sized scratch and, in `energy`, one level-sized accumulator, and
+frees them on return.  Level-sized memory kept alive across calls would
+change glibc's malloc state, which perfbench's host-scale kernel reads
+as a different host.
+
 The step is one fused kernel (LeapfrogSolver._next) with two invariants:
 
 * it updates only the discrete domain of dependence: the bounding box
@@ -38,10 +46,18 @@ from .trig import Direction, NonlinearityCoefficients
 
 BLOWUP_GUARD = 1e10
 PROPAGATION_SLACK_CELLS = 4
-# Cells in one row strip of the fused step.  A strip's scratch arrays
-# (128 kB each) stay in cache, where a numpy ufunc costs ~0.4 ns per
-# element against ~1.3 ns on a whole 401^2 level.
+# Cells in one row strip of the fused step and the diagnostics.  A
+# strip's scratch arrays (128 kB each) stay in cache, where a numpy ufunc
+# costs ~0.4 ns per element against ~1.3 ns on a whole 401^2 level.
 STRIP_CELLS = 16384
+
+
+def _row_strips(r0: int, r1: int, width: int) -> Iterator[tuple[int, int]]:
+    """Row ranges [s0, s1) that cover [r0, r1) in strips of about STRIP_CELLS
+    cells of a `width`-column region, or one row when a row is longer."""
+    step_rows = max(1, STRIP_CELLS // width)
+    for s0 in range(r0, r1, step_rows):
+        yield s0, min(s0 + step_rows, r1)
 
 
 def slack_cone(t: float, reach: float, h: float) -> float:
@@ -353,14 +369,12 @@ class LeapfrogSolver:
             return out, 0.0
         r0, r1, c0, c1 = region
         width = c1 - c0
-        step_rows = max(1, STRIP_CELLS // width)
         h, dt = self.h, self.dt
         h2, dt2, two_h, two_dt = h ** 2, dt ** 2, 2.0 * h, 2.0 * dt
         up_all, uc_all = self.u_prev, self.u_cur
         peak = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for s0 in range(r0, r1, step_rows):
-                s1 = min(s0 + step_rows, r1)
+            for s0, s1 in _row_strips(r0, r1, width):
                 cells = (s1 - s0) * width
                 strip = {
                     role: buf[:cells].reshape(s1 - s0, width)
@@ -429,16 +443,30 @@ class LeapfrogSolver:
 def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
     """Discrete 0.5 * int |du|^2 dx (squared energy norm) on a grid of spacing h.
 
-    The centered gradients are zero on the rows (columns) they skip, so
-    adding each one into the interior only gives the same sum as
-    u_t^2 + ux^2 + uy^2 over the whole grid, bit for bit.
+    One pass over row strips writes u_t^2 + ux^2 + uy^2 into a per-cell
+    accumulator while the strip is in cache.  The centered gradients are
+    zero on the rows (columns) they skip, so adding each one into the
+    interior only gives the same per-cell sum as the whole-grid formula,
+    bit for bit, and one np.sum over the level-sized accumulator keeps
+    its pairwise order.  The accumulator and the strip scratch are freed
+    on return (see the module docstring).
     """
+    n, m = u.shape
     two_h = 2.0 * h
-    acc = np.square(u_t)
-    d = np.subtract(u[2:, :], u[:-2, :])
-    acc[1:-1, :] += np.square(np.divide(d, two_h, out=d), out=d)
-    d = np.subtract(u[:, 2:], u[:, :-2])
-    acc[:, 1:-1] += np.square(np.divide(d, two_h, out=d), out=d)
+    acc = np.empty_like(u_t)
+    buf = np.empty(max(STRIP_CELLS, m))         # one strip's gradient
+    for s0, s1 in _row_strips(0, n, m):
+        a = acc[s0:s1]
+        np.square(u_t[s0:s1], out=a)
+        i0, i1 = max(s0, 1), min(s1, n - 1)     # rows with an x-gradient
+        d = buf[:(i1 - i0) * m].reshape(i1 - i0, m)
+        np.subtract(u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1], out=d)
+        d /= two_h
+        acc[i0:i1] += np.square(d, out=d)
+        d = buf[:(s1 - s0) * (m - 2)].reshape(s1 - s0, m - 2)
+        np.subtract(u[s0:s1, 2:], u[s0:s1, :-2], out=d)
+        d /= two_h
+        a[:, 1:-1] += np.square(d, out=d)
     return 0.5 * h ** 2 * float(np.sum(acc))
 
 
@@ -452,12 +480,25 @@ def _radius_grid(n: int, L: float) -> np.ndarray:
 
 
 def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float) -> float:
-    """max |u| outside the slack cone |x| > slack_cone(t, reach, h); u spans [-L, L]^2."""
-    r = _radius_grid(u.shape[0], L)
-    outside = r > slack_cone(t, reach, h)
-    if not outside.any():
-        return 0.0
-    return float(np.abs(u[outside]).max())
+    """max |u| outside the slack cone |x| > slack_cone(t, reach, h); u spans [-L, L]^2.
+
+    Taken strip by strip: each row strip's outside cells are a mask in
+    strip-sized scratch, freed on return (see the module docstring); 0.0
+    when no cell is outside.
+    """
+    n = u.shape[0]
+    r = _radius_grid(n, L)
+    cone = slack_cone(t, reach, h)
+    cells = max(STRIP_CELLS, n)
+    mask_buf, abs_buf = np.empty(cells, dtype=bool), np.empty(cells)
+    peak = 0.0
+    for s0, s1 in _row_strips(0, n, n):
+        k = (s1 - s0) * n
+        outside = np.greater(r[s0:s1], cone, out=mask_buf[:k].reshape(s1 - s0, n))
+        mag = np.abs(u[s0:s1], out=abs_buf[:k].reshape(s1 - s0, n))
+        # np.maximum, not max(): a NaN outside the cone reaches the result
+        peak = np.maximum(peak, np.max(mag, where=outside, initial=0.0))
+    return float(peak)
 
 
 def _bilinear(u: np.ndarray, x: float, y: float, h: float, L: float) -> float:
@@ -575,7 +616,8 @@ def stream(
                 taken.append((t_mid, v))
         if n % ckpt_every and n != nsteps:
             continue
-        u_t = (solver.u_cur - u_prevprev) / (2.0 * dt)
+        u_t = np.subtract(solver.u_cur, u_prevprev)
+        u_t /= 2.0 * dt
         yield checkpoint(t_mid, solver.u_prev.copy(), u_t, samples)
         samples = [[] for _ in rays]
 

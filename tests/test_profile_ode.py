@@ -53,6 +53,16 @@ def test_matsumura_params_validation():
         MatsumuraParams(c0=1.0, c1=0.0, p=2.0, q=1.5, t0=1.0, phi0=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["c0", "c1", "p", "q", "t0", "phi0"])
+def test_matsumura_params_reject_non_finite(name, value):
+    # a NaN passes every `<=` / `<` check, and c1 = NaN would skip the
+    # tail term and give a finite, wrong constant
+    fields = dict(c0=1.0, c1=0.5, p=2.0, q=1.5, t0=2.0, phi0=1.0)
+    with pytest.raises(ValueError, match=name):
+        MatsumuraParams(**{**fields, name: value})
+
+
 def test_ray_config_validation():
     with pytest.raises(ValueError):
         _ray(mu=0.2)

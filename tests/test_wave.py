@@ -188,6 +188,15 @@ def _random_field(rng, n, scale, ring_only):
     ring_only=st.booleans(),
 )
 def test_diagnostics_match_full_grid_formulas(seed, sizes, Ls, t, R, scale, ring_only):
+    _check_diagnostics(seed, sizes, Ls, t, R, scale, ring_only)
+    # strips of 7 cells: every n above but 2 spans several strips, some of
+    # which start or end at row 1 or row n - 1, where the x-gradient starts
+    # and stops
+    with mock.patch.object(wave, "STRIP_CELLS", 7):
+        _check_diagnostics(seed, sizes, Ls, t, R, scale, ring_only)
+
+
+def _check_diagnostics(seed, sizes, Ls, t, R, scale, ring_only):
     rng = np.random.default_rng(seed)
     # alternate grids of equal n and different L, then change n, so a
     # stale cached radius grid would be read against the wrong field
