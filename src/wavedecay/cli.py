@@ -16,9 +16,9 @@ file list, and a pass/fail summary -- even when the command fails, with
 the error class recorded.  CSV bodies are deterministic (no timestamps).
 
 Exit codes: 0 ok; 2 domain-level condition failure (sign condition fails,
-non-dissipative direction); 3 numerical failure (blow-up, or no significant
-derivative up to order 2*degree at a detected zero of Psi); 64 usage or
-malformed config (a non-finite ray.v0 included).
+non-dissipative direction); 3 numerical failure (PDE or profile blow-up,
+or a profile integration that stalls); 64 usage or malformed config (a
+non-finite ray.v0 included).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .trig import (
     NonlinearityCoefficients,
     eval_cubic_symbol,
 )
-from .structure import AgemiStatus, OrderOverflow, analyze
+from .structure import AgemiStatus, analyze
 from .profile_ode import (
     EnvelopeForcing,
     MatsumuraParams,
@@ -230,7 +230,6 @@ _EXIT_CODES = {
     BlowUpError: EXIT_NUMERICAL,
     ProfileBlowUp: EXIT_NUMERICAL,
     StepUnderflow: EXIT_NUMERICAL,
-    OrderOverflow: EXIT_NUMERICAL,
     SignConditionViolated: EXIT_CONDITION,
     ValueError: EXIT_USAGE,        # includes ConfigError
     TypeError: EXIT_USAGE,
@@ -497,6 +496,14 @@ def _suite_structure() -> list[tuple[str, bool]]:
     exact = 2.0 * math.sqrt(math.pi) * math.gamma(0.2) / math.gamma(0.7)
     ok = rep3.value is not None and abs(rep3.value / exact - 1.0) < 1e-6
     checks.append(("single double zero at theta = 0.1 has its beta-function value", ok))
+
+    # 1e-3 cos^2 written with monomials of size 1e6: the zeros are found
+    # at the monomials' rounding level, far below 1e-3
+    cancel = TrigPolynomial(((0, 0, -1e6), (2, 0, 1e6 + 1e-3), (0, 2, 1e6)))
+    zeros = classify(cancel).zeros
+    ok = [z.order for z in zeros] == [2, 2] and all(
+        abs(z.leading / 1e-3 - 1.0) < 1e-6 for z in zeros)
+    checks.append(("cancelling monomials of size 1e6 leave 1e-3 cos^2 two double zeros", ok))
     return checks
 
 

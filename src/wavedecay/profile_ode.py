@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .structure import WrongRegime, _refine_root
+from .structure import WrongRegime
 from .trig import Direction
 
 LOG2 = math.log(2.0)
@@ -33,6 +33,7 @@ OUTPUT_POINTS_PER_DECADE = 64
 BLOWUP_GUARD = 1e6
 # Attempted DOP853 steps per integration; an envelope of amplitude 1e6 takes 12k-16k.
 STEP_BUDGET = 100_000
+ROOT_ITERS = 60         # bisection steps of _refine_root
 
 
 class ProfileBlowUp(RuntimeError):
@@ -253,6 +254,32 @@ def _initial_step(f, s: float, y: float, dy: float, interval: float) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     return min(100 * h0, h1, interval)
+
+
+def _refine_root(f, lo, hi):
+    """Find a root of f in [lo, hi] by bisection to machine-level width;
+    None if f does not change sign there.  _integrate_adaptive uses it to
+    place the crossing of the blow-up guard within a step."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        return None
+    a, b, fa = lo, hi, flo
+    for _ in range(ROOT_ITERS):
+        m = 0.5 * (a + b)
+        if m == a or m == b:    # adjacent floats: the bracket cannot shrink further
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
 
 
 def _integrate_adaptive(

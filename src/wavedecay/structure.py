@@ -6,6 +6,15 @@ has finitely many zeros of even order; extracts zero locations, orders and
 leading coefficients; certifies integrability of 1/Psi^gamma; and turns
 the maximal vanishing order into the predicted energy-decay exponent.
 Psi and its derivatives are evaluated in Fourier form (trig.FourierSeries).
+
+Psi is a Laurent polynomial of degree d in z = e^(i theta), so its zeros
+on the circle and their orders are clusters of unit-circle roots of the
+degree-2d polynomial z^d * Psi (Boyd, J. Eng. Math. 56, 2006).  classify
+takes those roots, and the roots of z^d * Psi' for the minimum, from one
+companion-matrix eigenvalue solve each (numpy.roots).  A cluster's mean
+is well conditioned where its members are not (Zeng, Math. Comp. 74,
+2005), and every threshold is the rounding level of Psi's coefficients,
+so a small Psi written with large cancelling monomials keeps its zeros.
 """
 
 from __future__ import annotations
@@ -25,15 +34,11 @@ from .trig import (
     quadratic_to_trig_poly,
 )
 
-# tolerances, relative to max |coef| in classify, else to max(1, max |coef|)
+# tolerances, relative to max |coef| in classify, else to max(1, max |coef|);
+# classify's rounding floor is relative to the largest monomial or Fourier coefficient
 FOURIER_NULL_TOL = 1e-12
 NEGATIVITY_TOL = 1e-10
-ZERO_VALUE_TOL = 1e-9
-DERIV_ORDER_TOL = 1e-7
-GRID_POINTS = 4096
-MIN_ZERO_GAP = 1e-6
-MINIMUM_ITERS = 200     # golden-section steps of _refine_minimum
-ROOT_ITERS = 60         # bisection steps of _refine_root
+ROUNDING_FLOOR = 64 * 2.0 ** -53    # 64 unit roundoffs
 # verify_integrability excludes min(QUAD_R0, smallest zero gap / 4) * QUAD_SHRINK**level
 # round every zero and integrates in s = log(distance), one 32-node
 # Gauss-Legendre panel (nodes and weights on [0, 1]) per unit of s
@@ -49,16 +54,13 @@ FIT_TOL = 1e-8
 
 
 class NegativityDetected(ValueError):
-    """Psi takes a value below -1e-10: the nonnegativity hypothesis fails."""
+    """Psi takes a value below -NEGATIVITY_TOL times its largest monomial
+    coefficient: the nonnegativity hypothesis fails."""
 
     def __init__(self, theta: float, value: float):
         super().__init__(f"Psi({theta}) = {value} < 0")
         self.theta = theta
         self.value = value
-
-
-class OrderOverflow(RuntimeError):
-    """No nonzero derivative up to 2*degree at a detected zero."""
 
 
 class WrongRegime(ValueError):
@@ -172,166 +174,89 @@ def check_quadratic_null(coeffs: NonlinearityCoefficients) -> bool:
     return _vanishes(quadratic_to_trig_poly(coeffs))
 
 
-def _circ_dist(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def _laurent(series) -> np.ndarray:
+    """Coefficients g_-d..g_d of a Fourier series as the Laurent polynomial
+    sum_k g_k z^k in z = e^(i theta): g_0 = a_0, g_(+-k) = (a_k -+ i b_k)/2."""
+    g = 0.5 * (series.a - 1j * series.b)
+    g[0] = series.a[0]
+    return np.concatenate([np.conj(g[:0:-1]), g])
 
 
-def _refine_minimum(psi, lo, hi):
-    """Golden-section minimization of psi on [lo, hi]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = psi(c), psi(d)
-    for _ in range(MINIMUM_ITERS):
-        if b - a < 1e-14:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = psi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = psi(d)
-    x = 0.5 * (a + b)
-    return x, psi(x)
+def _roots(laurent: np.ndarray, floor: float) -> np.ndarray:
+    """Roots of z^d times a Laurent polynomial, its outermost coefficients
+    within the floor dropped."""
+    big = np.flatnonzero(np.abs(laurent) > floor)
+    return np.roots(laurent[big[0]:big[-1] + 1][::-1]) if big.size else np.zeros(0)
 
 
-def _refine_root(f, lo, hi):
-    """Find a root of f in [lo, hi] by bisection to machine-level width.
-
-    Returns None if no sign change of f exists in the interval.  Plain
-    bisection is deliberate: near a high-order zero the residual sits at
-    the floating-point noise floor over a wide neighborhood, where
-    Newton steps (noise divided by noise) random-walk away from the root
-    that the sign changes still locate reliably.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        return None
-    a, b, fa = lo, hi, flo
-    for _ in range(ROOT_ITERS):
-        m = 0.5 * (a + b)
-        if m == a or m == b:    # adjacent floats: the bracket cannot shrink further
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _detect_zero(derivs, theta_hat, half_width, scale):
-    """Determine the vanishing order and refined location near theta_hat.
-
-    For each even candidate order k, refine a root of psi^(k-1) near
-    theta_hat and accept if all lower derivatives vanish within the
-    factorial-scaled thresholds while psi^(k) is significantly positive.
-    """
-    max_order = len(derivs) - 1
-    lo, hi = theta_hat - half_width, theta_hat + half_width
-    # the odd derivative's sign well around a high-order zero can be much
-    # narrower than the candidate bracket, so scan a fine subgrid for sign
-    # changes instead of bisecting the bracket endpoints directly
-    grid = np.linspace(lo, hi, 129)
-    for k in range(2, max_order + 1, 2):
-        f = derivs[k - 1]
-        fvals = f(grid)
-        sign_change = np.nonzero(fvals[:-1] * fvals[1:] <= 0.0)[0]
-        for i in sign_change:
-            x = _refine_root(f, float(grid[i]), float(grid[i + 1]))
-            if x is None:
-                continue
-            tol_ok = all(
-                abs(derivs[l](x)) <= DERIV_ORDER_TOL * scale * math.factorial(max(l, 1))
-                for l in range(k)
-            )
-            dk = derivs[k](x)
-            if tol_ok and dk > DERIV_ORDER_TOL * scale * math.factorial(k):
-                return ZeroInfo(theta=x % TWO_PI, order=k, leading=dk / math.factorial(k))
-    raise OrderOverflow(
-        f"no significant derivative up to order {max_order} near theta={theta_hat}"
-    )
+def _zeros(series, floor: float, lowest: float) -> list[ZeroInfo]:
+    """The zeros of Psi as valleys of roots of z^d * Psi; see classify."""
+    laurent = _laurent(series)
+    roots = _roots(laurent, floor)
+    phi = np.angle(roots) % TWO_PI
+    half = roots / np.sqrt(np.abs(roots))       # halfway from the root to the circle
+    psi_half = np.polynomial.polynomial.polyval(half, laurent) / half ** (len(laurent) // 2)
+    on_circle = np.abs(psi_half - series(phi)) <= floor + max(-lowest, 0.0)
+    by_angle = np.argsort(phi[on_circle])
+    roots, phi = roots[on_circle][by_angle], phi[on_circle][by_angle]
+    ends = series(phi)
+    mid = phi + 0.5 * ((np.roll(phi, -1) - phi) % TWO_PI)
+    apart = series(mid) > np.maximum(ends, np.roll(ends, -1)) + floor
+    # a valley after each barrier; the last one runs on round the circle
+    # into the first unless a barrier closes it
+    label = np.cumsum(np.roll(apart, 1)) % max(1, apart.sum())
+    zeros = []
+    for valley in (np.flatnonzero(label == v) for v in np.unique(label)):
+        if ends[valley].min() > floor:
+            continue
+        order, theta = len(valley), float(np.angle(roots[valley].mean()) % TWO_PI)
+        odd = series
+        for _ in range(order - 1):
+            odd = odd.derivative()
+        top = odd.derivative()
+        theta = (theta - odd(theta) / top(theta)) % TWO_PI     # Newton on Psi^(order-1)
+        zeros.append(ZeroInfo(theta, order, top(theta) / math.factorial(order)))
+    return zeros
 
 
 def classify(psi: TrigPolynomial) -> ZeroClassification:
-    """Trichotomy of a nonnegative trigonometric polynomial.
+    """Trichotomy of a nonnegative trigonometric polynomial, from the roots
+    of the degree-2d polynomials z^d * Psi' and z^d * Psi, z = e^(i theta).
 
-    Either identically zero (all Fourier coefficients below tolerance),
-    strictly positive (refined global minimum above tolerance), or a
-    finite set of zeros, each with an even vanishing order and a strictly
-    positive leading coefficient.  The grid scan, the refinements and the
-    derivatives read Psi in Fourier form, from psi.fourier.
+    Psi is identically zero when its Fourier coefficients are below
+    tolerance.  Its global minimum on the circle is the least value of Psi
+    at the angles of the roots of z^d * Psi'.  Below -NEGATIVITY_TOL * scale
+    the sign condition fails (NegativityDetected, with that angle as the
+    witness).  Otherwise the zeros are valleys of roots of z^d * Psi:
+    - a root e^(i (phi + i rho)) counts when Psi is flat between it and
+      the circle, |Psi(phi + i rho/2) - Psi(phi)| within the floor (widened
+      by the depth of a negative lobe the sign check let through); a root
+      of another factor of Psi that merely shares a zero's angle does not;
+    - neighbours in angle are apart where Psi, at the midpoint of the arc
+      between them, rises by more than the floor above its value at both;
+    - a valley with a root at whose angle Psi is within the floor is a
+      zero.  Its size is the order, its angle the argument of the roots'
+      mean (well conditioned where the roots are not) after one Newton
+      step on Psi^(order-1), and Psi^(order) / order! there is the
+      leading coefficient.
+    With no zero, Psi is strictly positive and its minimum is reported.
+    The floor, ROUNDING_FLOOR times the largest monomial or Fourier
+    coefficient, is the level to which rounding lets Psi be known.
     """
     if _vanishes(psi):
         return ZeroClassification(case=ZeroCase.IDENTICALLY_ZERO)
     scale = psi.max_abs_coef        # positive, since Psi does not vanish
     series = psi.fourier
-
-    thetas = TWO_PI * np.arange(GRID_POINTS) / GRID_POINTS
-    vals = series.grid(GRID_POINTS)
-    if vals.min() < -NEGATIVITY_TOL * scale:
-        i = int(vals.argmin())
-        raise NegativityDetected(float(thetas[i]), float(vals[i]))
-
-    dtheta = TWO_PI / GRID_POINTS
-    # local minima on the circular grid
-    min_idx = np.nonzero((vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))[0]
-
-    # only minima that can plausibly touch zero need order analysis; the
-    # rest matter solely through the global minimum
-    candidates = sorted(float(thetas[i]) for i in min_idx if vals[i] < 1e-4 * scale)
-    # a high-order zero sits at the bottom of a wide noise-flat valley
-    # that can host several spurious grid minima, so cluster consecutive
-    # candidates and bracket each whole cluster rather than single points
-    clusters: list[list[float]] = []
-    for x in candidates:
-        if clusters and x - clusters[-1][-1] < 0.05:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    if len(clusters) > 1 and (TWO_PI - clusters[-1][-1] + clusters[0][0]) < 0.05:
-        clusters[0] = [c - TWO_PI for c in clusters.pop()] + clusters[0]
-    centers = [0.5 * (c[0] + c[-1]) for c in clusters]
-
-    derivs = [series]
-    for _ in range(2 * max(psi.degree, 1)):
-        derivs.append(derivs[-1].derivative())
-    zeros: list[ZeroInfo] = []
-    for cluster, x in zip(clusters, centers):
-        span = cluster[-1] - cluster[0]
-        half_width = max(4 * dtheta, 0.05, 0.5 * span + 4 * dtheta)
-        if len(centers) > 1:
-            gap = min(_circ_dist(x, m) for m in centers if m != x)
-            half_width = min(half_width, gap / 2.0)
-        xr, v = _refine_minimum(series, x - half_width, x + half_width)
-        if v < -NEGATIVITY_TOL * scale:
-            raise NegativityDetected(xr % TWO_PI, v)
-        if v >= ZERO_VALUE_TOL * scale:
-            continue
-        info = _detect_zero(derivs, x, half_width, scale)
-        if any(_circ_dist(info.theta, z.theta) <= MIN_ZERO_GAP for z in zeros):
-            continue
-        zeros.append(info)
-
+    floor = ROUNDING_FLOOR * max(scale, series.max_abs())
+    # theta = 0 stands in for the critical points of a constant Psi
+    crit = np.append(np.angle(_roots(_laurent(series.derivative()), floor)), 0.0) % TWO_PI
+    vals = series(crit)
+    lowest = float(vals.min())
+    if lowest < -NEGATIVITY_TOL * scale:
+        raise NegativityDetected(float(crit[vals.argmin()]), lowest)
+    zeros = _zeros(series, floor, lowest) if lowest <= floor else []
     if not zeros:
-        # strictly positive: refine the global grid minimum
-        i = int(vals.argmin())
-        _, min_val = _refine_minimum(
-            series, float(thetas[i]) - dtheta, float(thetas[i]) + dtheta
-        )
-        if min_val < -NEGATIVITY_TOL * scale:
-            raise NegativityDetected(float(thetas[i]), min_val)
-        return ZeroClassification(ZeroCase.STRICTLY_POSITIVE, min_value=float(min_val))
+        return ZeroClassification(ZeroCase.STRICTLY_POSITIVE, min_value=lowest)
     zeros.sort(key=lambda z: z.theta)
     return ZeroClassification(case=ZeroCase.FINITE_ZEROS, zeros=tuple(zeros))
 

@@ -60,3 +60,24 @@ def planted_polynomial(rng: np.random.Generator, max_order: int = 8):
                 )
         expected.append((float(angles[j]), int(orders[j]), float(lead)))
     return poly, expected
+
+
+def cancelling_polynomial(rng: np.random.Generator, K: float):
+    """Planted polynomial written with the added zero K (cos^2 + sin^2 - 1).
+
+    One or two zeros of order 2 or 4, at least 0.5 apart, and an amplitude
+    between 1e-4 and 1e2; returns (poly, [(theta, order)]) sorted by theta.
+    For large K the monomials are far larger than Psi and cancel.
+    """
+    m = int(rng.integers(1, 3))
+    while True:
+        angles = np.sort(rng.uniform(0.0, TWO_PI, size=m))
+        if m == 1 or min(angles[1] - angles[0], TWO_PI - angles[1] + angles[0]) >= 0.5:
+            break
+    orders = 2 * rng.integers(1, 3, size=m)
+    poly = TrigPolynomial.constant(10.0 ** rng.uniform(-4.0, 2.0))
+    for theta0, order in zip(angles, orders):
+        for _ in range(order // 2):
+            poly = poly * planted_factor(float(theta0))
+    poly = poly + TrigPolynomial(((2, 0, K), (0, 2, K), (0, 0, -K)))
+    return poly, [(float(a), int(o)) for a, o in zip(angles, orders)]

@@ -314,11 +314,11 @@ def test_verify_failed_check_exits_2(monkeypatch, capsys):
 
 def test_verify_error_exits_with_its_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_SUITES", {
-        "mapped": mock.Mock(side_effect=structure.OrderOverflow("no derivative")),
+        "mapped": mock.Mock(side_effect=profile_ode.StepUnderflow("no step")),
         "unmapped": mock.Mock(side_effect=KeyError("radii")),
     })
     assert main(["verify", "mapped"]) == 3
-    assert capsys.readouterr().err == "error: no derivative\n"
+    assert capsys.readouterr().err == "error: no step\n"
     with pytest.raises(KeyError):        # not in the table: it propagates
         main(["verify", "unmapped"])
 
@@ -448,18 +448,29 @@ def test_profile_huge_amplitude_exits_3(tmp_path, v0):
 
 
 # Psi = 1e-3 cos^2(theta), written with monomials of size 1e6 that cancel:
-# -1e6 + (1e6 + 1e-3) cos^2 + 1e6 sin^2.  classify measures the zeros'
-# derivatives against the monomials and finds none significant
+# -1e6 + (1e6 + 1e-3) cos^2 + 1e6 sin^2
 CANCEL_C = json.dumps([1e6] + [0.0] * 11 + [-1e6 - 1e-3] + [0.0] * 11 + [-1e6, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("command", ["analyze", "simulate"])
-def test_cancelling_symbol_exits_3(tmp_path, command):
+def test_cancelling_symbol_has_two_double_zeros(tmp_path):
+    # classify's floor is the monomials' rounding level (~1e-8), far below Psi
     cfg = _write_cfg(tmp_path, SMALL_CFG)
     out = tmp_path / "out"
-    assert _run_quiet([command, cfg, "--set", f"C={CANCEL_C}", "--out", str(out)]) == 3
+    assert _run_quiet(["analyze", cfg, "--set", f"C={CANCEL_C}", "--out", str(out)]) == 0
+    zeros = json.loads((out / "report.json").read_text())["classification"]["zeros"]
+    assert [z["order"] for z in zeros] == [2, 2]
+    for z, theta in zip(zeros, (math.pi / 2, 3 * math.pi / 2)):
+        assert z["theta"] == pytest.approx(theta, abs=1e-6)
+        assert z["leading"] == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_cancelling_symbol_simulation_blows_up(tmp_path):
+    # the monomials of size 1e6 drive the field past the guard in the first step
+    cfg = _write_cfg(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert _run_quiet(["simulate", cfg, "--set", f"C={CANCEL_C}", "--out", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["error"].startswith("OrderOverflow")
+    assert manifest["error"].startswith("BlowUpError")
 
 
 def test_every_package_error_has_an_exit_code():
@@ -469,7 +480,7 @@ def test_every_package_error_has_an_exit_code():
         if isinstance(obj, type) and issubclass(obj, Exception)
         and obj.__module__ == module.__name__
     ]
-    assert {"ConfigError", "OrderOverflow", "BlowUpError"} <= {e.__name__ for e in errors}
+    assert {"ConfigError", "NegativityDetected", "BlowUpError"} <= {e.__name__ for e in errors}
     for error in errors:
         assert issubclass(error, tuple(cli._EXIT_CODES)), error
 

@@ -32,6 +32,20 @@ def test_script_exits_0(script, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_golden_examples_print_their_zeros(tmp_path):
+    # theta to 12 decimals, the order and the leading coefficient to 12
+    # significant digits, as the script prints them
+    proc = _run([str(ROOT / "scripts" / "run_golden_examples.py")], tmp_path, 240)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert [line for line in proc.stdout.splitlines() if "zero at" in line] == [
+        "  zero at theta = 1.570796326795  order 2  leading 1",
+        "  zero at theta = 4.712388980385  order 2  leading 1",
+        "  zero at theta = 1.570796326795  order 4  leading 0.5",
+        "  zero at theta = 4.712388980385  order 2  leading 2",
+        "  zero at theta = 1.570796326795  order 6  leading 0.125",
+    ]
+
+
 @pytest.mark.parametrize("args, files", [
     (["verify", "bogus"], {}),
     (["report", "."], {}),

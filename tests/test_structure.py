@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from planted import planted_factor, planted_polynomial
+from planted import cancelling_polynomial, planted_factor, planted_polynomial
 from wavedecay.trig import NonlinearityCoefficients, TrigPolynomial, cubic_to_trig_poly
 from wavedecay.structure import (
     NEGATIVITY_TOL,
+    ROUNDING_FLOOR,
     AgemiStatus,
     NegativityDetected,
     WrongRegime,
@@ -158,6 +159,105 @@ def test_classification_at_symbol_scale(c):
     assert abs(zeros[1].theta - 3 * math.pi / 2) < 1e-9
     for z in zeros:
         assert z.leading == pytest.approx(c, rel=1e-9)
+
+
+def test_close_double_zeros_stay_apart():
+    # Psi rises well above its rounding level between the two zeros
+    for gap in (0.01, 0.05, 0.1, 0.3):
+        cl = classify(planted_factor(1.0) * planted_factor(1.0 + gap) * 3.0)
+        lead = 0.75 * (1.0 - math.cos(gap)) / 2.0
+        assert [z.order for z in cl.zeros] == [2, 2], gap
+        for z, theta in zip(cl.zeros, (1.0, 1.0 + gap)):
+            assert abs(z.theta - theta) < 1e-7
+            assert z.leading == pytest.approx(lead, rel=1e-6)
+
+
+def _circ_dist(a, b):
+    return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+def test_cancelling_monomials():
+    # 1e-3 cos^2 written as -1e6 + (1e6 + 1e-3) cos^2 + 1e6 sin^2
+    C = np.zeros((3, 3, 3))
+    C[0, 0, 0], C[1, 1, 0], C[2, 2, 0] = 1e6, -1e6 - 1e-3, -1e6
+    cl = classify(cubic_to_trig_poly(NonlinearityCoefficients(C=C)))
+    assert [z.order for z in cl.zeros] == [2, 2]
+    for z, theta in zip(cl.zeros, (math.pi / 2, 3 * math.pi / 2)):
+        assert abs(z.theta - theta) < 1e-6
+        assert z.leading == pytest.approx(1e-3, rel=1e-6)
+
+
+@pytest.mark.parametrize("K, least_right", [(0.0, 150), (1e3, 150), (1e6, 143)])
+def test_cancellation_survey(K, least_right):
+    # at K = 1e6 the floor is ~1e-8, so two order-4 zeros of amplitude 1e-4
+    # may sit in one valley below it
+    rng = np.random.default_rng(20240817)
+    right = 0
+    for _ in range(150):
+        poly, expected = cancelling_polynomial(rng, K)
+        cl = classify(poly)
+        right += cl.case is ZeroCase.FINITE_ZEROS and len(cl.zeros) == len(expected) and all(
+            z.order == order and _circ_dist(z.theta, theta) < 1e-3
+            for z, (theta, order) in zip(cl.zeros, expected)
+        )
+    assert right >= least_right
+
+
+def test_root_of_another_factor_at_a_zeros_angle():
+    # 5 + 4 sin vanishes at z = -i/2 and -2i, both at the angle 3 pi/2 of a
+    # double zero of cos^2; they are off the circle, so the order stays 2
+    cl = classify(_cos2() * TrigPolynomial(((0, 0, 5.0), (0, 1, 4.0))))
+    assert [(z.order, round(z.theta, 9), round(z.leading, 9)) for z in cl.zeros] == [
+        (2, round(math.pi / 2, 9), 9.0), (2, round(3 * math.pi / 2, 9), 1.0)]
+
+
+def test_positive_minimum_above_the_rounding_floor():
+    cl = classify(_cos2() + TrigPolynomial.constant(1e-12))
+    assert cl.case is ZeroCase.STRICTLY_POSITIVE
+    assert cl.min_value == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_symbols_at_the_rounding_floor_classify_consistently():
+    # a zero of order 2 to 8 lifted by about the floor, where rounding
+    # decides between a zero and a positive minimum: either answer is
+    # whole, with even orders, positive leading coefficients and a
+    # positive minimum
+    rng = np.random.default_rng(11)
+    for _ in range(1500):
+        base = factor = planted_factor(float(rng.uniform(0.0, TWO_PI)))
+        for _ in range(int(rng.integers(0, 4))):
+            base = base * factor
+        floor = ROUNDING_FLOOR * max(base.max_abs_coef, base.fourier.max_abs())
+        lift = floor * 10.0 ** rng.uniform(-1.5, 1.5)
+        cl = classify(base + TrigPolynomial.constant(lift))
+        assert all(z.order % 2 == 0 and z.leading > 0.0 for z in cl.zeros)
+        assert cl.zeros or cl.min_value > 0.0
+
+
+def test_exact_double_zeros_with_a_bump_at_the_rounding_floor():
+    # Psi rises only about the floor between two exact double zeros: one
+    # order-4 zero or two order-2 ones, never a positive minimum
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        theta, amp = float(rng.uniform(0.0, TWO_PI)), 10.0 ** rng.uniform(-3.0, 3.0)
+        near = planted_factor(theta) * planted_factor(theta + 1e-3) * amp
+        bump = ROUNDING_FLOOR * max(near.max_abs_coef, near.fourier.max_abs())
+        gap = 4.0 * (bump * 10.0 ** rng.uniform(-0.3, 0.3) / amp) ** 0.25
+        cl = classify(planted_factor(theta) * planted_factor(theta + gap) * amp)
+        assert sum(z.order for z in cl.zeros) == 4
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_negative_lobe_within_tolerance_keeps_its_order(power):
+    # sin^(2 power)((theta - 1)/2) - 1e-12: two sign changes round a lobe
+    # that the sign check lets through, and the zero keeps its order
+    psi = TrigPolynomial.constant(1.0)
+    for _ in range(power):
+        psi = psi * planted_factor(1.0)
+    cl = classify(psi - TrigPolynomial.constant(1e-12))
+    assert [z.order for z in cl.zeros] == [2 * power]
+    assert abs(cl.zeros[0].theta - 1.0) < 1e-3
+    assert cl.zeros[0].leading == pytest.approx(4.0 ** -power, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
