@@ -122,8 +122,15 @@ def _apply_overrides(cfg: dict, sets) -> dict:
     return cfg
 
 
+def _has_bool(value) -> bool:
+    """value, or an entry of a nested list, is JSON true/false, which is no number."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def _coeffs_from_config(cfg: dict) -> NonlinearityCoefficients:
     try:
+        if _has_bool(cfg.get("B")) or _has_bool(cfg.get("C")):
+            raise TypeError("an entry is true/false, not a number")
         return NonlinearityCoefficients.from_dict(cfg)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad coefficient tensors: {exc}") from exc
@@ -132,6 +139,8 @@ def _coeffs_from_config(cfg: dict) -> NonlinearityCoefficients:
 def _number(value, key: str) -> float:
     """float(value) for the config entry `key`, or ConfigError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("true/false is not a number")
         return float(value)
     except (ValueError, TypeError, OverflowError) as exc:   # ints beyond ~1.8e308
         raise ConfigError(f"{key} must be a number: {exc}") from exc
@@ -421,15 +430,15 @@ def _suite_algebra() -> list[tuple[str, bool]]:
     checks = []
     ok = True
     for _ in range(20):
-        terms = tuple(
-            (int(rng.integers(0, 4)), int(rng.integers(0, 4)), float(rng.normal()))
-            for _ in range(5)
-        )
-        poly = TrigPolynomial(terms)
         th = rng.uniform(0, 2 * math.pi, size=16)
-        if not np.allclose(poly(th), poly.fourier(th), atol=1e-10, rtol=1e-10):
-            ok = False
-    checks.append(("monomial/Fourier agreement on random polynomials", ok))
+        f, g = ([(int(rng.integers(0, 4)), int(rng.integers(0, 4)), float(rng.normal()))
+                 for _ in range(5)] for _ in range(2))
+        # against the monomial sums, evaluated directly
+        fv, gv = (sum(c * np.cos(th) ** p1 * np.sin(th) ** p2 for p1, p2, c in t) for t in (f, g))
+        f, g = TrigPolynomial(f), TrigPolynomial(g)
+        for got, want in (((f + g)(th), fv + gv), ((f * g)(th), fv * gv)):
+            ok = ok and np.allclose(got, want, atol=1e-10, rtol=1e-10)
+    checks.append(("sums and products of random polynomials evaluate pointwise", ok))
 
     ok = True
     for _ in range(20):

@@ -5,7 +5,7 @@ decides whether the symbol vanishes identically, is strictly positive, or
 has finitely many zeros of even order; extracts zero locations, orders and
 leading coefficients; certifies integrability of 1/Psi^gamma; and turns
 the maximal vanishing order into the predicted energy-decay exponent.
-Psi and its derivatives are evaluated in Fourier form (trig.FourierSeries).
+Psi and its derivatives are trig.TrigPolynomial, read in Fourier form.
 
 Psi is a Laurent polynomial of degree d in z = e^(i theta), so its zeros
 on the circle and their orders are clusters of unit-circle roots of the
@@ -34,8 +34,8 @@ from .trig import (
     quadratic_to_trig_poly,
 )
 
-# tolerances, relative to max |coef| in classify, else to max(1, max |coef|);
-# classify's rounding floor is relative to the largest monomial or Fourier coefficient
+# tolerances, relative to psi.scale in classify, else to max(1, psi.scale);
+# classify's rounding floor is relative to psi.scale or the largest Fourier coefficient
 FOURIER_NULL_TOL = 1e-12
 NEGATIVITY_TOL = 1e-10
 ROUNDING_FLOOR = 64 * 2.0 ** -53    # 64 unit roundoffs
@@ -54,8 +54,8 @@ FIT_TOL = 1e-8
 
 
 class NegativityDetected(ValueError):
-    """Psi takes a value below -NEGATIVITY_TOL times its largest monomial
-    coefficient: the nonnegativity hypothesis fails."""
+    """Psi takes a value below -NEGATIVITY_TOL times its scale: the
+    nonnegativity hypothesis fails."""
 
     def __init__(self, theta: float, value: float):
         super().__init__(f"Psi({theta}) = {value} < 0")
@@ -166,20 +166,12 @@ class ConditionReport:
 
 def _vanishes(poly: TrigPolynomial) -> bool:
     """All Fourier coefficients of poly are below tolerance: zero on the circle."""
-    return poly.fourier.max_abs() < FOURIER_NULL_TOL * max(1.0, poly.max_abs_coef)
+    return poly.max_abs() < FOURIER_NULL_TOL * max(1.0, poly.scale)
 
 
 def check_quadratic_null(coeffs: NonlinearityCoefficients) -> bool:
     """True iff the quadratic symbol vanishes identically on the circle."""
     return _vanishes(quadratic_to_trig_poly(coeffs))
-
-
-def _laurent(series) -> np.ndarray:
-    """Coefficients g_-d..g_d of a Fourier series as the Laurent polynomial
-    sum_k g_k z^k in z = e^(i theta): g_0 = a_0, g_(+-k) = (a_k -+ i b_k)/2."""
-    g = 0.5 * (series.a - 1j * series.b)
-    g[0] = series.a[0]
-    return np.concatenate([np.conj(g[:0:-1]), g])
 
 
 def _roots(laurent: np.ndarray, floor: float) -> np.ndarray:
@@ -189,19 +181,19 @@ def _roots(laurent: np.ndarray, floor: float) -> np.ndarray:
     return np.roots(laurent[big[0]:big[-1] + 1][::-1]) if big.size else np.zeros(0)
 
 
-def _zeros(series, floor: float, lowest: float) -> list[ZeroInfo]:
+def _zeros(psi: TrigPolynomial, floor: float, lowest: float) -> list[ZeroInfo]:
     """The zeros of Psi as valleys of roots of z^d * Psi; see classify."""
-    laurent = _laurent(series)
+    laurent = psi.laurent()
     roots = _roots(laurent, floor)
     phi = np.angle(roots) % TWO_PI
     half = roots / np.sqrt(np.abs(roots))       # halfway from the root to the circle
     psi_half = np.polynomial.polynomial.polyval(half, laurent) / half ** (len(laurent) // 2)
-    on_circle = np.abs(psi_half - series(phi)) <= floor + max(-lowest, 0.0)
+    on_circle = np.abs(psi_half - psi(phi)) <= floor + max(-lowest, 0.0)
     by_angle = np.argsort(phi[on_circle])
     roots, phi = roots[on_circle][by_angle], phi[on_circle][by_angle]
-    ends = series(phi)
+    ends = psi(phi)
     mid = phi + 0.5 * ((np.roll(phi, -1) - phi) % TWO_PI)
-    apart = series(mid) > np.maximum(ends, np.roll(ends, -1)) + floor
+    apart = psi(mid) > np.maximum(ends, np.roll(ends, -1)) + floor
     # a valley after each barrier; the last one runs on round the circle
     # into the first unless a barrier closes it
     label = np.cumsum(np.roll(apart, 1)) % max(1, apart.sum())
@@ -210,7 +202,7 @@ def _zeros(series, floor: float, lowest: float) -> list[ZeroInfo]:
         if ends[valley].min() > floor:
             continue
         order, theta = len(valley), float(np.angle(roots[valley].mean()) % TWO_PI)
-        odd = series
+        odd = psi
         for _ in range(order - 1):
             odd = odd.derivative()
         top = odd.derivative()
@@ -240,21 +232,20 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
       step on Psi^(order-1), and Psi^(order) / order! there is the
       leading coefficient.
     With no zero, Psi is strictly positive and its minimum is reported.
-    The floor, ROUNDING_FLOOR times the largest monomial or Fourier
+    The floor, ROUNDING_FLOOR times psi.scale or the largest Fourier
     coefficient, is the level to which rounding lets Psi be known.
     """
     if _vanishes(psi):
         return ZeroClassification(case=ZeroCase.IDENTICALLY_ZERO)
-    scale = psi.max_abs_coef        # positive, since Psi does not vanish
-    series = psi.fourier
-    floor = ROUNDING_FLOOR * max(scale, series.max_abs())
+    scale = psi.scale  # positive, since Psi does not vanish
+    floor = ROUNDING_FLOOR * max(scale, psi.max_abs())
     # theta = 0 stands in for the critical points of a constant Psi
-    crit = np.append(np.angle(_roots(_laurent(series.derivative()), floor)), 0.0) % TWO_PI
-    vals = series(crit)
+    crit = np.append(np.angle(_roots(psi.derivative().laurent(), floor)), 0.0) % TWO_PI
+    vals = psi(crit)
     lowest = float(vals.min())
     if lowest < -NEGATIVITY_TOL * scale:
         raise NegativityDetected(float(crit[vals.argmin()]), lowest)
-    zeros = _zeros(series, floor, lowest) if lowest <= floor else []
+    zeros = _zeros(psi, floor, lowest) if lowest <= floor else []
     if not zeros:
         return ZeroClassification(ZeroCase.STRICTLY_POSITIVE, min_value=lowest)
     zeros.sort(key=lambda z: z.theta)
@@ -346,7 +337,7 @@ def verify_integrability(
         raise ValueError("the classified zero orders exceed twice the degree of psi")
     # more than 2 * degree points, so a product that matches Psi on the grid matches it
     grid = TWO_PI * np.arange(256 + 4 * psi.degree) / (256 + 4 * psi.degree)
-    psi_grid = psi.fourier.grid(len(grid))
+    psi_grid = psi.grid(len(grid))
     sines = np.prod(np.abs(np.sin(0.5 * (grid[:, None] - th))) ** order, axis=1)
     dist = np.abs((grid[:, None] - th + math.pi) % TWO_PI - math.pi).min(axis=1)
     fit = dist >= min(FIT_EXCLUSION, half_gaps.min() / 2.0)
@@ -360,7 +351,7 @@ def verify_integrability(
 
     q_grid = q(grid)
     misfit = np.abs(q_grid * sines - psi_grid).max()
-    if misfit > FIT_TOL * max(1.0, psi.max_abs_coef) or q_grid.min() <= 0.0:
+    if misfit > FIT_TOL * max(1.0, psi.scale) or q_grid.min() <= 0.0:
         raise ValueError(f"classified zeros do not factor psi (misfit {misfit:.3g})")
 
     # shell l of a flank runs in s from log r_l out to log r_(l-1), or at

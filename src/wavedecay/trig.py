@@ -4,10 +4,10 @@ A nonlinearity ``F = F_q + F_c`` built from first derivatives of u is
 described by a 3x3 coefficient tensor B (quadratic part) and a 3x3x3
 tensor C (cubic part), with index 0 denoting the time derivative.
 Restricting the symbols to the unit circle, with the convention that the
-time slot carries -1, produces trigonometric polynomials in the monomial
-basis ``cos^p1(theta) * sin^p2(theta)``, where the algebra is exact
-term by term.  ``FourierSeries`` evaluates the same polynomial and its
-derivatives from the Fourier coefficients, which is how Psi is read.
+time slot carries -1, produces a sum of monomials
+``c * cos^p1(theta) * sin^p2(theta)``.  ``TrigPolynomial`` holds such a
+sum by its Fourier coefficients, the one form Psi is evaluated,
+differentiated, added and multiplied in.
 """
 
 from __future__ import annotations
@@ -91,29 +91,51 @@ def eval_cubic_symbol(coeffs: NonlinearityCoefficients, direction: Direction) ->
     return float(np.einsum("jkl,j,k,l->", coeffs.C, w, w, w))
 
 
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """Finite sum of monomials coef * cos^p1(theta) * sin^p2(theta).
+def _from_laurent(g):
+    """(a_k, b_k), k = 0..d, from the Laurent half g_k = (a_k - i b_k) / 2, g_0 = a_0."""
+    a, b = 2.0 * g.real, -2.0 * g.imag
+    a[0], b[0] = g[0].real, 0.0
+    return a, b
 
-    The term list is canonicalized (merged, sorted) on construction, so
-    equal-looking polynomials compare equal term-by-term.  Note that the
-    monomial basis is not linearly independent (cos^2 + sin^2 = 1); use
-    the Fourier form for semantic equality checks.
+
+class TrigPolynomial:
+    """Psi(theta) = a_0 + sum_k a_k cos k theta + b_k sin k theta.
+
+    Built from monomials (p1, p2, c), c * cos^p1 * sin^p2: they are merged
+    by exponent and converted by an FFT on a grid dense enough to be exact.
+    scale is the size of the numbers Psi was computed from, the level its
+    coefficients are rounded at: the largest merged monomial, the larger
+    scale of a sum, and max(scale_f |g|_1, |f|_1 scale_g) over the Laurent
+    coefficients of a product f g.  A float theta is evaluated by
+    Clenshaw's recurrence in Python floats, any other theta as an array.
     """
 
-    terms: tuple[tuple[int, int, float], ...] = ()
-
-    def __post_init__(self):
+    def __init__(self, terms=()):
         merged: dict[tuple[int, int], float] = {}
-        for p1, p2, c in self.terms:
+        for p1, p2, c in terms:
             if p1 < 0 or p2 < 0:
                 raise ValueError("monomial exponents must be nonnegative")
             key = (int(p1), int(p2))
             merged[key] = merged.get(key, 0.0) + float(c)
-        canon = tuple(
-            (p1, p2, c) for (p1, p2), c in sorted(merged.items()) if c != 0.0
-        )
-        object.__setattr__(self, "terms", canon)
+        merged = {key: c for key, c in sorted(merged.items()) if c != 0.0}
+        d = max((p1 + p2 for p1, p2 in merged), default=0)
+        n = 2 * d + 2  # strictly above Nyquist for degree d
+        thetas = TWO_PI * np.arange(n) / n
+        ct, st = np.cos(thetas), np.sin(thetas)
+        values = np.zeros(n)
+        for (p1, p2), c in merged.items():
+            values = values + c * ct ** p1 * st ** p2
+        self._set(*_from_laurent(np.fft.rfft(values)[: d + 1] / n),
+                  max(map(abs, merged.values()), default=0.0))
+
+    def _set(self, a, b, scale: float) -> "TrigPolynomial":
+        a.flags.writeable = b.flags.writeable = False   # shared by every reader
+        self.a, self.b, self.scale = a, b, float(scale)
+        return self
+
+    @classmethod
+    def _of(cls, a, b, scale: float) -> "TrigPolynomial":
+        return cls.__new__(cls)._set(a, b, scale)
 
     @classmethod
     def constant(cls, c: float) -> "TrigPolynomial":
@@ -121,37 +143,40 @@ class TrigPolynomial:
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(p1 + p2 for p1, p2, _ in self.terms)
+        return len(self.a) - 1
 
-    @property
-    def max_abs_coef(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(c) for _, _, c in self.terms)
+    @functools.cached_property
+    def _clenshaw(self):
+        """a_0 and the pairs (a_k, b_k), k = d..1, as Python floats."""
+        return float(self.a[0]), list(zip(self.a[:0:-1].tolist(), self.b[:0:-1].tolist()))
 
     def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        ct, st = np.cos(theta), np.sin(theta)
-        out = np.zeros_like(theta)
-        for p1, p2, c in self.terms:
-            out = out + c * ct ** p1 * st ** p2
-        if out.ndim == 0:
-            return float(out)
-        return out
+        if isinstance(theta, float):
+            a0, pairs = self._clenshaw
+            c2 = 2.0 * math.cos(theta)
+            u = u2 = v = v2 = 0.0
+            for ak, bk in pairs:
+                u, u2 = ak + c2 * u - u2, u
+                v, v2 = bk + c2 * v - v2, v
+            return a0 + 0.5 * c2 * u - u2 + math.sin(theta) * v
+        kt = np.multiply.outer(np.asarray(theta, dtype=float), np.arange(len(self.a)))
+        out = np.cos(kt) @ self.a + np.sin(kt) @ self.b
+        return float(out) if out.ndim == 0 else out
 
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        return TrigPolynomial(self.terms + other.terms)
+        a, b = (np.zeros(max(len(self.a), len(other.a))) for _ in range(2))
+        for p in (self, other):
+            a[: len(p.a)] += p.a
+            b[: len(p.b)] += p.b
+        return TrigPolynomial._of(a, b, max(self.scale, other.scale))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return TrigPolynomial(tuple((p1, p2, c * other) for p1, p2, c in self.terms))
-        new = []
-        for a1, a2, ca in self.terms:
-            for b1, b2, cb in other.terms:
-                new.append((a1 + b1, a2 + b2, ca * cb))
-        return TrigPolynomial(tuple(new))
+            return TrigPolynomial._of(self.a * other, self.b * other, self.scale * abs(other))
+        f, g = self.laurent(), other.laurent()
+        h = np.convolve(f, g)
+        scale = max(self.scale * np.abs(g).sum(), np.abs(f).sum() * other.scale)
+        return TrigPolynomial._of(*_from_laurent(h[len(h) // 2:]), scale)
 
     __rmul__ = __mul__
 
@@ -161,62 +186,27 @@ class TrigPolynomial:
     def __sub__(self, other):
         return self + (-other)
 
-    @functools.cached_property
-    def fourier(self) -> "FourierSeries":
-        """Psi = a_0 + sum a_k cos k th + b_k sin k th, built once per polynomial.
-
-        Computed by FFT on a uniform grid dense enough that the transform
-        of a degree-d trigonometric polynomial is exact.
-        """
-        d = self.degree
-        n = 2 * d + 2  # strictly above Nyquist for degree d
-        thetas = TWO_PI * np.arange(n) / n
-        coef = np.fft.rfft(self(thetas))[: d + 1] / n
-        a, b = 2.0 * coef.real, -2.0 * coef.imag
-        a[0], b[0] = coef[0].real, 0.0
-        a.flags.writeable = b.flags.writeable = False   # shared by every reader
-        return FourierSeries(a, b)
-
-
-class FourierSeries:
-    """a_0 + sum_k a_k cos k theta + b_k sin k theta, evaluated in that form.
-
-    A float theta is evaluated by Clenshaw's recurrence in Python floats,
-    any other theta as an array; grid(n) gives the values at 2 pi j / n
-    from one inverse FFT.
-    """
-
-    def __init__(self, a, b):
-        self.a, self.b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        self._a0 = float(self.a[0])
-        self._pairs = list(zip(self.a[:0:-1].tolist(), self.b[:0:-1].tolist()))  # k = d..1
-
-    def __call__(self, theta):
-        if isinstance(theta, float):
-            c2 = 2.0 * math.cos(theta)
-            u = u2 = v = v2 = 0.0
-            for ak, bk in self._pairs:
-                u, u2 = ak + c2 * u - u2, u
-                v, v2 = bk + c2 * v - v2, v
-            return self._a0 + 0.5 * c2 * u - u2 + math.sin(theta) * v
-        kt = np.multiply.outer(np.asarray(theta, dtype=float), np.arange(len(self.a)))
-        out = np.cos(kt) @ self.a + np.sin(kt) @ self.b
-        return float(out) if out.ndim == 0 else out
+    def laurent(self) -> np.ndarray:
+        """Coefficients g_-d..g_d of Psi = sum_k g_k z^k in z = e^(i theta):
+        g_0 = a_0, g_(+-k) = (a_k -+ i b_k) / 2."""
+        g = 0.5 * (self.a - 1j * self.b)
+        g[0] = self.a[0]
+        return np.concatenate([np.conj(g[:0:-1]), g])
 
     def max_abs(self) -> float:
         """Largest Fourier coefficient in absolute value."""
         return float(max(np.abs(self.a).max(), np.abs(self.b).max()))
 
-    def derivative(self) -> "FourierSeries":
-        """Exact derivative in theta: (a_k, b_k) -> (k b_k, -k a_k)."""
+    def derivative(self) -> "TrigPolynomial":
+        """Exact derivative in theta: (a_k, b_k) -> (k b_k, -k a_k); scale grows by d."""
         k = np.arange(len(self.a))
-        return FourierSeries(k * self.b, -k * self.a)
+        return TrigPolynomial._of(k * self.b, -k * self.a, self.degree * self.scale)
 
     def grid(self, n: int) -> np.ndarray:
         """Values at theta = 2 pi j / n, j = 0..n-1; n must exceed twice the degree."""
         c = np.zeros(n // 2 + 1, dtype=complex)
         c[: len(self.a)] = 0.5 * n * (self.a - 1j * self.b)
-        c[0] = n * self._a0
+        c[0] = n * self.a[0]
         return np.fft.irfft(c, n)
 
 

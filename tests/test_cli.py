@@ -438,6 +438,23 @@ def test_invalid_config_values_exit_64(tmp_path, command, override):
     assert manifest["error"]
 
 
+@pytest.mark.parametrize("command, override", [
+    ("simulate", "data.R=true"),
+    ("simulate", "grid.T=true"),
+    ("simulate", 'rays=[{"sigma": 0.0, "omega": [1.0, 0.0], "stride": true}]'),
+    ("simulate", 'rays=[{"sigma": 0.0, "omega": [true, false]}]'),
+    ("profile", "ray.omega=[true, false]"),
+    ("analyze", "C=[false" + ", 0" * 25 + ", -1]"),
+    ("simulate", "grid.h=true"),
+])
+def test_config_booleans_exit_64(tmp_path, command, override):
+    # JSON true/false is not the number 1/0
+    cfg = _write_cfg(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert _run_quiet([command, cfg, "--set", override, "--out", str(out)]) == 64
+    assert "true/false" in json.loads((out / "manifest.json").read_text())["error"]
+
+
 @pytest.mark.parametrize("v0", ["1e50", "1e200"])
 def test_profile_huge_amplitude_exits_3(tmp_path, v0):
     cfg = _write_cfg(tmp_path, SMALL_CFG)

@@ -117,13 +117,14 @@ def test_time_time_space_entry_signs():
     # C_{110} contributes (-1)^1 * cos^2(theta) = +cos^2 on the circle
     C = np.zeros((3, 3, 3))
     C[1, 1, 0] = -1.0
+    thetas = np.linspace(0, TWO_PI, 13)
     psi = cubic_to_trig_poly(NonlinearityCoefficients(C=C))
-    assert psi.terms == ((2, 0, 1.0),)
+    np.testing.assert_allclose(psi(thetas), np.cos(thetas) ** 2, atol=1e-15)
     # the all-time entry C_{000} contributes (-1)^3 * C
     C = np.zeros((3, 3, 3))
     C[0, 0, 0] = -1.0
     psi = cubic_to_trig_poly(NonlinearityCoefficients(C=C))
-    assert psi.terms == ((0, 0, 1.0),)
+    assert psi.degree == 0 and psi(thetas).tolist() == [1.0] * 13
 
 
 def test_quadratic_null_form_restricts_to_zero():
@@ -136,12 +137,31 @@ def test_quadratic_null_form_restricts_to_zero():
 
 
 # ---------------------------------------------------------------------------
-# trig polynomial algebra
+# trig polynomial algebra, against the monomial sum evaluated directly
 
 
-def test_terms_canonicalized():
-    p = TrigPolynomial(((1, 0, 2.0), (1, 0, -2.0), (0, 1, 1.0)))
-    assert p.terms == ((0, 1, 1.0),)
+def _oracle(terms, thetas):
+    """sum c * cos^p1 * sin^p2 over the monomials (p1, p2, c)."""
+    return sum(c * np.cos(thetas) ** p1 * np.sin(thetas) ** p2 for p1, p2, c in terms)
+
+
+def _oracle_derivative(terms):
+    """Term-by-term derivative in theta of a monomial list."""
+    new = []
+    for p1, p2, c in terms:
+        if p1 > 0:
+            new.append((p1 - 1, p2 + 1, -p1 * c))
+        if p2 > 0:
+            new.append((p1 + 1, p2 - 1, p2 * c))
+    return new
+
+
+def _random_terms(rng, max_degree=8, n_terms=6):
+    terms = []
+    for _ in range(n_terms):
+        p1 = int(rng.integers(0, max_degree + 1))
+        terms.append((p1, int(rng.integers(0, max_degree - p1 + 1)), float(rng.normal())))
+    return terms
 
 
 def test_negative_exponents_rejected():
@@ -149,37 +169,36 @@ def test_negative_exponents_rejected():
         TrigPolynomial(((-1, 0, 1.0),))
 
 
+def test_scale_is_the_largest_merged_monomial():
+    # (1, 0) merges to 2 - 5 = -3, above the single 2.5; (0, 1) cancels to 0
+    p = TrigPolynomial(((1, 0, 2.0), (0, 2, 2.5), (1, 0, -5.0), (0, 1, 1e9), (0, 1, -1e9)))
+    assert p.scale == 3.0
+    assert TrigPolynomial().scale == 0.0
+    assert (-2.0 * p).scale == 6.0
+    assert (p + TrigPolynomial.constant(4.0)).scale == 4.0
+
+
+def test_product_scale_carries_the_rounding_level():
+    # K (cos^2 + sin^2 - 1) is zero but rounded at K = 1e6; times cos theta
+    # (scale 1, Laurent coefficients 1/2, 1/2) it is still rounded at K
+    zero = TrigPolynomial(((2, 0, 1e6), (0, 2, 1e6), (0, 0, -1e6)))
+    g = TrigPolynomial(((1, 0, 1.0),))
+    assert (zero * g).scale == pytest.approx(1e6, rel=1e-12)
+    assert (g * zero).scale == pytest.approx(1e6, rel=1e-12)
+    # 1 + cos 2 theta: scale 2, Laurent 1/2, 1, 1/2; times 3 cos theta
+    f = TrigPolynomial(((2, 0, 2.0),))
+    assert (f * (3.0 * g)).scale == pytest.approx(6.0, rel=1e-12)
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_fourier_form_agrees_with_monomial_form(seed):
     rng = np.random.default_rng(seed)
-    terms = tuple(
-        (int(rng.integers(0, 5)), int(rng.integers(0, 5)), float(rng.normal()))
-        for _ in range(6)
-    )
+    terms = _random_terms(rng, max_degree=8)
     p = TrigPolynomial(terms)
     thetas = rng.uniform(0, TWO_PI, size=32)
-    scale = max(1.0, p.max_abs_coef)
-    assert np.abs(p(thetas) - p.fourier(thetas)).max() < 1e-11 * scale
-
-
-def _monomial_derivative(p: TrigPolynomial) -> TrigPolynomial:
-    """Term-by-term derivative in theta: an oracle independent of the Fourier form."""
-    new = []
-    for p1, p2, c in p.terms:
-        if p1 > 0:
-            new.append((p1 - 1, p2 + 1, -p1 * c))
-        if p2 > 0:
-            new.append((p1 + 1, p2 - 1, p2 * c))
-    return TrigPolynomial(tuple(new))
-
-
-def _random_poly(rng, max_degree=8, n_terms=6):
-    terms = []
-    for _ in range(n_terms):
-        p1 = int(rng.integers(0, max_degree + 1))
-        terms.append((p1, int(rng.integers(0, max_degree - p1 + 1)), float(rng.normal())))
-    return TrigPolynomial(tuple(terms))
+    scale = max(1.0, p.scale)
+    assert np.abs(p(thetas) - _oracle(terms, thetas)).max() < 1e-11 * scale
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -187,27 +206,38 @@ def _random_poly(rng, max_degree=8, n_terms=6):
 def test_derivative_matches_fourier_differentiation(seed):
     """Rotating Fourier coefficients == term-by-term differentiation, to order 2 * degree."""
     rng = np.random.default_rng(seed)
-    terms = tuple(
-        (int(rng.integers(0, 4)), int(rng.integers(0, 4)), float(rng.normal()))
-        for _ in range(5)
-    )
+    terms = _random_terms(rng, max_degree=6, n_terms=5)
     p = TrigPolynomial(terms)
-    series = p.fourier
     thetas = rng.uniform(0, TWO_PI, size=16)
-    scale = max(1.0, p.max_abs_coef)
+    scale = max(1.0, p.scale)
     for _ in range(2 * p.degree):
-        p, series = _monomial_derivative(p), series.derivative()
-        scale *= len(series.a)
-        assert np.abs(series(thetas) - p(thetas)).max() < 1e-10 * scale
+        terms, p = _oracle_derivative(terms), p.derivative()
+        scale *= len(p.a)
+        assert np.abs(p(thetas) - _oracle(terms, thetas)).max() < 1e-10 * scale
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_sum_and_product_match_monomial_oracle(seed):
+    rng = np.random.default_rng(seed)
+    f_terms, g_terms = _random_terms(rng, 5, 4), _random_terms(rng, 4, 4)
+    f, g = TrigPolynomial(f_terms), TrigPolynomial(g_terms)
+    thetas = rng.uniform(0, TWO_PI, size=32)
+    fv, gv = _oracle(f_terms, thetas), _oracle(g_terms, thetas)
+    scale = max(1.0, f.scale) * max(1.0, g.scale)
+    assert (f * g).degree == f.degree + g.degree
+    assert np.abs((f * g)(thetas) - fv * gv).max() < 1e-11 * scale
+    assert np.abs((f + g)(thetas) - (fv + gv)).max() < 1e-11 * scale
+    assert np.abs((f - 2.0 * g)(thetas) - (fv - 2.0 * gv)).max() < 1e-11 * scale
 
 
 def test_product_rule():
     rng = np.random.default_rng(11)
     f = TrigPolynomial(((2, 0, 1.5), (0, 1, -0.5)))
     g = TrigPolynomial(((1, 1, 2.0), (0, 0, 1.0)))
-    df, dg = (h.fourier.derivative() for h in (f, g))
+    df, dg = f.derivative(), g.derivative()
     thetas = rng.uniform(0, TWO_PI, size=32)
-    lhs = (f * g).fourier.derivative()(thetas)
+    lhs = (f * g).derivative()(thetas)
     rhs = df(thetas) * g(thetas) + f(thetas) * dg(thetas)
     assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -216,18 +246,18 @@ def test_product_rule():
 @settings(max_examples=40, deadline=None)
 def test_fourier_series_scalar_vector_and_grid_paths_agree(seed):
     rng = np.random.default_rng(seed)
-    p = _random_poly(rng)
-    series = p.fourier
-    scale = max(1.0, p.max_abs_coef)
+    terms = _random_terms(rng)
+    p = TrigPolynomial(terms)
+    scale = max(1.0, p.scale)
     thetas = rng.uniform(-TWO_PI, 2 * TWO_PI, size=32)
-    vector = series(thetas)
-    scalar = np.array([series(float(t)) for t in thetas])
+    vector = p(thetas)
+    scalar = np.array([p(float(t)) for t in thetas])
     assert np.abs(scalar - vector).max() < 1e-12 * scale
-    assert np.abs(vector - p(thetas)).max() < 1e-11 * scale
-    assert np.abs(scalar - p(thetas)).max() < 1e-11 * scale
+    assert np.abs(vector - _oracle(terms, thetas)).max() < 1e-11 * scale
+    assert np.abs(scalar - _oracle(terms, thetas)).max() < 1e-11 * scale
     n = int(rng.integers(2 * p.degree + 1, 300))
     grid = TWO_PI * np.arange(n) / n
-    assert np.abs(series.grid(n) - series(grid)).max() < 1e-12 * scale
+    assert np.abs(p.grid(n) - _oracle(terms, grid)).max() < 1e-11 * scale
 
 
 def test_arithmetic_evaluates_pointwise():
