@@ -122,15 +122,17 @@ def _apply_overrides(cfg: dict, sets) -> dict:
     return cfg
 
 
-def _has_bool(value) -> bool:
-    """value, or an entry of a nested list, is JSON true/false, which is no number."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+def _has_non_number(value) -> bool:
+    """value, or an entry of a nested list, is JSON true/false or a string:
+    float() would take either for a number."""
+    return (isinstance(value, (bool, str))
+            or isinstance(value, list) and any(map(_has_non_number, value)))
 
 
 def _coeffs_from_config(cfg: dict) -> NonlinearityCoefficients:
     try:
-        if _has_bool(cfg.get("B")) or _has_bool(cfg.get("C")):
-            raise TypeError("an entry is true/false, not a number")
+        if _has_non_number(cfg.get("B")) or _has_non_number(cfg.get("C")):
+            raise TypeError("an entry is true/false or a string, not a number")
         return NonlinearityCoefficients.from_dict(cfg)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad coefficient tensors: {exc}") from exc
@@ -139,8 +141,8 @@ def _coeffs_from_config(cfg: dict) -> NonlinearityCoefficients:
 def _number(value, key: str) -> float:
     """float(value) for the config entry `key`, or ConfigError."""
     try:
-        if isinstance(value, bool):
-            raise TypeError("true/false is not a number")
+        if isinstance(value, (bool, str)):
+            raise TypeError(f"{value!r}: true/false and strings are not numbers")
         return float(value)
     except (ValueError, TypeError, OverflowError) as exc:   # ints beyond ~1.8e308
         raise ConfigError(f"{key} must be a number: {exc}") from exc

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,7 +172,7 @@ class TrigPolynomial:
         return TrigPolynomial._of(a, b, max(self.scale, other.scale))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):       # numpy scalars included
             return TrigPolynomial._of(self.a * other, self.b * other, self.scale * abs(other))
         f, g = self.laurent(), other.laurent()
         h = np.convolve(f, g)

@@ -27,6 +27,15 @@ The step is one fused kernel (LeapfrogSolver._next) with two invariants:
   taken through the Laplacian, the gradients and both fixed-point
   sweeps while its scratch arrays are in cache.
 
+Every ufunc of the step reads and writes contiguous arrays: a strided
+view of a level costs about twice as much per cell.  Each strip is
+copied with a one-cell halo into a tile, a contiguous array W = width + 2
+cells wide, so the stencil neighbours of a cell are flat slices 1 (west,
+east) and W (north, south) away.  The two pad columns at each row's ends
+compute garbage from the neighbouring rows; the new strip's pads are
+zeroed before its peak is taken, and one strided copy writes its real
+columns back into the level.  `energy` follows the same rule.
+
 It does the floating-point operations of a full-grid step built from
 _laplacian, _gradients and apply_nonlinearity in the same order, F's
 terms included, so its levels are bitwise equal to that step's.
@@ -286,6 +295,15 @@ class LeapfrogSolver:
       cells, each taken through the Laplacian, the gradients (only when
       F has a spatial factor) and both fixed-point sweeps before the
       next strip starts.
+    * tiles: a strip [s0, s1) of the region (r0, r1, c0, c1) is worked on
+      in contiguous copies W = c1 - c0 + 2 columns wide.  `_tile` holds
+      u_cur[s0-1:s1+1, c0-1:c1+1], the strip with its halo rows and pad
+      columns; `up` holds u_prev[s0:s1, c0-1:c1+1], which a nonlinear step
+      reads three times.  All arithmetic runs on flat slices of these,
+      the new strip is built in `unew`, its pad columns are zeroed, its
+      peak is read as max and -min, and `out[s0:s1, c0:c1]` takes its
+      real columns in one copy.  The scratch is strip-sized and made
+      once, here; nothing level-sized is kept beyond the three levels.
     """
 
     def __init__(self, cfg: SolverConfig, data: InitialData):
@@ -301,8 +319,10 @@ class LeapfrogSolver:
         # copy the two starting levels into owned buffers.  Copying level1
         # changes no result; it keeps glibc's malloc thresholds where
         # perfbench's host-scale kernel was calibrated (~1.6x off without).
+        # u + 0.0, not a copy: a -0.0 cell of u (eps < 0 off the support)
+        # becomes the +0.0 that a full-grid step leaves outside the box
         level1 = self._taylor_level(u, u_t)
-        self.u_prev, self.u_cur = u.copy(), level1.copy()
+        self.u_prev, self.u_cur = u + 0.0, level1.copy()
         for k, level in enumerate((self.u_prev, self.u_cur)):
             self._guard(max(float(level.max()), -float(level.min())), k)
         self._spare = np.zeros_like(u)
@@ -311,13 +331,15 @@ class LeapfrogSolver:
         # One array per role _next uses, none larger than a level: freeing
         # a larger block raises glibc's dynamic trim threshold, which
         # changes the cost of every later level-sized temporary in the
-        # process.
-        roles = ["lap", "base", "tmp"]
+        # process.  The tile holds a strip and its two halo rows.
+        cells = max(STRIP_CELLS, n)
+        self._tile = np.empty(cells + 2 * n)
+        roles = ["up", "unew", "lap", "base", "tmp"]
         if not self.linear:
             roles += ["ut", "rhs"]
         if self._gradient_terms:
             roles += ["ux", "uy"]
-        self._scratch = {role: np.empty(max(STRIP_CELLS, n)) for role in roles}
+        self._scratch = {role: np.empty(cells) for role in roles}
         self._box = _nonzero_box(self.u_prev, self.u_cur)
         self.step_index = 1          # u_cur lives at t = step_index * dt
 
@@ -368,24 +390,25 @@ class LeapfrogSolver:
         if region is None:
             return out, 0.0
         r0, r1, c0, c1 = region
-        width = c1 - c0
+        W = c1 - c0 + 2                 # tile width: the region's columns and two pads
         h, dt = self.h, self.dt
         h2, dt2, two_h, two_dt = h ** 2, dt ** 2, 2.0 * h, 2.0 * dt
-        up_all, uc_all = self.u_prev, self.u_cur
         peak = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for s0, s1 in _row_strips(r0, r1, width):
-                cells = (s1 - s0) * width
-                strip = {
-                    role: buf[:cells].reshape(s1 - s0, width)
-                    for role, buf in self._scratch.items()
-                }
+            for s0, s1 in _row_strips(r0, r1, W):
+                rows = s1 - s0
+                cells = rows * W
+                strip = {role: buf[:cells] for role, buf in self._scratch.items()}
                 lap, base, tmp = strip["lap"], strip["base"], strip["tmp"]
-                uc = uc_all[s0:s1, c0:c1]
-                up = up_all[s0:s1, c0:c1]
-                unew = out[s0:s1, c0:c1]
-                north, south = uc_all[s0 - 1:s1 - 1, c0:c1], uc_all[s0 + 1:s1 + 1, c0:c1]
-                west, east = uc_all[s0:s1, c0 - 1:c1 - 1], uc_all[s0:s1, c0 + 1:c1 + 1]
+                up, unew = strip["up"], strip["unew"]
+                tile = self._tile[:cells + 2 * W]
+                np.copyto(tile.reshape(rows + 2, W), self.u_cur[s0 - 1:s1 + 1, c0 - 1:c1 + 1])
+                np.copyto(up.reshape(rows, W), self.u_prev[s0:s1, c0 - 1:c1 + 1])
+                # cell k of the strip is tile[W + k]; its neighbours are
+                # W away (north, south) and 1 away (west, east)
+                uc = tile[W:W + cells]
+                north, south = tile[:cells], tile[2 * W:]
+                west, east = tile[W - 1:W - 1 + cells], tile[W + 1:W + 1 + cells]
                 np.add(south, north, out=lap)
                 lap += east
                 lap += west
@@ -416,17 +439,26 @@ class LeapfrogSolver:
                         np.add(lap, rhs, out=rhs)
                         rhs *= dt2
                         np.add(base, rhs, out=unew)
-                peak = np.maximum(peak, np.abs(unew, out=tmp).max())
+                grid = unew.reshape(rows, W)
+                grid[:, 0] = grid[:, -1] = 0.0          # the pad columns' garbage
+                # max and -min, not abs: read-only, and a NaN still reaches the guard
+                peak = np.maximum(peak, np.maximum(unew.max(), -unew.min()))
+                out[s0:s1, c0:c1] = grid[:, 1:-1]
         return out, float(peak)
 
     def _force_into(self, out: np.ndarray, d: tuple, tmp: np.ndarray) -> None:
-        """apply_nonlinearity(coeffs, *d) on one strip, written into out."""
-        out.fill(0.0)
-        for c, index in self._terms:
-            np.multiply(c, d[index[0]], out=tmp)
+        """apply_nonlinearity(coeffs, *d) on one strip, written into out.
+
+        The first term goes straight into out and then takes `+= 0.0`:
+        t + 0.0 equals apply_nonlinearity's 0.0 + t bit for bit, signed
+        zeros included.
+        """
+        for k, (c, index) in enumerate(self._terms):
+            term = tmp if k else out
+            np.multiply(c, d[index[0]], out=term)
             for i in index[1:]:
-                tmp *= d[i]
-            out += tmp
+                term *= d[i]
+            out += tmp if k else 0.0
 
     def advance(self) -> None:
         unew, m = self._next()
@@ -444,12 +476,13 @@ def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
     """Discrete 0.5 * int |du|^2 dx (squared energy norm) on a grid of spacing h.
 
     One pass over row strips writes u_t^2 + ux^2 + uy^2 into a per-cell
-    accumulator while the strip is in cache.  The centered gradients are
-    zero on the rows (columns) they skip, so adding each one into the
-    interior only gives the same per-cell sum as the whole-grid formula,
-    bit for bit, and one np.sum over the level-sized accumulator keeps
-    its pairwise order.  The accumulator and the strip scratch are freed
-    on return (see the module docstring).
+    accumulator while the strip is in cache, every operand a contiguous
+    run of whole rows.  The centered ux is zero on the rows it skips, so
+    adding it into the interior rows only, and uy with its edge columns
+    zeroed (x + 0.0 is x for a sum of squares), gives the same per-cell
+    sum as the whole-grid formula, bit for bit; one np.sum over the
+    level-sized accumulator keeps its pairwise order.  The accumulator
+    and the strip scratch are freed on return (see the module docstring).
     """
     n, m = u.shape
     two_h = 2.0 * h
@@ -463,10 +496,16 @@ def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
         np.subtract(u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1], out=d)
         d /= two_h
         acc[i0:i1] += np.square(d, out=d)
-        d = buf[:(s1 - s0) * (m - 2)].reshape(s1 - s0, m - 2)
-        np.subtract(u[s0:s1, 2:], u[s0:s1, :-2], out=d)
+        # the y-gradient over the strip's full rows as one flat run: cell k
+        # takes cells k +- 1, so each row's two edge cells read a neighbour
+        # row and are zeroed (the centered uy is 0 there)
+        flat = u[s0:s1].reshape(-1)
+        d = buf[:flat.size]
+        np.subtract(flat[2:], flat[:-2], out=d[1:-1])
+        rows = d.reshape(s1 - s0, m)
+        rows[:, 0] = rows[:, -1] = 0.0
         d /= two_h
-        a[:, 1:-1] += np.square(d, out=d)
+        a += np.square(d, out=d).reshape(s1 - s0, m)
     return 0.5 * h ** 2 * float(np.sum(acc))
 
 

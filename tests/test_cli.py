@@ -455,6 +455,25 @@ def test_config_booleans_exit_64(tmp_path, command, override):
     assert "true/false" in json.loads((out / "manifest.json").read_text())["error"]
 
 
+@pytest.mark.parametrize("command, override", [
+    ("simulate", 'data={"R": "1.0", "eps": "0.1"}'),
+    ("simulate", 'grid={"h": "0.5", "T": "1.0"}'),
+    ("simulate", 'grid.L="6.0"'),
+    ("simulate", 'data.center=["0", "0"]'),
+    ("simulate", 'rays=[{"sigma": "0", "omega": [1.0, 0.0]}]'),
+    ("profile", 'ray.omega=["1", "0"]'),
+    ("profile", 'ray.v0="0.4"'),
+    ("analyze", 'C=["0"' + ', "0"' * 25 + ', "-1"]'),
+    ("analyze", 'B=["1"' + ", 0" * 8 + "]"),
+])
+def test_config_strings_exit_64(tmp_path, command, override):
+    # float("0.5") parses a JSON string; it is no number either
+    cfg = _write_cfg(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert _run_quiet([command, cfg, "--set", override, "--out", str(out)]) == 64
+    assert "string" in json.loads((out / "manifest.json").read_text())["error"]
+
+
 @pytest.mark.parametrize("v0", ["1e50", "1e200"])
 def test_profile_huge_amplitude_exits_3(tmp_path, v0):
     cfg = _write_cfg(tmp_path, SMALL_CFG)

@@ -276,6 +276,17 @@ def test_arithmetic_evaluates_pointwise():
     )
 
 
+@pytest.mark.parametrize("scalar", [np.int64(2), np.float32(2.0), np.int32(2), 2, 2.0])
+def test_numpy_scalars_scale_like_python_numbers(scalar):
+    psi = cubic_to_trig_poly(NonlinearityCoefficients(C=np.arange(27.0).reshape(3, 3, 3)))
+    thetas = np.linspace(0, TWO_PI, 17)
+    want = 2 * psi
+    for got in (psi * scalar, scalar * psi):
+        assert got.scale == want.scale
+        assert got(thetas).tobytes() == want(thetas).tobytes()
+        assert got(1.234) == want(1.234)
+
+
 def test_restriction_matches_symbol_pointwise():
     rng = np.random.default_rng(13)
     for _ in range(10):

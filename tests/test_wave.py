@@ -370,14 +370,114 @@ def test_fused_step_matches_full_grid_step(seed, kind, zero_data, edge, strip_ro
     data = InitialData(kind="custom", eps=1.0, f_grid=f, g_grid=g)
     strip_cells = wave.STRIP_CELLS if strip_rows is None else strip_rows * n
     with mock.patch.object(wave, "STRIP_CELLS", strip_cells):
-        solver = LeapfrogSolver(cfg, data)
-        u_prev, u_cur = solver.u_prev.copy(), solver.u_cur.copy()
-        for _ in range(8):
-            solver.advance()
-            u_prev, u_cur = u_cur, _full_grid_next(cfg, u_prev, u_cur)
-            assert solver.u_cur.tobytes() == u_cur.tobytes()
+        solver = _check_steps(cfg, data, 8)
     if zero_data:
         assert not np.any(solver.u_cur) and not np.any(solver.u_prev)
+
+
+def _check_steps(cfg, data, steps):
+    """A solver advanced `steps` times, each level bitwise equal to the full-grid step's."""
+    solver = LeapfrogSolver(cfg, data)
+    u_prev, u_cur = solver.u_prev.copy(), solver.u_cur.copy()
+    for _ in range(steps):
+        solver.advance()
+        u_prev, u_cur = u_cur, _full_grid_next(cfg, u_prev, u_cur)
+        assert solver.u_cur.tobytes() == u_cur.tobytes()
+    return solver
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (1.3, -0.7)])
+@pytest.mark.parametrize("damped", [False, True])
+def test_fused_step_matches_full_grid_step_for_negative_eps(center, damped):
+    # eps < 0 makes u(0) -0.0 off the support; the full-grid step turns
+    # those cells into +0.0, and so must the solver's own copy of u(0)
+    cfg = SolverConfig(
+        h=0.25, L=6.0, T=2.0,
+        nonlinearity=_damping_coeffs() if damped else NonlinearityCoefficients(),
+    )
+    data = InitialData(R=1.0, eps=-0.3, center=center)
+    assert np.signbit(make_initial_data(data, cfg)[0][0, 0])
+    _check_steps(cfg, data, 12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["single C000", "random"])
+def test_force_into_matches_apply_nonlinearity(seed, kind):
+    # signed zeros included: the first term lands in `out` as -0.0 where
+    # c * d... is -0.0, and `+= 0.0` makes it apply_nonlinearity's +0.0
+    rng = np.random.default_rng(seed)
+    B, C = np.zeros((3, 3)), np.zeros((3, 3, 3))
+    if kind == "random":
+        B, C = _random_tensor(rng, (3, 3), 0.4), _random_tensor(rng, (3, 3, 3), 0.3)
+    C[0, 0, 0] = -1.0                 # at least one term
+    coeffs = NonlinearityCoefficients(B=B, C=C)
+    values = np.array([0.0, -0.0, 1.5, -2.0, 1e-200, np.inf, np.nan])
+    d = tuple(rng.choice(values, 64) for _ in range(3))
+    solver = LeapfrogSolver(SolverConfig(h=0.5, L=5.0, T=1.0, nonlinearity=coeffs),
+                            InitialData(R=1.0))
+    out, tmp = np.empty(64), np.empty(64)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        solver._force_into(out, d, tmp)
+        want = apply_nonlinearity(coeffs, *d)
+    assert out.tobytes() == want.tobytes()
+
+
+def _g_only_data(cfg, rows, cols):
+    """g-only data on the cells rows x cols: u(0) = 0, so the first box is those cells."""
+    rng = np.random.default_rng(3)
+    g = np.zeros((cfg.n, cfg.n))
+    g[rows, cols] = rng.uniform(-0.1, 0.1, g[rows, cols].shape)
+    return InitialData(kind="custom", eps=1.0, g_grid=g)
+
+
+@pytest.mark.parametrize("nonlinearity", [
+    NonlinearityCoefficients(),
+    _damping_coeffs(),
+    NonlinearityCoefficients(B=np.diag([0.5, -0.3, 0.2]), C=np.full((3, 3, 3), 0.1)),
+])
+@pytest.mark.parametrize("place, strip_cells", [
+    ("column 1", None),          # one cell wide; the tile's west pad is column 0
+    ("column n-2", None),        # ... and its east pad column n - 1
+    ("cell 1,1", None),
+    ("cell n-2,n-2", 5),
+    ("full width", None),        # the region spans [1, n - 1): W = n
+    ("full width", 5),           # strips of one row, shorter than a tile row
+    ("column 1", 1),
+])
+def test_tile_kernel_at_the_edges(nonlinearity, place, strip_cells):
+    cfg = SolverConfig(h=0.5, L=5.0, T=1.0, nonlinearity=nonlinearity)
+    n = cfg.n
+    rows, cols = {
+        "column 1": (slice(3, 9), slice(1, 2)),
+        "column n-2": (slice(3, 9), slice(n - 2, n - 1)),
+        "cell 1,1": (slice(1, 2), slice(1, 2)),
+        "cell n-2,n-2": (slice(n - 2, n - 1), slice(n - 2, n - 1)),
+        "full width": (slice(4, 7), slice(1, n - 1)),
+    }[place]
+    data = _g_only_data(cfg, rows, cols)
+    cells = wave.STRIP_CELLS if strip_cells is None else strip_cells
+    with mock.patch.object(wave, "STRIP_CELLS", cells):
+        solver = LeapfrogSolver(cfg, data)
+        assert solver._box == (rows.start, rows.stop, cols.start, cols.stop)
+        _check_steps(cfg, data, 12)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf])
+@pytest.mark.parametrize("damped", [False, True])
+def test_non_finite_cell_raises_through_the_peak(bad, damped):
+    # u_prev = +-inf on one cell gives -+inf there and no NaN on a linear
+    # step, so both max and -min of the strip are read
+    cfg = SolverConfig(
+        h=0.5, L=5.0, T=1.0,
+        nonlinearity=_damping_coeffs() if damped else NonlinearityCoefficients(),
+    )
+    solver = LeapfrogSolver(cfg, InitialData(R=1.0, eps=0.1))
+    solver.advance()
+    solver.u_prev[cfg.n // 2, cfg.n // 2 + 1] = bad
+    with pytest.raises(BlowUpError) as err:
+        solver.advance()
+    assert err.value.t == 3 * cfg.dt
+    assert not err.value.maxu <= wave.BLOWUP_GUARD
 
 
 def _recorded_levels(cfg, data):
