@@ -24,8 +24,15 @@ The step is one fused kernel (LeapfrogSolver._next) with two invariants:
   per step and clipped to the interior.  Both stencils have radius 1
   and F(0) = 0, so every cell outside the box is exactly zero.
 * it runs over the box in row strips of about STRIP_CELLS cells, each
-  taken through the Laplacian, the gradients and both fixed-point
-  sweeps while its scratch arrays are in cache.
+  taken through the stencil and both fixed-point sweeps while its
+  scratch arrays are in cache.
+
+The step folds 1/h^2, 1/dt and dt^2 into per-solver constants, so no
+strip pass divides: unew = lam (N + S + E + W) + (2 - 4 lam) uc - up +
+sum kappa prod d, lam = (dt/h)^2, over F's terms on raw differences d
+(_folded_terms).  tests/test_wave.py::_full_grid_next, the same formula
+on the whole grid, pins its levels bitwise, and the textbook step built
+from _laplacian, _gradients and apply_nonlinearity pins that to round-off.
 
 Every ufunc of the step reads and writes contiguous arrays: a strided
 view of a level costs about twice as much per cell.  Each strip is
@@ -35,16 +42,13 @@ east) and W (north, south) away.  The two pad columns at each row's ends
 compute garbage from the neighbouring rows; the new strip's pads are
 zeroed before its peak is taken, and one strided copy writes its real
 columns back into the level.  `energy` follows the same rule.
-
-It does the floating-point operations of a full-grid step built from
-_laplacian, _gradients and apply_nonlinearity in the same order, F's
-terms included, so its levels are bitwise equal to that step's.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -248,18 +252,23 @@ def apply_nonlinearity(
     return out
 
 
-def _nonlinear_terms(coeffs: NonlinearityCoefficients) -> list:
-    """The nonzero terms (c, index) of F in apply_nonlinearity's order."""
+def _folded_terms(coeffs: NonlinearityCoefficients, dt: float, h: float) -> tuple:
+    """(kappa, index) of each nonzero term of F, B's then C's, per fixed-point sweep.
+
+    A term c d_j d_k (d_l) of dt^2 F on raw differences d is kappa times
+    their product, kappa = c dt^2 prod s with s_t = 1/dt (first sweep) or
+    1/(2 dt) (second) and s_x = s_y = 1/(2h).  It is formed as c (dt s)(dt s) s
+    from the O(1) factors dt s, so it is finite whenever 1/dt and 1/(2h) are.
+    """
     B, C = coeffs.B, coeffs.C
-    terms = []
-    for j in range(3):
-        for k in range(3):
-            if B[j, k] != 0.0:
-                terms.append((B[j, k], (j, k)))
-            for l in range(3):
-                if C[j, k, l] != 0.0:
-                    terms.append((C[j, k, l], (j, k, l)))
-    return terms
+    terms = [(float(B[i]), i) for i in np.ndindex(3, 3) if B[i]]
+    terms += [(float(C[i]), i) for i in np.ndindex(3, 3, 3) if C[i]]
+    sweeps = []
+    for dt_st in (1.0, 0.5):
+        dt_s, s = (dt_st, 0.5 * dt / h, 0.5 * dt / h), (dt_st / dt, 0.5 / h, 0.5 / h)
+        sweeps.append([(c * dt_s[i[0]] * dt_s[i[1]] * math.prod(s[k] for k in i[2:]), i)
+                       for c, i in terms])
+    return tuple(sweeps)
 
 
 def _nonzero_box(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int, int, int]]:
@@ -292,9 +301,11 @@ class LeapfrogSolver:
       the level before `u_prev`, whose interior support lies in a
       smaller box, and its boundary ring is zeroed on every step.
     * strips: the region is updated in row strips of about STRIP_CELLS
-      cells, each taken through the Laplacian, the gradients (only when
-      F has a spatial factor) and both fixed-point sweeps before the
-      next strip starts.
+      cells, each taken through the stencil, the differences d_x, d_y
+      (only when F has a spatial factor) and both fixed-point sweeps
+      before the next strip starts.
+    * constants: lam, 2 - 4 lam and each sweep's kappa are computed once,
+      here; no strip pass divides, and every cfl takes the same path.
     * tiles: a strip [s0, s1) of the region (r0, r1, c0, c1) is worked on
       in contiguous copies W = c1 - c0 + 2 columns wide.  `_tile` holds
       u_cur[s0-1:s1+1, c0-1:c1+1], the strip with its halo rows and pad
@@ -312,9 +323,11 @@ class LeapfrogSolver:
         self.cfg = cfg
         self.h = cfg.h_eff
         self.dt = cfg.dt
-        self._terms = _nonlinear_terms(cfg.nonlinearity)
-        self.linear = not self._terms
-        self._gradient_terms = any(any(index) for _, index in self._terms)
+        lam = (self.dt / self.h) ** 2
+        self._stencil = (lam, 2.0 - 4.0 * lam)       # neighbour and centre weights
+        self._sweeps = _folded_terms(cfg.nonlinearity, self.dt, self.h)
+        self.linear = not self._sweeps[0]
+        self._gradient_terms = any(any(index) for _, index in self._sweeps[0])
         self.initial = (u, u_t)          # the data at t = 0, for stream()
         # copy the two starting levels into owned buffers.  Copying level1
         # changes no result; it keeps glibc's malloc thresholds where
@@ -334,9 +347,9 @@ class LeapfrogSolver:
         # process.  The tile holds a strip and its two halo rows.
         cells = max(STRIP_CELLS, n)
         self._tile = np.empty(cells + 2 * n)
-        roles = ["up", "unew", "lap", "base", "tmp"]
+        roles = ["up", "unew", "tmp"]
         if not self.linear:
-            roles += ["ut", "rhs"]
+            roles += ["base", "ut", "rhs"]
         if self._gradient_terms:
             roles += ["ux", "uy"]
         self._scratch = {role: np.empty(cells) for role in roles}
@@ -380,9 +393,10 @@ class LeapfrogSolver:
     def _next(self) -> tuple[np.ndarray, float]:
         """The next level, written into the spare buffer, and its max |u|.
 
-        Same operations, in the same order, as one full-grid step built
-        from _laplacian, _gradients and apply_nonlinearity: u_t in F is
-        solved by two fixed-point sweeps.
+        unew = lam (N + S + E + W) + (2 - 4 lam) uc - up, plus on a
+        nonlinear step sum kappa * prod d over F's terms with d_x = S - N,
+        d_y = E - W, and d_t = uc - up on the first fixed-point sweep and
+        unew - up on the second.  Bitwise tests/test_wave.py::_full_grid_next.
         """
         out = self._spare
         self._zero_boundary(out)
@@ -391,53 +405,40 @@ class LeapfrogSolver:
             return out, 0.0
         r0, r1, c0, c1 = region
         W = c1 - c0 + 2                 # tile width: the region's columns and two pads
-        h, dt = self.h, self.dt
-        h2, dt2, two_h, two_dt = h ** 2, dt ** 2, 2.0 * h, 2.0 * dt
-        peak = 0.0
+        lam, centre = self._stencil
+        peak, size = 0.0, 0
         with np.errstate(over="ignore", invalid="ignore"):
             for s0, s1 in _row_strips(r0, r1, W):
                 rows = s1 - s0
                 cells = rows * W
-                strip = {role: buf[:cells] for role, buf in self._scratch.items()}
-                lap, base, tmp = strip["lap"], strip["base"], strip["tmp"]
-                up, unew = strip["up"], strip["unew"]
-                tile = self._tile[:cells + 2 * W]
+                if cells != size:       # the first strip, and a shorter last one
+                    size = cells
+                    strip = {role: buf[:cells] for role, buf in self._scratch.items()}
+                    # None for the roles a solver does not use
+                    up, unew, tmp, ut, rhs, ux, uy = map(
+                        strip.get, ("up", "unew", "tmp", "ut", "rhs", "ux", "uy"))
+                    base = strip.get("base", unew)      # a linear step builds unew
+                    tile = self._tile[:cells + 2 * W]
+                    # cell k of the strip is tile[W + k]; its neighbours are
+                    # W away (north, south) and 1 away (west, east)
+                    uc, north, south = tile[W:W + cells], tile[:cells], tile[2 * W:]
+                    west, east = tile[W - 1:W - 1 + cells], tile[W + 1:W + 1 + cells]
                 np.copyto(tile.reshape(rows + 2, W), self.u_cur[s0 - 1:s1 + 1, c0 - 1:c1 + 1])
                 np.copyto(up.reshape(rows, W), self.u_prev[s0:s1, c0 - 1:c1 + 1])
-                # cell k of the strip is tile[W + k]; its neighbours are
-                # W away (north, south) and 1 away (west, east)
-                uc = tile[W:W + cells]
-                north, south = tile[:cells], tile[2 * W:]
-                west, east = tile[W - 1:W - 1 + cells], tile[W + 1:W + 1 + cells]
-                np.add(south, north, out=lap)
-                lap += east
-                lap += west
-                np.multiply(uc, 4.0, out=tmp)
-                lap -= tmp
-                lap /= h2
-                np.multiply(uc, 2.0, out=base)
+                np.add(south, north, out=base)
+                base += east
+                base += west
+                base *= lam
+                np.multiply(uc, centre, out=tmp)
+                base += tmp
                 base -= up
-                if self.linear:
-                    lap *= dt2
-                    np.add(base, lap, out=unew)
-                else:
-                    ut, rhs = strip["ut"], strip["rhs"]
-                    # ux, uy are None when no term of F has a spatial factor
-                    ux, uy = strip.get("ux"), strip.get("uy")
+                if not self.linear:
                     if self._gradient_terms:
                         np.subtract(south, north, out=ux)
-                        ux /= two_h
                         np.subtract(east, west, out=uy)
-                        uy /= two_h
-                    np.subtract(uc, up, out=ut)
-                    ut /= dt
-                    for sweep in range(2):
-                        if sweep:
-                            np.subtract(unew, up, out=ut)
-                            ut /= two_dt
-                        self._force_into(rhs, (ut, ux, uy), tmp)
-                        np.add(lap, rhs, out=rhs)
-                        rhs *= dt2
+                    for terms, level in zip(self._sweeps, (uc, unew)):
+                        np.subtract(level, up, out=ut)
+                        self._force_into(rhs, (ut, ux, uy), tmp, terms)
                         np.add(base, rhs, out=unew)
                 grid = unew.reshape(rows, W)
                 grid[:, 0] = grid[:, -1] = 0.0          # the pad columns' garbage
@@ -446,19 +447,17 @@ class LeapfrogSolver:
                 out[s0:s1, c0:c1] = grid[:, 1:-1]
         return out, float(peak)
 
-    def _force_into(self, out: np.ndarray, d: tuple, tmp: np.ndarray) -> None:
-        """apply_nonlinearity(coeffs, *d) on one strip, written into out.
-
-        The first term goes straight into out and then takes `+= 0.0`:
-        t + 0.0 equals apply_nonlinearity's 0.0 + t bit for bit, signed
-        zeros included.
-        """
-        for k, (c, index) in enumerate(self._terms):
+    @staticmethod
+    def _force_into(out: np.ndarray, d: tuple, tmp: np.ndarray, terms: list) -> None:
+        """sum kappa * prod d over one sweep's (kappa, index) `terms` into out,
+        d = (d_t, d_x, d_y) the raw differences; later terms go through tmp."""
+        for k, (kappa, index) in enumerate(terms):
             term = tmp if k else out
-            np.multiply(c, d[index[0]], out=term)
+            np.multiply(kappa, d[index[0]], out=term)
             for i in index[1:]:
                 term *= d[i]
-            out += tmp if k else 0.0
+            if k:
+                out += tmp
 
     def advance(self) -> None:
         unew, m = self._next()
@@ -597,7 +596,8 @@ class RayTap:
     def __post_init__(self):
         if not math.isfinite(self.sigma):
             raise ValueError("ray sigma must be finite")
-        if not isinstance(self.stride, int) or self.stride < 1:
+        stride = self.stride
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
             raise ValueError("ray stride must be an integer >= 1")
 
 

@@ -253,10 +253,11 @@ def test_plane_wave_matches_dalembert():
 
 
 def test_linear_energy_conservation_small_grid():
-    cfg = SolverConfig(h=0.2, L=8.0, T=5.0)
-    res = run(cfg, InitialData(kind="smooth_bump", R=1.0, eps=0.1))
-    E = res.energy.E
-    assert np.abs(E - E[0]).max() / E[0] < 0.01
+    for cfl in (0.5, 0.3):
+        cfg = SolverConfig(h=0.2, L=8.0, T=5.0, cfl=cfl)
+        res = run(cfg, InitialData(kind="smooth_bump", R=1.0, eps=0.1))
+        E = res.energy.E
+        assert np.abs(E - E[0]).max() / E[0] < 0.01
 
 
 def test_under_resolved_linear_run_keeps_its_energy():
@@ -314,19 +315,46 @@ def test_off_centre_data_leaks_nothing_at_t0():
 # the fused step against a plain full-grid step
 
 
+def _folded_force(terms, d):
+    """sum kappa * prod d over one sweep's (kappa, index) terms, in order."""
+    force = None
+    for kappa, index in terms:
+        term = kappa * d[index[0]]
+        for i in index[1:]:
+            term = term * d[i]
+        force = term if force is None else force + term
+    return force
+
+
 def _full_grid_next(cfg, u_prev, u_cur):
-    """One leapfrog level on the whole grid, F evaluated term by term."""
+    """One folded leapfrog level on the whole grid:
+    lam (N + S + E + W) + (2 - 4 lam) uc - up + sum kappa * prod d."""
+    h, dt = cfg.h_eff, cfg.dt
+    lam = (dt / h) ** 2
+    uc, up = u_cur[1:-1, 1:-1], u_prev[1:-1, 1:-1]
+    north, south = u_cur[:-2, 1:-1], u_cur[2:, 1:-1]
+    west, east = u_cur[1:-1, :-2], u_cur[1:-1, 2:]
+    base = (south + north + east + west) * lam + (2.0 - 4.0 * lam) * uc - up
+    unew = np.zeros_like(u_cur)
+    unew[1:-1, 1:-1] = base
+    d = [uc - up, south - north, east - west]
+    for terms in wave._folded_terms(cfg.nonlinearity, dt, h):
+        if terms:
+            unew[1:-1, 1:-1] = base + _folded_force(terms, d)
+            d[0] = unew[1:-1, 1:-1] - up
+    return unew
+
+
+def _textbook_next(cfg, u_prev, u_cur):
+    """One leapfrog level from _laplacian, _gradients and apply_nonlinearity."""
     coeffs, h, dt = cfg.nonlinearity, cfg.h_eff, cfg.dt
     lap = _laplacian(u_cur, h)
-    if not np.any(coeffs.B) and not np.any(coeffs.C):
-        unew = 2.0 * u_cur - u_prev + dt ** 2 * lap
-    else:
-        ux, uy = _gradients(u_cur, h)
-        ut = (u_cur - u_prev) / dt
-        for _ in range(2):
-            F = apply_nonlinearity(coeffs, ut, ux, uy)
-            unew = 2.0 * u_cur - u_prev + dt ** 2 * (lap + F)
-            ut = (unew - u_prev) / (2.0 * dt)
+    ux, uy = _gradients(u_cur, h)
+    ut = (u_cur - u_prev) / dt
+    for _ in range(2):
+        F = apply_nonlinearity(coeffs, ut, ux, uy)
+        unew = 2.0 * u_cur - u_prev + dt ** 2 * (lap + F)
+        ut = (unew - u_prev) / (2.0 * dt)
     unew[0, :] = unew[-1, :] = 0.0
     unew[:, 0] = unew[:, -1] = 0.0
     return unew
@@ -344,8 +372,9 @@ def _random_tensor(rng, shape, density):
     zero_data=st.booleans(),
     edge=st.sampled_from(["row 1", "column 1", "row 0", "free"]),
     strip_rows=st.sampled_from([1, 3, None]),
+    cfl=st.sampled_from([0.5, 0.3]),
 )
-def test_fused_step_matches_full_grid_step(seed, kind, zero_data, edge, strip_rows):
+def test_fused_step_matches_full_grid_step(seed, kind, zero_data, edge, strip_rows, cfl):
     rng = np.random.default_rng(seed)
     B, C = np.zeros((3, 3)), np.zeros((3, 3, 3))
     if kind == "single C000":
@@ -353,8 +382,9 @@ def test_fused_step_matches_full_grid_step(seed, kind, zero_data, edge, strip_ro
     elif kind == "random":
         B = _random_tensor(rng, (3, 3), 0.3)
         C = _random_tensor(rng, (3, 3, 3), 0.2)
+    # at cfl = 0.5 the centre coefficient 2 - 4 lam is exactly 1
     cfg = SolverConfig(
-        h=0.5, L=5.0, T=1.0, nonlinearity=NonlinearityCoefficients(B=B, C=C)
+        h=0.5, L=5.0, T=1.0, cfl=cfl, nonlinearity=NonlinearityCoefficients(B=B, C=C)
     )
     n = cfg.n
     # off-centre rectangular support, possibly on row/column 1 or on the
@@ -386,6 +416,29 @@ def _check_steps(cfg, data, steps):
     return solver
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    cfl=st.sampled_from([0.5, 0.3]),
+    scale=st.sampled_from([0.01, 0.1]),
+)
+def test_folded_step_matches_textbook_step(seed, cfl, scale):
+    # the textbook step defines the scheme; folding 1/h^2, 1/dt and dt^2
+    # into constants may move only the last bits of each level
+    rng = np.random.default_rng(seed)
+    coeffs = NonlinearityCoefficients(
+        B=rng.uniform(-1.0, 1.0, (3, 3)), C=rng.uniform(-1.0, 1.0, (3, 3, 3))
+    )
+    cfg = SolverConfig(h=0.5, L=5.0, T=1.0, cfl=cfl, nonlinearity=coeffs)
+    f, g = rng.uniform(-scale, scale, (2, cfg.n, cfg.n))
+    solver = LeapfrogSolver(cfg, InitialData(kind="custom", eps=1.0, f_grid=f, g_grid=g))
+    folded = textbook = (solver.u_prev, solver.u_cur)
+    for _ in range(8):
+        folded = folded[1], _full_grid_next(cfg, *folded)
+        textbook = textbook[1], _textbook_next(cfg, *textbook)
+        assert np.abs(folded[1] - textbook[1]).max() <= 1e-13 * np.abs(textbook[1]).max()
+
+
 @pytest.mark.parametrize("center", [(0.0, 0.0), (1.3, -0.7)])
 @pytest.mark.parametrize("damped", [False, True])
 def test_fused_step_matches_full_grid_step_for_negative_eps(center, damped):
@@ -403,23 +456,31 @@ def test_fused_step_matches_full_grid_step_for_negative_eps(center, damped):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["single C000", "random"])
 def test_force_into_matches_apply_nonlinearity(seed, kind):
-    # signed zeros included: the first term lands in `out` as -0.0 where
-    # c * d... is -0.0, and `+= 0.0` makes it apply_nonlinearity's +0.0
+    # bitwise the oracle's folded force, signed zeros, inf and NaN included,
+    # and dt^2 F of the scaled differences to round-off where d is finite
     rng = np.random.default_rng(seed)
     B, C = np.zeros((3, 3)), np.zeros((3, 3, 3))
     if kind == "random":
         B, C = _random_tensor(rng, (3, 3), 0.4), _random_tensor(rng, (3, 3, 3), 0.3)
     C[0, 0, 0] = -1.0                 # at least one term
     coeffs = NonlinearityCoefficients(B=B, C=C)
-    values = np.array([0.0, -0.0, 1.5, -2.0, 1e-200, np.inf, np.nan])
+    values = np.array([0.0, -0.0, 1.5, -2.0, 1e-200, np.inf, -np.inf, np.nan])
     d = tuple(rng.choice(values, 64) for _ in range(3))
-    solver = LeapfrogSolver(SolverConfig(h=0.5, L=5.0, T=1.0, nonlinearity=coeffs),
-                            InitialData(R=1.0))
-    out, tmp = np.empty(64), np.empty(64)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        solver._force_into(out, d, tmp)
-        want = apply_nonlinearity(coeffs, *d)
-    assert out.tobytes() == want.tobytes()
+    cfg = SolverConfig(h=0.5, L=5.0, T=1.0, cfl=0.3, nonlinearity=coeffs)
+    solver = LeapfrogSolver(cfg, InitialData(R=1.0))
+    finite = np.isfinite(d[0]) & np.isfinite(d[1]) & np.isfinite(d[2])
+    h, dt = cfg.h_eff, cfg.dt
+    # d_t spans dt on the first sweep and 2 dt on the second
+    for terms, span in zip(solver._sweeps, (dt, 2.0 * dt)):
+        out, tmp = np.empty(64), np.empty(64)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            solver._force_into(out, d, tmp, terms)
+            want = _folded_force(terms, d)
+            F = apply_nonlinearity(coeffs, d[0] / span, d[1] / (2.0 * h), d[2] / (2.0 * h))
+        assert out.tobytes() == want.tobytes()
+        textbook = dt ** 2 * F[finite]
+        np.testing.assert_allclose(out[finite], textbook, rtol=1e-13,
+                                   atol=1e-13 * np.abs(textbook).max())
 
 
 def _g_only_data(cfg, rows, cols):
@@ -445,7 +506,12 @@ def _g_only_data(cfg, rows, cols):
     ("column 1", 1),
 ])
 def test_tile_kernel_at_the_edges(nonlinearity, place, strip_cells):
-    cfg = SolverConfig(h=0.5, L=5.0, T=1.0, nonlinearity=nonlinearity)
+    for cfl in (0.5, 0.3):
+        _check_tile_kernel(SolverConfig(h=0.5, L=5.0, T=1.0, cfl=cfl, nonlinearity=nonlinearity),
+                           place, strip_cells)
+
+
+def _check_tile_kernel(cfg, place, strip_cells):
     n = cfg.n
     rows, cols = {
         "column 1": (slice(3, 9), slice(1, 2)),
@@ -594,6 +660,16 @@ def test_extract_ray_validates_input():
     coarse = SolverConfig(h=4.0, L=44.0, T=26.0)
     near = tuple(_outgoing_level(phi, t, coarse) for t in (0.0, 2.0, 4.0))
     assert _ray_V(near, 2.0, 0.0, omega, coarse.h_eff, coarse.L, 2.0) is None
+
+
+def test_ray_tap_stride_is_an_integer():
+    # any integral type but bool: numpy integers pass, True is not stride 1
+    omega = Direction(1.0, 0.0)
+    for stride in (1, 3, np.int64(2), np.uint8(4)):
+        assert RayTap(0.0, omega, stride) == RayTap(0.0, omega, int(stride))
+    for stride in (True, False, np.bool_(True), 0, np.int64(0), -2, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="stride"):
+            RayTap(0.0, omega, stride)
 
 
 def test_streamed_taps_match_recorded_levels():
