@@ -9,13 +9,14 @@ that stream the outgoing ray profile V(t) = U(t, (t+sigma) omega) with
 U = (d_r - d_t)(sqrt(r) u)/2 during the run, which feeds the profile
 ODE module.
 
-The step and the checkpoint diagnostics run over the level in row strips
-of about STRIP_CELLS cells (_row_strips), so their scratch stays in
-cache.  The diagnostics keep no buffer between calls: each call makes
-strip-sized scratch and, in `energy`, one level-sized accumulator, and
-frees them on return.  Level-sized memory kept alive across calls would
-change glibc's malloc state, which perfbench's host-scale kernel reads
-as a different host.
+The step and `energy` run over the level in row strips of about
+STRIP_CELLS cells (_row_strips), so their scratch stays in cache.  The
+checkpoint diagnostics keep nothing between calls and allocate nothing
+level-sized: `energy` sums squares of raw differences through one
+strip-sized buffer, and `check_propagation` reduces the level's runs
+of cells outside the cone where they lie, without copying.  Level-sized
+memory kept alive across calls would change glibc's malloc state, which
+perfbench's host-scale kernel reads as a different host.
 
 The step is one fused kernel (LeapfrogSolver._next) with two invariants:
 
@@ -46,7 +47,6 @@ columns back into the level.  `energy` follows the same rule.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -59,7 +59,7 @@ from .trig import Direction, NonlinearityCoefficients
 
 BLOWUP_GUARD = 1e10
 PROPAGATION_SLACK_CELLS = 4
-# Cells in one row strip of the fused step and the diagnostics.  A
+# Cells in one row strip of the fused step and of `energy`.  A
 # strip's scratch arrays (128 kB each) stay in cache, where a numpy ufunc
 # costs ~0.4 ns per element against ~1.3 ns on a whole 401^2 level.
 STRIP_CELLS = 16384
@@ -474,69 +474,104 @@ class LeapfrogSolver:
 def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
     """Discrete 0.5 * int |du|^2 dx (squared energy norm) on a grid of spacing h.
 
-    One pass over row strips writes u_t^2 + ux^2 + uy^2 into a per-cell
-    accumulator while the strip is in cache, every operand a contiguous
-    run of whole rows.  The centered ux is zero on the rows it skips, so
-    adding it into the interior rows only, and uy with its edge columns
-    zeroed (x + 0.0 is x for a sum of squares), gives the same per-cell
-    sum as the whole-grid formula, bit for bit; one np.sum over the
-    level-sized accumulator keeps its pairwise order.  The accumulator
-    and the strip scratch are freed on return (see the module docstring).
+    With the centered gradients written as raw differences, d_x = u[i+1, j]
+    - u[i-1, j] on interior rows and d_y = u[i, j+1] - u[i, j-1] on interior
+    columns (both are zero elsewhere),
+
+        E^2 = h^2/2 * sum u_t^2 + 1/8 * sum (d_x^2 + d_y^2),
+
+    so no pass divides.  Each sum of squares is a read-only dot product:
+    u_t's over the whole level, the differences' strip by strip while they
+    are in cache.  The only scratch is one strip-sized buffer for the
+    differences, freed on return (see the module docstring).
     """
     n, m = u.shape
-    two_h = 2.0 * h
-    acc = np.empty_like(u_t)
-    buf = np.empty(max(STRIP_CELLS, m))         # one strip's gradient
+    # einsum sums a strided run in another order: read a contiguous one
+    ut = np.ascontiguousarray(u_t).reshape(-1)
+    sum_t = np.einsum("i,i->", ut, ut)
+    sum_d = 0.0
+    buf = np.empty(max(STRIP_CELLS, m))         # one strip's differences
     for s0, s1 in _row_strips(0, n, m):
-        a = acc[s0:s1]
-        np.square(u_t[s0:s1], out=a)
-        i0, i1 = max(s0, 1), min(s1, n - 1)     # rows with an x-gradient
-        d = buf[:(i1 - i0) * m].reshape(i1 - i0, m)
-        np.subtract(u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1], out=d)
-        d /= two_h
-        acc[i0:i1] += np.square(d, out=d)
-        # the y-gradient over the strip's full rows as one flat run: cell k
-        # takes cells k +- 1, so each row's two edge cells read a neighbour
-        # row and are zeroed (the centered uy is 0 there)
+        i0, i1 = max(s0, 1), min(s1, n - 1)     # rows with a d_x
+        d = buf[:(i1 - i0) * m]
+        np.subtract(u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1], out=d.reshape(i1 - i0, m))
+        sum_d += np.einsum("i,i->", d, d)
+        # d_y over the strip's full rows as one flat run: cell k takes cells
+        # k +- 1, so each row's two edge cells read a neighbour row and are
+        # zeroed (d_y is 0 there)
         flat = u[s0:s1].reshape(-1)
         d = buf[:flat.size]
         np.subtract(flat[2:], flat[:-2], out=d[1:-1])
         rows = d.reshape(s1 - s0, m)
         rows[:, 0] = rows[:, -1] = 0.0
-        d /= two_h
-        a += np.square(d, out=d).reshape(s1 - s0, m)
-    return 0.5 * h ** 2 * float(np.sum(acc))
+        sum_d += np.einsum("i,i->", d, d)
+    return float(0.5 * h * h * sum_t + 0.125 * sum_d)
 
 
-@functools.lru_cache(maxsize=1)
-def _radius_grid(n: int, L: float) -> np.ndarray:
-    """|x| on the n x n grid over [-L, L]^2, read-only (shared by calls)."""
-    xs = np.linspace(-L, L, n)
-    r = np.hypot(xs[:, None], xs[None, :])
-    r.flags.writeable = False
-    return r
+def _inside_columns(xs: np.ndarray, cone: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, the columns [a_i, b_i) of the cells with hypot(x_i, x_j) <= cone.
+
+    |x_j| falls then rises along a row, so those cells are one interval.
+    searchsorted on the axis for +-sqrt(cone^2 - x_i^2) places its ends to
+    within rounding (a row with x_i^2 > cone^2 holds no cell, as hypot(x_i,
+    x_j) >= |x_i|), and the hypot test of a whole-grid mask then moves each
+    end a cell at a time until it sits exactly on that mask's edge.
+    """
+    d = cone * cone - xs * xs
+    half = np.sqrt(np.maximum(d, 0.0))
+    a = xs.searchsorted(-half, side="left")
+    b = np.where(d < 0.0, a, xs.searchsorted(half, side="right"))
+    # column n, and column -1 through the wrap, lie beyond the grid: outside
+    x_pad = np.concatenate((xs, [np.inf]))
+
+    def inside(j: np.ndarray) -> np.ndarray:
+        return np.hypot(xs, x_pad[j]) <= cone
+
+    # shrink first, so an end only grows from a cell that is inside
+    while (move := (a < b) & ~inside(a)).any():
+        a += move
+    while (move := (b > a) & ~inside(b - 1)).any():
+        b -= move
+    while (move := inside(a - 1)).any():
+        a -= move
+    while (move := inside(b)).any():
+        b += move
+    return a, b
 
 
 def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float) -> float:
     """max |u| outside the slack cone |x| > slack_cone(t, reach, h); u spans [-L, L]^2.
 
-    Taken strip by strip: each row strip's outside cells are a mask in
-    strip-sized scratch, freed on return (see the module docstring); 0.0
-    when no cell is outside.
+    The cells inside the cone take the columns [a_i, b_i) of row i
+    (_inside_columns), so in the flattened level the cells outside are the
+    runs between those intervals, which np.maximum.reduceat and
+    np.minimum.reduceat read without writing.  max |u| is then max(max u,
+    -min u), and a NaN outside the cone reaches the result.  0.0 when no
+    cell is outside.
     """
     n = u.shape[0]
-    r = _radius_grid(n, L)
-    cone = slack_cone(t, reach, h)
-    cells = max(STRIP_CELLS, n)
-    mask_buf, abs_buf = np.empty(cells, dtype=bool), np.empty(cells)
-    peak = 0.0
-    for s0, s1 in _row_strips(0, n, n):
-        k = (s1 - s0) * n
-        outside = np.greater(r[s0:s1], cone, out=mask_buf[:k].reshape(s1 - s0, n))
-        mag = np.abs(u[s0:s1], out=abs_buf[:k].reshape(s1 - s0, n))
-        # np.maximum, not max(): a NaN outside the cone reaches the result
-        peak = np.maximum(peak, np.max(mag, where=outside, initial=0.0))
-    return float(peak)
+    if u.shape != (n, n):   # the run edges below index an n x n level
+        raise ValueError(f"u must be a square level, got shape {u.shape}")
+    a, b = _inside_columns(np.linspace(-L, L, n), slack_cone(t, reach, h))
+    rows = (a < b).nonzero()[0]
+    # edges of the inside runs, between a leading 0 and a closing n^2:
+    # consecutive pairs are then the outside runs
+    edges = np.empty(2 * rows.size + 2, dtype=np.intp)
+    edges[0], edges[-1] = 0, n * n
+    edges[1:-1:2] = rows * n + a[rows]
+    edges[2:-1:2] = rows * n + b[rows]
+    runs = edges.reshape(-1, 2)
+    # reduceat gives an element, not an empty max, for an empty run
+    runs = runs[runs[:, 0] < runs[:, 1]].reshape(-1)
+    if not runs.size:
+        return 0.0
+    # reduceat reduces [idx[k], idx[k + 1]), the last to the end: the outside
+    # runs are the even entries, and the inside cells between them the odd
+    idx = runs[:-1] if runs[-1] == n * n else runs
+    flat = u.reshape(-1)
+    peak = np.maximum(np.maximum.reduceat(flat, idx)[::2].max(),
+                      -np.minimum.reduceat(flat, idx)[::2].min())
+    return float(peak) + 0.0        # + 0.0: a -0.0 reads 0.0, as |u| does
 
 
 def _bilinear(u: np.ndarray, x: float, y: float, h: float, L: float) -> float:
@@ -632,6 +667,7 @@ def stream(
     dt, h, L = solver.dt, solver.h, cfg.L
     nsteps = cfg.steps
     ckpt_every = max(1, int(round(cfg.checkpoint_interval / dt)))
+    half_over_dt = 0.5 / dt         # the centered u_t's scale
 
     def checkpoint(t: float, u: np.ndarray, u_t: np.ndarray, samples: list) -> Checkpoint:
         E = math.sqrt(energy(u, u_t, h))
@@ -656,7 +692,7 @@ def stream(
         if n % ckpt_every and n != nsteps:
             continue
         u_t = np.subtract(solver.u_cur, u_prevprev)
-        u_t /= 2.0 * dt
+        u_t *= half_over_dt
         yield checkpoint(t_mid, solver.u_prev.copy(), u_t, samples)
         samples = [[] for _ in rays]
 

@@ -198,15 +198,146 @@ def test_diagnostics_match_full_grid_formulas(seed, sizes, Ls, t, R, scale, ring
 
 def _check_diagnostics(seed, sizes, Ls, t, R, scale, ring_only):
     rng = np.random.default_rng(seed)
-    # alternate grids of equal n and different L, then change n, so a
-    # stale cached radius grid would be read against the wrong field
+    # alternate grids of equal n and different L, then change n, so state
+    # kept from one call would be read against the wrong field
     for n in sizes:
         for L in Ls + Ls[:1]:
             u, u_t = _random_field(rng, n, scale, ring_only)
             h = 2.0 * L / (n - 1)
-            assert energy(u, u_t, h) == _energy_oracle(u, u_t, h)
+            # energy scales the raw differences once, so it rounds apart
+            # from the oracle's per-cell gradients in the last bits
+            E = _energy_oracle(u, u_t, h)
+            assert abs(energy(u, u_t, h) - E) <= 1e-14 * E
             assert check_propagation(u, t, h, L, R) == _propagation_oracle(u, t, h, L, R)
-            assert not wave._radius_grid(n, L).flags.writeable
+
+
+def _random_level(n):
+    return np.random.default_rng(n).standard_normal((n, n))
+
+
+def _time_onto(r, h):
+    """A t whose slack cone for reach 0 rounds to exactly r, or None."""
+    t = r - wave.PROPAGATION_SLACK_CELLS * h
+    for _ in range(8):
+        cone = wave.slack_cone(t, 0.0, h)
+        if cone == r:
+            return float(t)
+        t = np.nextafter(t, -np.inf if cone > r else np.inf)
+    return None
+
+
+@pytest.mark.parametrize("n, L", [(17, 2.0), (24, 3.7)])
+def test_propagation_cone_through_every_cell(n, L):
+    # the cone on each cell's radius and one ulp either side of it: a cell
+    # on the cone is inside (the test is a strict >), some rows are touched
+    # at a single cell, and rounding puts the ends that searchsorted finds
+    # on both sides of the mask's edge
+    h = 2.0 * L / (n - 1)
+    xs = np.linspace(-L, L, n)
+    u = _random_level(n)
+    r, columns = np.hypot(xs[:, None], xs[None, :]), np.arange(n)
+    radii = np.unique(r)
+    cones = np.concatenate([radii, np.nextafter(radii, 0.0), np.nextafter(radii, np.inf)])
+    times = [t for t in (_time_onto(float(c), h) for c in cones) if t is not None]
+    assert len(times) > 0.9 * cones.size
+    single_cell_rows = 0
+    for t in times:
+        cone = wave.slack_cone(t, 0.0, h)
+        a, b = wave._inside_columns(xs, cone)
+        assert np.array_equal((columns >= a[:, None]) & (columns < b[:, None]), r <= cone)
+        assert check_propagation(u, t, h, L, 0.0) == _propagation_oracle(u, t, h, L, 0.0)
+        single_cell_rows += np.count_nonzero(b - a == 1)
+    assert single_cell_rows > 0
+
+
+def _edge_row_leak(row):
+    u = np.zeros((41, 41))
+    u[row, 7], u[row, 30] = -2.5, 1.5
+    return u
+
+
+@pytest.mark.parametrize("u, args, leak", [
+    # L = 2: the corner lies at 2.83, the cone at 1 + 2 + 4 * 0.25 = 4
+    pytest.param(_random_level(17), (1.0, 0.25, 2.0, 2.0), 0.0, id="beyond_the_corner"),
+    pytest.param(_edge_row_leak(0), (1.0, 0.5, 10.0, 1.0), 2.5, id="first_row"),
+    pytest.param(_edge_row_leak(-1), (1.0, 0.5, 10.0, 1.0), 2.5, id="last_row"),
+    # a slack of 4 * 0.01 against a spacing of 1 or 2: from every cell
+    # outside (t = 0) to none (t = 2)
+    *(pytest.param(_random_level(n), (t, 0.01, 1.0, 0.0), None, id=f"n{n}-t{t}")
+      for n in (2, 3) for t in (0.0, 0.4, 0.7, 1.0, 1.3, 1.5, 2.0)),
+])
+def test_propagation_on_small_grids_and_edge_rows(u, args, leak):
+    assert check_propagation(u, *args) == _propagation_oracle(u, *args)
+    assert leak is None or check_propagation(u, *args) == leak
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0, "mixed"])
+def test_propagation_of_signed_zeros_reads_plus_zero(zero):
+    # |u| of a zero is 0.0, and so is the leak, as diagnostics.json prints it
+    u = np.full((9, 9), -0.0 if zero == "mixed" else zero)
+    if zero == "mixed":
+        u[0, :4] = 0.0
+    leak = check_propagation(u, 0.0, 0.25, 4.0, 0.5)
+    assert leak == 0.0 and math.copysign(1.0, leak) == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf])
+def test_diagnostics_carry_non_finite_values(bad):
+    n, L, t, R = 33, 4.0, 0.0, 1.0
+    h = 2.0 * L / (n - 1)
+    u = _random_level(n)
+    clean = check_propagation(u, t, h, L, R)
+
+    def placed(a, cell):
+        a = a.copy()
+        a[cell] = bad
+        return a
+
+    def reads_bad(x):
+        return math.isnan(x) if math.isnan(bad) else x == math.inf
+
+    # one cell outside the cone reaches the leak; one inside does not
+    assert reads_bad(check_propagation(placed(u, (2, 5)), t, h, L, R))
+    assert check_propagation(placed(u, (n // 2, n // 2)), t, h, L, R) == clean
+    # in u_t or in u, the value reaches E
+    u_t = np.zeros((n, n))
+    assert reads_bad(energy(u, placed(u_t, (n // 2, 3)), h))
+    assert reads_bad(energy(placed(u, (n // 2, 3)), u_t, h))
+
+
+def _layouts(a):
+    """`a` as a transposed view, a Fortran-ordered copy and a row- and a
+    column-strided view (the last flattens to a strided run, not a copy)."""
+    rows, cols = np.empty((2 * a.shape[0], a.shape[1])), np.empty((a.shape[0], 2 * a.shape[1]))
+    rows[::2] = a
+    cols[:, ::2] = a
+    return {
+        "transposed": np.ascontiguousarray(a.T).T,
+        "fortran": np.asfortranarray(a),
+        "row_strided": rows[::2],
+        "column_strided": cols[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("strip_cells", [None, 7])
+@pytest.mark.parametrize("row", [None, 1, 2, 3, 4])
+def test_diagnostics_of_non_contiguous_levels(strip_cells, row):
+    # every layout gives the C-contiguous level's bits.  With u = 0 and one
+    # nonzero row of u_t, E is that row's sum times 0.125 (h = 0.5), so a
+    # row summed in another order shows.
+    rng = np.random.default_rng(5)
+    n, L = 61, 15.0
+    h = 2.0 * L / (n - 1)
+    u, u_t = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    if row is not None:
+        u[:] = 0.0
+        u_t[:row] = u_t[row + 1:] = 0.0
+    with mock.patch.object(wave, "STRIP_CELLS", strip_cells or wave.STRIP_CELLS):
+        E, leak = energy(u, u_t, h), check_propagation(u, 5.0, h, L, 1.0)
+        for (name, v), v_t in zip(_layouts(u).items(), _layouts(u_t).values()):
+            assert not v.flags.c_contiguous and not v_t.flags.c_contiguous, name
+            assert energy(v, v_t, h) == E, name
+            assert check_propagation(v, 5.0, h, L, 1.0) == leak, name
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +429,14 @@ def test_propagation_violation_detected():
     u = np.zeros((n, n))
     u[1, 1] = 1.0     # far corner, way outside the light cone of R=1 at t=0
     assert check_propagation(u, t=0.0, h=0.25, L=4.0, reach=1.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shape", [(9, 13), (13, 9)])
+def test_propagation_rejects_a_non_square_level(shape):
+    u = np.zeros(shape)
+    u[-1, -1] = 5.0
+    with pytest.raises(ValueError):
+        check_propagation(u, t=0.0, h=0.1, L=2.0, reach=0.5)
 
 
 def test_off_centre_data_leaks_nothing_at_t0():
@@ -570,7 +709,7 @@ def test_run_checkpoints_keep_their_levels():
     for snap in res.checkpoints[1:]:
         k = round(snap.t / cfg.dt)
         assert np.array_equal(snap.u, levels[k])
-        assert np.array_equal(snap.u_t, (levels[k + 1] - levels[k - 1]) / (2.0 * cfg.dt))
+        assert np.array_equal(snap.u_t, (levels[k + 1] - levels[k - 1]) * (0.5 / cfg.dt))
 
 
 def _traced_peak(fn):
