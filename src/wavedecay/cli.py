@@ -175,8 +175,10 @@ def _direction_from_ray(ray: dict) -> Direction:
             return Direction.from_angle(_number(ray["omega_angle"], "ray.omega_angle"))
         if "omega" in ray:
             w = ray["omega"]
-            return Direction(_number(w[0], "ray.omega"), _number(w[1], "ray.omega"))
-    except (InvalidDirectionError, ValueError, TypeError, IndexError) as exc:
+            if not (isinstance(w, list) and len(w) == 2):
+                raise ConfigError("ray.omega must be a list of two numbers")
+            return Direction(*(_number(c, "ray.omega") for c in w))
+    except ValueError as exc:                  # InvalidDirectionError and ConfigError too
         raise ConfigError(f"bad ray direction: {exc}") from exc
     raise ConfigError("ray section needs 'omega' or 'omega_angle'")
 

@@ -7,7 +7,8 @@ Restricting the symbols to the unit circle, with the convention that the
 time slot carries -1, produces a sum of monomials
 ``c * cos^p1(theta) * sin^p2(theta)``.  ``TrigPolynomial`` holds such a
 sum by its Fourier coefficients, the one form Psi is evaluated,
-differentiated, added and multiplied in.
+differentiated, added and multiplied in; they are the monomials' exact
+expansion in z = e^(i theta), rounded only where c scales it and in the sum.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# cos theta and sin theta as Laurent coefficients of z^-1, 1, z in z = e^(i theta)
+_COS, _SIN = np.array([0.5, 0.0, 0.5]), np.array([0.5j, 0.0, -0.5j])
 
 
 class InvalidDirectionError(ValueError):
@@ -34,7 +37,7 @@ class Direction:
     omega2: float
 
     def __post_init__(self):
-        norm2 = self.omega1 ** 2 + self.omega2 ** 2
+        norm2 = self.omega1 * self.omega1 + self.omega2 * self.omega2
         if not abs(norm2 - 1.0) <= 1e-10:
             raise InvalidDirectionError(
                 f"({self.omega1}, {self.omega2}) is not on the unit circle"
@@ -102,8 +105,8 @@ def _from_laurent(g):
 class TrigPolynomial:
     """Psi(theta) = a_0 + sum_k a_k cos k theta + b_k sin k theta.
 
-    Built from monomials (p1, p2, c), c * cos^p1 * sin^p2: they are merged
-    by exponent and converted by an FFT on a grid dense enough to be exact.
+    Built from monomials (p1, p2, c), c * cos^p1 * sin^p2, merged by exponent
+    and expanded exactly in z = e^(i theta): cos = (z + 1/z)/2, sin = (z - 1/z)/2i.
     scale is the size of the numbers Psi was computed from, the level its
     coefficients are rounded at: the largest merged monomial, the larger
     scale of a sum, and max(scale_f |g|_1, |f|_1 scale_g) over the Laurent
@@ -120,14 +123,11 @@ class TrigPolynomial:
             merged[key] = merged.get(key, 0.0) + float(c)
         merged = {key: c for key, c in sorted(merged.items()) if c != 0.0}
         d = max((p1 + p2 for p1, p2 in merged), default=0)
-        n = 2 * d + 2  # strictly above Nyquist for degree d
-        thetas = TWO_PI * np.arange(n) / n
-        ct, st = np.cos(thetas), np.sin(thetas)
-        values = np.zeros(n)
+        g = np.zeros(2 * d + 1, dtype=complex)          # g_-d..g_d
         for (p1, p2), c in merged.items():
-            values = values + c * ct ** p1 * st ** p2
-        self._set(*_from_laurent(np.fft.rfft(values)[: d + 1] / n),
-                  max(map(abs, merged.values()), default=0.0))
+            m = functools.reduce(np.convolve, [_COS] * p1 + [_SIN] * p2, np.ones(1))
+            g[d - p1 - p2: d + p1 + p2 + 1] += c * m
+        self._set(*_from_laurent(g[d:]), max(map(abs, merged.values()), default=0.0))
 
     def _set(self, a, b, scale: float) -> "TrigPolynomial":
         a.flags.writeable = b.flags.writeable = False   # shared by every reader

@@ -427,6 +427,12 @@ def _run_quiet(argv):
     ),
     ("simulate", "data.center=[3, 0]"),    # reach 4 does not fit L = 6, T = 2
     ("simulate", "grid.T=0.05"),           # T < dt/2 = 0.0625: no step
+    ("profile", "ray.omega={}"),           # an object, not a list of two numbers
+    ("profile", "ray.omega=[1e200, 0]"),   # finite, but its squared norm is inf
+    ("profile", "ray.omega=[1, 0, 5]"),    # three numbers, not two
+    ("simulate", 'rays=[{"omega": {"x": 1}}]'),
+    ("simulate", 'rays=[{"sigma": 0.0, "omega": [1e200, 0]}]'),
+    ("simulate", 'rays=[{"sigma": 0.0, "omega": [1, 0, 5]}]'),
 ])
 def test_invalid_config_values_exit_64(tmp_path, command, override):
     cfg = _write_cfg(tmp_path, SMALL_CFG)
@@ -495,8 +501,9 @@ def test_cancelling_symbol_has_two_double_zeros(tmp_path):
     assert _run_quiet(["analyze", cfg, "--set", f"C={CANCEL_C}", "--out", str(out)]) == 0
     zeros = json.loads((out / "report.json").read_text())["classification"]["zeros"]
     assert [z["order"] for z in zeros] == [2, 2]
+    # report.json prints 12 significant digits; the zeros are pi/2 and 3 pi/2 to all of them
     for z, theta in zip(zeros, (math.pi / 2, 3 * math.pi / 2)):
-        assert z["theta"] == pytest.approx(theta, abs=1e-6)
+        assert z["theta"] == float(f"{theta:.12g}")
         assert z["leading"] == pytest.approx(1e-3, rel=1e-6)
 
 
@@ -533,10 +540,11 @@ TINY_C = json.dumps([0.0] * 12 + [-1e-9] + [0.0] * 14)
 # no large finite values, so no draw can ask for a huge grid; HUGE_INT is
 # safe because every key fails to convert it before any grid is built,
 # 1e-310 because every count derived from a subnormal overflows to inf, and
-# CANCEL_C because only C takes a list of 27 numbers
+# CANCEL_C because only C takes a list of 27 numbers; {} and [1e200, 0]
+# because every grid key rejects an object or a list
 _OVERRIDE_VALUES = [
     "NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null", HUGE_INT, TINY_C,
-    CANCEL_C, "1e-310",
+    CANCEL_C, "1e-310", "{}", "[1e200, 0]",
 ]
 
 

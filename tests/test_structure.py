@@ -185,7 +185,7 @@ def test_cancelling_monomials():
     cl = classify(cubic_to_trig_poly(NonlinearityCoefficients(C=C)))
     assert [z.order for z in cl.zeros] == [2, 2]
     for z, theta in zip(cl.zeros, (math.pi / 2, 3 * math.pi / 2)):
-        assert abs(z.theta - theta) < 1e-6
+        assert abs(z.theta - theta) < 1e-12
         assert z.leading == pytest.approx(1e-3, rel=1e-6)
 
 

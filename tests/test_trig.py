@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ def test_direction_rejects_off_circle_points():
         Direction(0.5, 0.5)
     with pytest.raises(InvalidDirectionError):
         Direction(0.0, 0.0)
+    with pytest.raises(InvalidDirectionError):      # 1e200 ** 2 overflows; 1e200 * 1e200 is inf
+        Direction(1e200, 0.0)
 
 
 @given(st.floats(-10.0, 10.0))
@@ -162,6 +165,39 @@ def _random_terms(rng, max_degree=8, n_terms=6):
         p1 = int(rng.integers(0, max_degree + 1))
         terms.append((p1, int(rng.integers(0, max_degree - p1 + 1)), float(rng.normal())))
     return terms
+
+
+def _binomial_expansion(p1, p2):
+    """Fourier coefficients (a, b) of cos^p1 sin^p2 as Fractions, from
+    (z + 1/z)^p1 (z - 1/z)^p2 / (2^(p1 + p2) i^p2) in z = e^(i theta)."""
+    d = p1 + p2
+    g = [0] * (2 * d + 1)                   # integer coefficients of z^-d..z^d
+    for j, l in itertools.product(range(p1 + 1), range(p2 + 1)):
+        g[2 * (j + l)] += math.comb(p1, j) * math.comb(p2, l) * (-1) ** (p2 - l)
+    re, im = [(1, 0), (0, -1), (-1, 0), (0, 1)][p2 % 4]      # (-i)^p2 = 1 / i^p2
+    a, b = [Fraction(0)] * (d + 1), [Fraction(0)] * (d + 1)
+    for k in range(d + 1):
+        gk = Fraction(g[d + k], 2 ** d)     # g_k = (a_k - i b_k) / 2, g_0 = a_0
+        a[k], b[k] = (gk * re, -gk * im) if k == 0 else (2 * gk * re, -2 * gk * im)
+    return a, b
+
+
+@pytest.mark.parametrize("p1, p2", [(p1, n - p1) for n in range(9) for p1 in range(n + 1)])
+def test_monomial_coefficients_are_the_exact_binomial_expansion(p1, p2):
+    p = TrigPolynomial(((p1, p2, 1.0),))
+    a, b = _binomial_expansion(p1, p2)
+    assert p.a.tolist() == [float(x) for x in a]
+    assert p.b.tolist() == [float(x) for x in b]
+
+
+def test_cancelling_monomials_expand_exactly():
+    # 1e-3 cos^2 written as -1e6 + (1e6 + 1e-3) cos^2 + 1e6 sin^2: the sin
+    # terms cancel exactly, so a_1, b_1 and b_2 are 0, not rounding noise
+    C = np.zeros((3, 3, 3))
+    C[0, 0, 0], C[1, 1, 0], C[2, 2, 0] = 1e6, -1e6 - 1e-3, -1e6
+    p = cubic_to_trig_poly(NonlinearityCoefficients(C=C))
+    assert p.a[1] == p.b[1] == p.b[2] == 0.0
+    assert p.a[0] == p.a[2] == pytest.approx(5e-4, rel=1e-6)
 
 
 def test_negative_exponents_rejected():
