@@ -11,9 +11,11 @@ Commands
 
 analyze, profile and simulate read a single JSON config (sections "B",
 "C", "data", "grid", "ray", "prediction") and write a manifest.json
-echoing the full configuration, the tool version, wall-clock, the output
-file list, and a pass/fail summary -- even when the command fails, with
-the error class recorded.  CSV bodies are deterministic (no timestamps).
+echoing the full configuration, the tool version, wall-clock, per-phase
+timings, the list of files written, and a pass/fail summary -- even when
+the command fails, with the error class recorded.  CSV bodies are
+deterministic (no timestamps).  simulate writes each checkpoint as the
+solver makes it, so its memory does not grow with their number.
 
 Exit codes: 0 ok; 2 domain-level condition failure (sign condition fails,
 non-dissipative direction); 3 numerical failure (PDE or profile blow-up,
@@ -203,14 +205,17 @@ def _forcing_from_ray(ray: dict, mu: float, sigma: float):
     raise ConfigError(f"unknown forcing type {kind!r}")
 
 
-def _write_json(path: Path, body) -> None:
+def _write_json(path: Path, body) -> Path:
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
 class _Manifest:
-    """Collects outputs/checks; lands on disk wherever its directory exists."""
+    """Collects outputs/checks/timings; lands on disk wherever its directory
+    exists.  A file is added once it is written, so after a failure the
+    outputs name exactly the files the command left."""
 
     def __init__(self, command: str, outdir: Path, config: dict):
         self.command = command
@@ -219,11 +224,11 @@ class _Manifest:
         self.outputs: list[str] = []
         self.checks: dict[str, bool] = {}
         self.error: str | None = None
+        self.timings: dict[str, float] = {}
         self._t0 = time.monotonic()
 
-    def add(self, path: Path) -> Path:
+    def add(self, path: Path) -> None:
         self.outputs.append(path.name)
-        return path
 
     def write(self) -> None:
         _write_json(self.outdir / "manifest.json", {
@@ -233,6 +238,7 @@ class _Manifest:
             "wall_clock_s": time.monotonic() - self._t0,
             "outputs": self.outputs,
             "checks": self.checks,
+            "timings": self.timings,
             "error": self.error,
         })
 
@@ -274,7 +280,7 @@ def _run_command(name: str, body, args) -> int:
 def _analyze(config: dict, manifest: _Manifest) -> int:
     coeffs = _coeffs_from_config(config)
     report = analyze(coeffs, **_prediction(config))
-    _write_json(manifest.add(manifest.outdir / "report.json"), report.to_dict())
+    manifest.add(_write_json(manifest.outdir / "report.json", report.to_dict()))
     agemi_ok = report.agemi.status is not AgemiStatus.FAILS
     manifest.checks["sign_condition"] = agemi_ok
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -332,9 +338,11 @@ def _profile(config: dict, manifest: _Manifest) -> int:
         manifest.checks["matsumura_bound"] = chk.holds
     manifest.checks["dissipative_direction"] = True
 
-    with open(manifest.add(manifest.outdir / "profile.csv"), "w") as fh:
+    p = manifest.outdir / "profile.csv"
+    with open(p, "w") as fh:
         series.write_csv(fh, bound=bound_col)
-    _write_json(manifest.add(manifest.outdir / "bound_report.json"), bound_report)
+    manifest.add(p)
+    manifest.add(_write_json(manifest.outdir / "bound_report.json", bound_report))
     print(json.dumps(bound_report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -386,10 +394,24 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
                 raise ConfigError(f"rays.stride must be an integer: {rspec['stride']!r}")
             tap["stride"] = int(tap["stride"])
         rays.append(RayTap(omega=_direction_from_ray(rspec), **tap))
+    timings = manifest.timings
+    t0 = time.perf_counter()
     report = analyze(coeffs, **_prediction(config))
-
-    result = run(cfg, data, rays=rays)
+    timings["analyze_s"] = time.perf_counter() - t0
+    timings["checkpoint_write_s"] = 0.0
     outdir = manifest.outdir
+
+    def write(idx: int, ckpt) -> None:
+        t0 = time.perf_counter()
+        for p in _write_checkpoint(outdir, idx, ckpt, cfg, data):
+            manifest.add(p)
+        timings["checkpoint_write_s"] += time.perf_counter() - t0
+
+    # each checkpoint goes to disk as it is made; the run keeps only floats
+    t0 = time.perf_counter()
+    result = run(cfg, data, rays=rays, write=write)
+    timings["solver_s"] = time.perf_counter() - t0 - timings["checkpoint_write_s"]
+    timings["cell_updates_per_s"] = cfg.n ** 2 * cfg.steps / timings["solver_s"]
 
     # decay-bound overlay E_bound(t) = C eps / (1 + eps^2 log(t+2))^lam,
     # with C fitted as the smallest constant making the bound an envelope
@@ -400,25 +422,23 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
         weights = (1.0 + data.eps ** 2 * np.log(result.energy.times + 2.0)) ** lam
         fitted_C = float(np.max(result.energy.E * weights) / data.eps)
         bound = fitted_C * data.eps / weights
-    out_csv = manifest.add(outdir / "energy.csv")
-    with open(out_csv, "w") as fh:
+    p = outdir / "energy.csv"
+    with open(p, "w") as fh:
         result.energy.write_csv(fh, bound=bound)
-
-    for idx, ckpt in enumerate(result.checkpoints):
-        for p in _write_checkpoint(outdir, idx, ckpt, cfg, data):
-            manifest.add(p)
+    manifest.add(p)
 
     for i, series in result.profiles.items():
-        p = manifest.add(outdir / f"profile_ray{i}.csv")
+        p = outdir / f"profile_ray{i}.csv"
         with open(p, "w") as fh:
             series.write_csv(fh)
+        manifest.add(p)
 
     diag = {
         **result.diagnostics,
         "fitted_energy_constant": fitted_C,
         "lambda": report.prediction.lam if report.prediction else None,
     }
-    _write_json(manifest.add(outdir / "diagnostics.json"), diag)
+    manifest.add(_write_json(outdir / "diagnostics.json", diag))
     print(json.dumps(diag, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -207,6 +207,8 @@ def _zeros(psi: TrigPolynomial, floor: float, lowest: float) -> list[ZeroInfo]:
             odd = odd.derivative()
         top = odd.derivative()
         theta = (theta - odd(theta) / top(theta)) % TWO_PI     # Newton on Psi^(order-1)
+        if TWO_PI - theta <= ROUNDING_FLOOR * TWO_PI:   # 2 pi to the floor: theta = 0
+            theta = 0.0
         zeros.append(ZeroInfo(theta, order, top(theta) / math.factorial(order)))
     return zeros
 

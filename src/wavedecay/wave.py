@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -638,7 +638,7 @@ class RayTap:
 
 @dataclass
 class RunResult:
-    checkpoints: list   # every Checkpoint of the run, t = 0 first
+    checkpoints: list   # every Checkpoint of the run, t = 0 first (no levels after a writer)
     energy: EnergySeries
     diagnostics: dict
     profiles: dict
@@ -646,11 +646,15 @@ class RunResult:
 
 @dataclass
 class Checkpoint:
-    """Snapshot at time t: u, the centered u_t, and their diagnostics."""
+    """Snapshot at time t: u, the centered u_t, and their diagnostics.
+
+    `run` with a `write` callback hands each checkpoint to the writer and
+    then sets its u and u_t to None, so only the floats stay.
+    """
 
     t: float
-    u: np.ndarray
-    u_t: np.ndarray
+    u: Optional[np.ndarray]
+    u_t: Optional[np.ndarray]
     E: float            # energy norm sqrt(energy(u, u_t, h))
     leak: float         # check_propagation(u, t, h, L, data.reach)
     samples: list       # per ray tap, the (t, V) taken since the previous checkpoint
@@ -698,10 +702,25 @@ def stream(
 
 
 def run(
-    cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = ()
+    cfg: SolverConfig,
+    data: InitialData,
+    rays: Sequence[RayTap] = (),
+    write: Optional[Callable[[int, Checkpoint], None]] = None,
 ) -> RunResult:
-    """Every checkpoint of `stream`, its energy series and ray profiles."""
-    kept = list(stream(cfg, data, rays))
+    """Every checkpoint of `stream`, its energy series and ray profiles.
+
+    With `write`, write(index, checkpoint) is called on each checkpoint as
+    `stream` yields it (index 0 is t = 0), and the checkpoint then drops
+    its u and u_t: the run holds the solver's levels and one checkpoint's,
+    not two levels per checkpoint, and `RunResult.checkpoints` keeps only
+    t, E, leak and samples.  Without it every level is kept.
+    """
+    kept = []
+    for index, ckpt in enumerate(stream(cfg, data, rays)):
+        if write is not None:
+            write(index, ckpt)
+            ckpt.u = ckpt.u_t = None
+        kept.append(ckpt)
     profiles = {}
     for i, tap in enumerate(rays):
         taken = [s for c in kept for s in c.samples[i]]

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -213,14 +214,17 @@ def test_simulate_malformed_grid_exits_64(tmp_path):
     assert manifest["error"] is not None
 
 
-@pytest.mark.parametrize("c0, data, grid", [
+@pytest.mark.parametrize("c0, data, grid, written", [
+    # the t = 0 checkpoint is on disk when the guard trips at t = 0.25;
+    # energy.csv, written at the end, is not
     pytest.param(60.0, {"kind": "smooth_bump", "R": 1.0, "eps": 2.5},
-                 {"h": 0.25, "T": 12.0, "L": 18.0}, id="anti-damping"),
+                 {"h": 0.25, "T": 12.0, "L": 18.0},
+                 ["checkpoint_0000.bin", "checkpoint_0000.json"], id="anti-damping"),
     # damped, but F = -(u_t)^3 overflows and the field turns NaN
     pytest.param(-1.0, {"kind": "deriv_bump", "eps": 1e120},
-                 {"h": 0.25, "L": 6.0, "T": 2.0}, id="overflow-to-nan"),
+                 {"h": 0.25, "L": 6.0, "T": 2.0}, [], id="overflow-to-nan"),
 ])
-def test_simulate_blow_up_exits_3(tmp_path, c0, data, grid):
+def test_simulate_blow_up_exits_3(tmp_path, c0, data, grid, written):
     body = json.loads(json.dumps(SIM_CFG))
     body["C"][0] = c0
     body["data"] = data
@@ -235,6 +239,69 @@ def test_simulate_blow_up_exits_3(tmp_path, c0, data, grid):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     manifest = json.loads((out / "manifest.json").read_text())
     assert "BlowUpError" in manifest["error"]
+    # the manifest lists exactly the files the run left
+    on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert sorted(manifest["outputs"]) == on_disk == written
+
+
+def test_simulate_checkpoint_files_hold_the_streamed_levels(tmp_path):
+    body = json.loads(json.dumps(SIM_CFG))
+    body["C"][0] = -1.0     # damping
+    body["grid"]["checkpoint_interval"] = 0.5
+    cfg = _write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert _run_quiet(["simulate", cfg, "--out", str(out)]) == 0
+    solver_cfg = wave.SolverConfig(
+        nonlinearity=trig.NonlinearityCoefficients.from_dict(body), **body["grid"])
+    k = -1
+    for k, ckpt in enumerate(wave.stream(solver_cfg, wave.InitialData(**body["data"]))):
+        raw = (out / f"checkpoint_{k:04d}.bin").read_bytes()
+        assert raw == ckpt.u.astype("<f8").tobytes() + ckpt.u_t.astype("<f8").tobytes()
+        assert json.loads((out / f"checkpoint_{k:04d}.json").read_text())["t"] == ckpt.t
+    assert k == 8
+    assert not (out / f"checkpoint_{k + 1:04d}.bin").exists()
+
+
+def _simulate_peak_levels(tmp_path, interval):
+    """tracemalloc peak of a damped simulate run at h = 0.1 (n = 141), in
+    level sizes, and the number of checkpoints it wrote."""
+    body = json.loads(json.dumps(SIM_CFG))
+    body["C"][0] = -1.0
+    body["grid"].update(h=0.1, checkpoint_interval=interval)
+    cfg = _write_cfg(tmp_path, body, f"cfg_{interval}.json")
+    out = tmp_path / f"out_{interval}"
+    tracemalloc.start()
+    try:
+        assert _run_quiet(["simulate", cfg, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = json.loads((out / "checkpoint_0000.json").read_text())["n"]
+    assert n == 141
+    return peak / (n * n * 8), len(list(out.glob("checkpoint_*.bin")))
+
+
+def test_simulate_memory_does_not_grow_with_checkpoints(tmp_path):
+    # each checkpoint goes to disk as it is made, so 41 checkpoints cost
+    # what 2 do (t = 0 and T): set-up, not the checkpoints, sets the peak
+    few, written_few = _simulate_peak_levels(tmp_path, 4.0)
+    many, written_many = _simulate_peak_levels(tmp_path, 0.1)
+    assert (written_few, written_many) == (2, 41)
+    assert many <= few + 2.0
+
+
+def test_simulate_manifest_reports_timings(tmp_path):
+    cfg = _write_cfg(tmp_path, SIM_CFG)
+    out = tmp_path / "out"
+    assert _run_quiet(["simulate", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings"]
+    assert set(timings) == {"analyze_s", "solver_s", "checkpoint_write_s", "cell_updates_per_s"}
+    assert all(value >= 0.0 for value in timings.values())
+    seconds = timings["analyze_s"] + timings["solver_s"] + timings["checkpoint_write_s"]
+    assert seconds <= manifest["wall_clock_s"]
+    with open(out / "energy.csv") as fh:
+        assert fh.readline().strip() == "t,E"
 
 
 def test_simulate_under_resolved_linear_run_exits_0(tmp_path):

@@ -174,6 +174,18 @@ def test_close_double_zeros_stay_apart():
             assert z.leading == pytest.approx(lead, rel=1e-6)
 
 
+@pytest.mark.parametrize("ulps", range(1, 7))
+def test_zero_at_theta_zero_reads_zero_not_two_pi(ulps):
+    # (1 - cos theta)/2 with a sin term of a few ulp moves the zero a hair
+    # below 0, which mod 2 pi is 2 pi - eps and would sort last
+    ulp = 2.0 ** -53
+    f = TrigPolynomial(((0, 0, 0.5 + 2 * ulp), (1, 0, -0.5 - ulp), (0, 1, ulps * ulp)))
+    cl = classify(f * planted_factor(3.0))
+    assert [z.order for z in cl.zeros] == [2, 2]
+    assert cl.zeros[0].theta == 0.0
+    assert cl.zeros[1].theta == pytest.approx(3.0, abs=1e-12)
+
+
 def _circ_dist(a, b):
     return abs((a - b + math.pi) % TWO_PI - math.pi)
 

@@ -750,6 +750,26 @@ def test_stream_holds_no_field():
         assert np.array_equal(snap.u, c.u) and np.array_equal(snap.u_t, c.u_t)
 
 
+def test_run_hands_each_checkpoint_to_its_writer_and_keeps_the_floats():
+    cfg = SolverConfig(
+        h=0.25, L=8.0, T=3.0, nonlinearity=_damping_coeffs(), checkpoint_interval=0.5
+    )
+    data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
+    rays = [RayTap(sigma=0.0, omega=Direction(1.0, 0.0), stride=1)]
+    written = []
+    res = run(cfg, data, rays, write=lambda i, c: written.append((i, c.t, c.u, c.u_t)))
+    full = run(cfg, data, rays)
+    assert [i for i, *_ in written] == list(range(len(full.checkpoints))) == list(range(7))
+    for (_, t, u, u_t), kept, c in zip(written, res.checkpoints, full.checkpoints):
+        assert t == c.t and np.array_equal(u, c.u) and np.array_equal(u_t, c.u_t)
+        assert kept.u is None and kept.u_t is None
+        assert (kept.t, kept.E, kept.leak, kept.samples) == (c.t, c.E, c.leak, c.samples)
+    assert res.energy.times.tolist() == full.energy.times.tolist()
+    assert res.energy.E.tolist() == full.energy.E.tolist()
+    assert res.diagnostics == full.diagnostics
+    assert res.profiles[0].V.tolist() == full.profiles[0].V.tolist()
+
+
 def test_stream_drops_the_initial_data():
     # once the t = 0 checkpoint is out, the stream keeps neither of its levels
     cfg = SolverConfig(h=0.5, L=6.0, T=2.0)
