@@ -15,15 +15,13 @@ import argparse
 import numpy as np
 
 from wavedecay.trig import Direction, NonlinearityCoefficients
-from wavedecay.profile_ode import RayConfig, TabulatedForcing, integrate_profile
-from wavedecay.wave import (
-    InitialData,
-    RayTap,
-    SolverConfig,
+from wavedecay.profile_ode import (
+    RayConfig,
+    TabulatedForcing,
+    integrate_profile,
     residual_forcing,
-    run,
-    stream,
 )
+from wavedecay.wave import InitialData, RayTap, SolverConfig, run, stream
 
 
 def conservation_study(spacings):

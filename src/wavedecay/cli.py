@@ -253,6 +253,7 @@ _EXIT_CODES = {
     ValueError: EXIT_USAGE,        # includes ConfigError
     TypeError: EXIT_USAGE,
     OSError: EXIT_USAGE,           # an output path that cannot be written
+    MemoryError: EXIT_USAGE,       # a grid too large for memory
 }
 
 
@@ -407,7 +408,7 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
             manifest.add(p)
         timings["checkpoint_write_s"] += time.perf_counter() - t0
 
-    # each checkpoint goes to disk as it is made; the run keeps only floats
+    # each checkpoint goes to disk as it is made
     t0 = time.perf_counter()
     result = run(cfg, data, rays=rays, write=write)
     timings["solver_s"] = time.perf_counter() - t0 - timings["checkpoint_write_s"]

@@ -9,11 +9,12 @@ decay is controlled by an explicit logarithmic bound (Matsumura-type
 lemma).  This module integrates both ODEs on the log-time axis with its
 own scalar DOP853 loop (rtol 1e-10, atol 1e-12; Hairer's DOP853 tableau,
 embedded here and pinned bitwise to scipy's by a test, and scipy's step
-control), evaluates the explicit bound constant, and fits the
-1/sqrt(P log t) decay of V.  It needs numpy only.  An integration ends in
-one of two failures: ProfileBlowUp where |V| crosses BLOWUP_GUARD, or
-StepUnderflow on a NaN derivative, a step below 10 ulp of log t, or
-STEP_BUDGET steps spent.
+control), evaluates the explicit bound constant, fits the
+1/sqrt(P log t) decay of V, and fits an envelope to the residual forcing
+of a sampled V (residual_forcing).  It needs numpy only.  An integration
+ends in one of two failures: ProfileBlowUp where |V| crosses
+BLOWUP_GUARD, or StepUnderflow on a NaN derivative, a step below 10 ulp
+of log t, or STEP_BUDGET steps spent.
 """
 
 from __future__ import annotations
@@ -572,6 +573,28 @@ def check_sqrtlog_decay(series: ProfileSeries, P_val: float) -> float:
     return float(
         np.max(np.abs(series.V[mask]) * np.sqrt(P_val * np.log(series.times[mask])))
     )
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    times: np.ndarray
+    H: np.ndarray
+    envelope_constant: float    # smallest C with |H| <= C eps t^(2mu-3/2) <sigma>^(-mu-1/2)
+
+
+def residual_forcing(
+    series: ProfileSeries, P_val: float, eps: float, mu: float
+) -> ResidualReport:
+    """Residual H(t) = dV/dt + P V^3 / (2t) and its envelope fit."""
+    t = series.times
+    v = series.V
+    dv = np.gradient(v, t)
+    H = dv + 0.5 * P_val * v ** 3 / t
+    # interior points only: np.gradient is one-sided at the ends
+    tt, HH = t[1:-1], H[1:-1]
+    env = EnvelopeForcing(amplitude=eps, mu=mu, sigma=series.sigma).envelope(tt)
+    c = float(np.max(np.abs(HH) / env))
+    return ResidualReport(times=tt, H=HH, envelope_constant=c)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .profile_ode import EnvelopeForcing, ProfileSeries, ray_start, write_csv_columns
+from .profile_ode import ProfileSeries, ray_start, write_csv_columns
 from .trig import Direction, NonlinearityCoefficients
 
 BLOWUP_GUARD = 1e10
@@ -285,7 +285,7 @@ class LeapfrogSolver:
     """Leapfrog stepper with the fixed-point nonlinear update.
 
     The solver owns three level buffers and rotates them: `u_prev` and
-    `u_cur` are its own memory (the initial levels are copied in), and
+    `u_cur` are its own memory (a copy of u and the Taylor level), and
     `advance()` writes the new level into the third buffer.  A level is
     overwritten by the third `advance()` after the one that made it
     current (so the level before `u_prev` is still there for `stream()`'s
@@ -329,13 +329,9 @@ class LeapfrogSolver:
         self.linear = not self._sweeps[0]
         self._gradient_terms = any(any(index) for _, index in self._sweeps[0])
         self.initial = (u, u_t)          # the data at t = 0, for stream()
-        # copy the two starting levels into owned buffers.  Copying level1
-        # changes no result; it keeps glibc's malloc thresholds where
-        # perfbench's host-scale kernel was calibrated (~1.6x off without).
         # u + 0.0, not a copy: a -0.0 cell of u (eps < 0 off the support)
         # becomes the +0.0 that a full-grid step leaves outside the box
-        level1 = self._taylor_level(u, u_t)
-        self.u_prev, self.u_cur = u + 0.0, level1.copy()
+        self.u_prev, self.u_cur = u + 0.0, self._taylor_level(u, u_t)
         for k, level in enumerate((self.u_prev, self.u_cur)):
             self._guard(max(float(level.max()), -float(level.min())), k)
         self._spare = np.zeros_like(u)
@@ -368,7 +364,7 @@ class LeapfrogSolver:
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = _laplacian(u, self.h)
             # taken on linear runs too (perfbench times this call), and freed before
-            # the level is formed (perfbench's host-scale kernel reads the heap, ~1.6x)
+            # the level is formed, so its temporaries do not come on top of them
             ux, uy = _gradients(u, self.h)
             # a linear F adds the scalar 0.0, which turns a -0.0 cell into +0.0
             rhs += 0.0 if self.linear else apply_nonlinearity(self.cfg.nonlinearity, ut, ux, uy)
@@ -638,7 +634,7 @@ class RayTap:
 
 @dataclass
 class RunResult:
-    checkpoints: list   # every Checkpoint of the run, t = 0 first (no levels after a writer)
+    checkpoints: list   # every Checkpoint of the run, t = 0 first, without its levels
     energy: EnergySeries
     diagnostics: dict
     profiles: dict
@@ -648,8 +644,7 @@ class RunResult:
 class Checkpoint:
     """Snapshot at time t: u, the centered u_t, and their diagnostics.
 
-    `run` with a `write` callback hands each checkpoint to the writer and
-    then sets its u and u_t to None, so only the floats stay.
+    `stream` yields each with its u and u_t; `run` keeps it with both None.
     """
 
     t: float
@@ -709,17 +704,16 @@ def run(
 ) -> RunResult:
     """Every checkpoint of `stream`, its energy series and ray profiles.
 
-    With `write`, write(index, checkpoint) is called on each checkpoint as
-    `stream` yields it (index 0 is t = 0), and the checkpoint then drops
-    its u and u_t: the run holds the solver's levels and one checkpoint's,
-    not two levels per checkpoint, and `RunResult.checkpoints` keeps only
-    t, E, leak and samples.  Without it every level is kept.
+    write(index, checkpoint), when given, is called on each checkpoint as
+    `stream` yields it (index 0 is t = 0).  The checkpoint then drops its
+    u and u_t, so the run holds the solver's levels and one checkpoint's,
+    and `RunResult.checkpoints` keeps only t, E, leak and samples.
     """
     kept = []
     for index, ckpt in enumerate(stream(cfg, data, rays)):
         if write is not None:
             write(index, ckpt)
-            ckpt.u = ckpt.u_t = None
+        ckpt.u = ckpt.u_t = None
         kept.append(ckpt)
     profiles = {}
     for i, tap in enumerate(rays):
@@ -742,25 +736,3 @@ def run(
         },
         profiles=profiles,
     )
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    times: np.ndarray
-    H: np.ndarray
-    envelope_constant: float    # smallest C with |H| <= C eps t^(2mu-3/2) <sigma>^(-mu-1/2)
-
-
-def residual_forcing(
-    series: ProfileSeries, P_val: float, eps: float, mu: float
-) -> ResidualReport:
-    """Residual H(t) = dV/dt + P V^3 / (2t) and its envelope fit."""
-    t = series.times
-    v = series.V
-    dv = np.gradient(v, t)
-    H = dv + 0.5 * P_val * v ** 3 / t
-    # interior points only: np.gradient is one-sided at the ends
-    tt, HH = t[1:-1], H[1:-1]
-    env = EnvelopeForcing(amplitude=eps, mu=mu, sigma=series.sigma).envelope(tt)
-    c = float(np.max(np.abs(HH) / env))
-    return ResidualReport(times=tt, H=HH, envelope_constant=c)

@@ -28,15 +28,9 @@ from wavedecay.profile_ode import (
     ZeroForcing,
     check_matsumura_bound,
     integrate_profile,
-)
-from wavedecay.wave import (
-    InitialData,
-    RayTap,
-    SolverConfig,
     residual_forcing,
-    run,
-    stream,
 )
+from wavedecay.wave import InitialData, RayTap, SolverConfig, run, stream
 from wavedecay.cli import main as cli_main
 
 # frozen regression bound for the relative linear-energy drift <= K h^2

@@ -583,6 +583,16 @@ def test_cancelling_symbol_simulation_blows_up(tmp_path):
     assert manifest["error"].startswith("BlowUpError")
 
 
+def test_grid_too_large_for_memory_exits_64(tmp_path, monkeypatch, capsys):
+    # stands in for a grid like h = 1e-5 (~6e5 cells a side), never allocated here
+    monkeypatch.setattr(cli, "run", mock.Mock(side_effect=MemoryError("no room for the grid")))
+    out = tmp_path / "out"
+    assert main(["simulate", _write_cfg(tmp_path, SIM_CFG), "--out", str(out)]) == 64
+    assert capsys.readouterr().err == "error: no room for the grid\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == "MemoryError: no room for the grid"
+
+
 def test_every_package_error_has_an_exit_code():
     errors = [
         obj for module in (trig, structure, profile_ode, wave, cli)
