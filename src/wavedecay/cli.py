@@ -48,6 +48,7 @@ from .profile_ode import (
     EnvelopeForcing,
     MatsumuraParams,
     ProfileBlowUp,
+    ProfileSeries,
     RayConfig,
     StepUnderflow,
     ZeroForcing,
@@ -339,10 +340,8 @@ def _profile(config: dict, manifest: _Manifest) -> int:
         manifest.checks["matsumura_bound"] = chk.holds
     manifest.checks["dissipative_direction"] = True
 
-    p = manifest.outdir / "profile.csv"
-    with open(p, "w") as fh:
-        series.write_csv(fh, bound=bound_col)
-    manifest.add(p)
+    manifest.add(_write_csv(manifest.outdir / "profile.csv",
+                            {**_profile_columns(series), "bound": bound_col}))
     manifest.add(_write_json(manifest.outdir / "bound_report.json", bound_report))
     print(json.dumps(bound_report, indent=2, sort_keys=True))
     return EXIT_OK
@@ -423,16 +422,10 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
         weights = (1.0 + data.eps ** 2 * np.log(result.energy.times + 2.0)) ** lam
         fitted_C = float(np.max(result.energy.E * weights) / data.eps)
         bound = fitted_C * data.eps / weights
-    p = outdir / "energy.csv"
-    with open(p, "w") as fh:
-        result.energy.write_csv(fh, bound=bound)
-    manifest.add(p)
-
+    manifest.add(_write_csv(outdir / "energy.csv",
+                            {"t": result.energy.times, "E": result.energy.E, "E_bound": bound}))
     for i, series in result.profiles.items():
-        p = outdir / f"profile_ray{i}.csv"
-        with open(p, "w") as fh:
-            series.write_csv(fh)
-        manifest.add(p)
+        manifest.add(_write_csv(outdir / f"profile_ray{i}.csv", _profile_columns(series)))
 
     diag = {
         **result.diagnostics,
@@ -598,7 +591,21 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# report
+# CSV bodies and report
+
+
+def _write_csv(path: Path, columns: dict) -> Path:
+    """Header, then one %.17g row per sample; a column that is None is left out."""
+    columns = {name: col for name, col in columns.items() if col is not None}
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    return path
+
+
+def _profile_columns(series: ProfileSeries) -> dict:
+    return {"t": series.times, "V": series.V, "G": series.G, "Phi": series.Phi}
 
 
 def _read_energy(path: Path) -> np.ndarray:

@@ -502,19 +502,6 @@ class ProfileSeries:
         if n > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
 
-    def write_csv(self, fh, bound: Optional[np.ndarray] = None) -> None:
-        """Deterministic CSV body: columns t, V, G, Phi [, bound]."""
-        write_csv_columns(fh, dict(t=self.times, V=self.V, G=self.G, Phi=self.Phi,
-                                   bound=bound))
-
-
-def write_csv_columns(fh, cols: dict) -> None:
-    """Header, then one %.17g row per sample; a column that is None is left out."""
-    cols = {name: col for name, col in cols.items() if col is not None}
-    fh.write(",".join(cols) + "\n")
-    for row in zip(*cols.values()):
-        fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
 
 def _log_grid(t_start: float, t_end: float) -> np.ndarray:
     decades = math.log10(t_end / t_start)

@@ -181,8 +181,10 @@ def _roots(laurent: np.ndarray, floor: float) -> np.ndarray:
     return np.roots(laurent[big[0]:big[-1] + 1][::-1]) if big.size else np.zeros(0)
 
 
-def _zeros(psi: TrigPolynomial, floor: float, lowest: float) -> list[ZeroInfo]:
-    """The zeros of Psi as valleys of roots of z^d * Psi; see classify."""
+def _zeros(derivs: list[TrigPolynomial], floor: float, lowest: float) -> list[ZeroInfo]:
+    """The zeros of Psi = derivs[0] as valleys of roots of z^d * Psi; see
+    classify.  derivs[k] is Psi^(k); the list grows to the highest order."""
+    psi = derivs[0]
     laurent = psi.laurent()
     roots = _roots(laurent, floor)
     phi = np.angle(roots) % TWO_PI
@@ -202,10 +204,9 @@ def _zeros(psi: TrigPolynomial, floor: float, lowest: float) -> list[ZeroInfo]:
         if ends[valley].min() > floor:
             continue
         order, theta = len(valley), float(np.angle(roots[valley].mean()) % TWO_PI)
-        odd = psi
-        for _ in range(order - 1):
-            odd = odd.derivative()
-        top = odd.derivative()
+        while len(derivs) <= order:
+            derivs.append(derivs[-1].derivative())
+        odd, top = derivs[order - 1], derivs[order]
         theta = (theta - odd(theta) / top(theta)) % TWO_PI     # Newton on Psi^(order-1)
         if TWO_PI - theta <= ROUNDING_FLOOR * TWO_PI:   # 2 pi to the floor: theta = 0
             theta = 0.0
@@ -242,12 +243,13 @@ def classify(psi: TrigPolynomial) -> ZeroClassification:
     scale = psi.scale  # positive, since Psi does not vanish
     floor = ROUNDING_FLOOR * max(scale, psi.max_abs())
     # theta = 0 stands in for the critical points of a constant Psi
-    crit = np.append(np.angle(_roots(psi.derivative().laurent(), floor)), 0.0) % TWO_PI
+    derivs = [psi, psi.derivative()]
+    crit = np.append(np.angle(_roots(derivs[1].laurent(), floor)), 0.0) % TWO_PI
     vals = psi(crit)
     lowest = float(vals.min())
     if lowest < -NEGATIVITY_TOL * scale:
         raise NegativityDetected(float(crit[vals.argmin()]), lowest)
-    zeros = _zeros(psi, floor, lowest) if lowest <= floor else []
+    zeros = _zeros(derivs, floor, lowest) if lowest <= floor else []
     if not zeros:
         return ZeroClassification(ZeroCase.STRICTLY_POSITIVE, min_value=lowest)
     zeros.sort(key=lambda z: z.theta)
@@ -346,11 +348,7 @@ def verify_integrability(
     powers = np.polynomial.polynomial.polyvander(np.exp(1j * grid[fit]), deg)
     basis = np.hstack([powers.real, powers.imag[:, 1:]])      # cos k theta, sin k theta
     coef = np.linalg.lstsq(basis, psi_grid[fit] / sines[fit], rcond=None)[0]
-    q_coef = coef[: deg + 1] - 1j * np.append(0.0, coef[deg + 1:])
-
-    def q(theta):    # sum_k a_k cos k theta + b_k sin k theta = Re sum_k (a_k - i b_k) z^k
-        return np.polynomial.polynomial.polyval(np.exp(1j * theta), q_coef).real
-
+    q = TrigPolynomial.from_fourier(coef[: deg + 1], np.append(0.0, coef[deg + 1:]), psi.scale)
     q_grid = q(grid)
     misfit = np.abs(q_grid * sines - psi_grid).max()
     if misfit > FIT_TOL * max(1.0, psi.scale) or q_grid.min() <= 0.0:

@@ -110,8 +110,8 @@ class TrigPolynomial:
     scale is the size of the numbers Psi was computed from, the level its
     coefficients are rounded at: the largest merged monomial, the larger
     scale of a sum, and max(scale_f |g|_1, |f|_1 scale_g) over the Laurent
-    coefficients of a product f g.  A float theta is evaluated by
-    Clenshaw's recurrence in Python floats, any other theta as an array.
+    coefficients of a product f g.  A coefficient or scale that is not
+    finite (an overflow) is refused with ValueError.
     """
 
     def __init__(self, terms=()):
@@ -130,12 +130,15 @@ class TrigPolynomial:
         self._set(*_from_laurent(g[d:]), max(map(abs, merged.values()), default=0.0))
 
     def _set(self, a, b, scale: float) -> "TrigPolynomial":
+        if not (math.isfinite(scale) and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("TrigPolynomial overflows: a coefficient or its scale is not finite")
         a.flags.writeable = b.flags.writeable = False   # shared by every reader
         self.a, self.b, self.scale = a, b, float(scale)
         return self
 
     @classmethod
-    def _of(cls, a, b, scale: float) -> "TrigPolynomial":
+    def from_fourier(cls, a, b, scale: float) -> "TrigPolynomial":
+        """Psi from its coefficients a_k, b_k, k = 0..d (b_0 = 0), rounded at scale."""
         return cls.__new__(cls)._set(a, b, scale)
 
     @classmethod
@@ -146,20 +149,8 @@ class TrigPolynomial:
     def degree(self) -> int:
         return len(self.a) - 1
 
-    @functools.cached_property
-    def _clenshaw(self):
-        """a_0 and the pairs (a_k, b_k), k = d..1, as Python floats."""
-        return float(self.a[0]), list(zip(self.a[:0:-1].tolist(), self.b[:0:-1].tolist()))
-
     def __call__(self, theta):
-        if isinstance(theta, float):
-            a0, pairs = self._clenshaw
-            c2 = 2.0 * math.cos(theta)
-            u = u2 = v = v2 = 0.0
-            for ak, bk in pairs:
-                u, u2 = ak + c2 * u - u2, u
-                v, v2 = bk + c2 * v - v2, v
-            return a0 + 0.5 * c2 * u - u2 + math.sin(theta) * v
+        """Values at theta, an array of any shape; a Python float for a scalar."""
         kt = np.multiply.outer(np.asarray(theta, dtype=float), np.arange(len(self.a)))
         out = np.cos(kt) @ self.a + np.sin(kt) @ self.b
         return float(out) if out.ndim == 0 else out
@@ -169,15 +160,16 @@ class TrigPolynomial:
         for p in (self, other):
             a[: len(p.a)] += p.a
             b[: len(p.b)] += p.b
-        return TrigPolynomial._of(a, b, max(self.scale, other.scale))
+        return TrigPolynomial.from_fourier(a, b, max(self.scale, other.scale))
 
     def __mul__(self, other):
         if isinstance(other, numbers.Real):       # numpy scalars included
-            return TrigPolynomial._of(self.a * other, self.b * other, self.scale * abs(other))
+            return TrigPolynomial.from_fourier(
+                self.a * other, self.b * other, self.scale * abs(other))
         f, g = self.laurent(), other.laurent()
         h = np.convolve(f, g)
         scale = max(self.scale * np.abs(g).sum(), np.abs(f).sum() * other.scale)
-        return TrigPolynomial._of(*_from_laurent(h[len(h) // 2:]), scale)
+        return TrigPolynomial.from_fourier(*_from_laurent(h[len(h) // 2:]), scale)
 
     __rmul__ = __mul__
 
@@ -201,7 +193,7 @@ class TrigPolynomial:
     def derivative(self) -> "TrigPolynomial":
         """Exact derivative in theta: (a_k, b_k) -> (k b_k, -k a_k); scale grows by d."""
         k = np.arange(len(self.a))
-        return TrigPolynomial._of(k * self.b, -k * self.a, self.degree * self.scale)
+        return TrigPolynomial.from_fourier(k * self.b, -k * self.a, self.degree * self.scale)
 
     def grid(self, n: int) -> np.ndarray:
         """Values at theta = 2 pi j / n, j = 0..n-1; n must exceed twice the degree."""

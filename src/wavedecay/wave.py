@@ -54,7 +54,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .profile_ode import ProfileSeries, ray_start, write_csv_columns
+from .profile_ode import ProfileSeries, ray_start
 from .trig import Direction, NonlinearityCoefficients
 
 BLOWUP_GUARD = 1e10
@@ -186,9 +186,6 @@ class SolverConfig:
 class EnergySeries:
     times: np.ndarray
     E: np.ndarray      # energy norm ||u(t)||_E = sqrt(0.5 * int |du|^2)
-
-    def write_csv(self, fh, bound: Optional[np.ndarray] = None) -> None:
-        write_csv_columns(fh, {"t": self.times, "E": self.E, "E_bound": bound})
 
 
 def make_initial_data(data: InitialData, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:

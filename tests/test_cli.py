@@ -471,6 +471,13 @@ def _run_quiet(argv):
     ("profile", 'ray.forcing={"type": "envelope", "amplitude": NaN}'),
     ("profile", 'ray.forcing={"type": "envelope", "mu": NaN}'),
     ("analyze", "C=[NaN" + ", 0" * 26 + "]"),
+    pytest.param(                          # the merged monomials overflow
+        "analyze", "C=[1e308" + ", 1e308" * 26 + "]", id="analyze-C=[1e308, 1e308...]"
+    ),
+    pytest.param(                          # Psi = 1e308 cos^2: Psi'' overflows
+        "analyze", "C=[0" + ", 0" * 11 + ", -1e308" + ", 0" * 14 + "]",
+        id="analyze-C[1][1][0]=-1e308",
+    ),
     pytest.param("simulate", f"grid.h={HUGE_INT}", id="simulate-grid.h=HUGE_INT"),
     pytest.param("profile", f"ray.v0={HUGE_INT}", id="profile-ray.v0=HUGE_INT"),
     pytest.param(

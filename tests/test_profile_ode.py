@@ -1,6 +1,5 @@
 """Unit tests for the ray-profile ODE and the logarithmic decay lemma."""
 
-import io
 import math
 
 import mpmath as mp
@@ -9,6 +8,7 @@ import pytest
 from scipy import integrate, special
 
 from wavedecay import profile_ode, structure
+from wavedecay.cli import _profile_columns, _write_csv
 from wavedecay.trig import Direction
 from wavedecay.profile_ode import (
     EnvelopeForcing,
@@ -298,13 +298,12 @@ def test_sqrtlog_decay_statistic():
         check_sqrtlog_decay(series, 0.0)
 
 
-def test_profile_csv_deterministic():
+def test_profile_csv_deterministic(tmp_path):
     series = integrate_profile(1.0, _ray(t_end=1e3), v0=0.2)
-    a, b = io.StringIO(), io.StringIO()
-    series.write_csv(a)
-    series.write_csv(b)
-    assert a.getvalue() == b.getvalue()
-    header = a.getvalue().splitlines()[0]
+    a, b = (_write_csv(tmp_path / f"{name}.csv", _profile_columns(series)).read_text()
+            for name in "ab")
+    assert a == b
+    header = a.splitlines()[0]
     assert header == "t,V,G,Phi"
 
 

@@ -140,6 +140,22 @@ def test_planted_zeros_recovered():
                 assert z.leading == pytest.approx(lead, rel=1e-9)
 
 
+def test_classify_builds_each_derivative_once(monkeypatch):
+    # zeros of orders 8, 8 and 2 read Psi^(7), Psi^(8) and Psi', Psi'':
+    # Psi' .. Psi^(8) are eight derivatives, however many zeros share them
+    poly = TrigPolynomial.constant(2.0)
+    for theta0, power in ((0.5, 4), (2.5, 4), (4.5, 1)):
+        for _ in range(power):
+            poly = poly * planted_factor(theta0)
+    calls = []
+    derivative = TrigPolynomial.derivative
+    monkeypatch.setattr(TrigPolynomial, "derivative",
+                        lambda self: calls.append(self) or derivative(self))
+    cl = classify(poly)
+    assert [z.order for z in cl.zeros] == [8, 8, 2]
+    assert len(calls) <= 8
+
+
 def test_scaling_invariance_of_classification():
     for scale in (1e-6, 1.0, 1e6):
         cl = classify(_cos2() * scale)
@@ -149,7 +165,7 @@ def test_scaling_invariance_of_classification():
             assert z.leading == pytest.approx(scale, rel=1e-8)
 
 
-@pytest.mark.parametrize("c", [1e-11, 1e-9, 0.3, 1.0, 1e3])
+@pytest.mark.parametrize("c", [1e-11, 1e-9, 0.3, 1.0, 1e3, 1e300])
 def test_classification_at_symbol_scale(c):
     # every tolerance of classify scales with the symbol, so a tiny
     # c cos^2 still has its two order-2 zeros

@@ -288,6 +288,7 @@ def test_fourier_series_scalar_vector_and_grid_paths_agree(seed):
     thetas = rng.uniform(-TWO_PI, 2 * TWO_PI, size=32)
     vector = p(thetas)
     scalar = np.array([p(float(t)) for t in thetas])
+    assert all(type(p(float(t))) is float for t in thetas)
     assert np.abs(scalar - vector).max() < 1e-12 * scale
     assert np.abs(vector - _oracle(terms, thetas)).max() < 1e-11 * scale
     assert np.abs(scalar - _oracle(terms, thetas)).max() < 1e-11 * scale
