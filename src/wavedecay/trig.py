@@ -95,6 +95,9 @@ def eval_cubic_symbol(coeffs: NonlinearityCoefficients, direction: Direction) ->
     return float(np.einsum("jkl,j,k,l->", coeffs.C, w, w, w))
 
 
+_OVERFLOW = "TrigPolynomial overflows: a coefficient or its scale is not finite"
+
+
 def _from_laurent(g):
     """(a_k, b_k), k = 0..d, from the Laurent half g_k = (a_k - i b_k) / 2, g_0 = a_0."""
     a, b = 2.0 * g.real, -2.0 * g.imag
@@ -122,6 +125,8 @@ class TrigPolynomial:
             key = (int(p1), int(p2))
             merged[key] = merged.get(key, 0.0) + float(c)
         merged = {key: c for key, c in sorted(merged.items()) if c != 0.0}
+        if not all(map(math.isfinite, merged.values())):    # before inf * 0 below
+            raise ValueError(_OVERFLOW)
         d = max((p1 + p2 for p1, p2 in merged), default=0)
         g = np.zeros(2 * d + 1, dtype=complex)          # g_-d..g_d
         for (p1, p2), c in merged.items():
@@ -131,7 +136,7 @@ class TrigPolynomial:
 
     def _set(self, a, b, scale: float) -> "TrigPolynomial":
         if not (math.isfinite(scale) and np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("TrigPolynomial overflows: a coefficient or its scale is not finite")
+            raise ValueError(_OVERFLOW)
         a.flags.writeable = b.flags.writeable = False   # shared by every reader
         self.a, self.b, self.scale = a, b, float(scale)
         return self

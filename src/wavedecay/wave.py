@@ -10,13 +10,11 @@ U = (d_r - d_t)(sqrt(r) u)/2 during the run, which feeds the profile
 ODE module.
 
 The step and `energy` run over the level in row strips of about
-STRIP_CELLS cells (_row_strips), so their scratch stays in cache.  The
-checkpoint diagnostics keep nothing between calls and allocate nothing
-level-sized: `energy` sums squares of raw differences through one
-strip-sized buffer, and `check_propagation` reduces the level's runs
-of cells outside the cone where they lie, without copying.  Level-sized
-memory kept alive across calls would change glibc's malloc state, which
-perfbench's host-scale kernel reads as a different host.
+STRIP_CELLS cells (_row_strips), so their scratch stays in cache.  A
+checkpoint reads E and the leak over the live rows only and allocates
+nothing level-sized; only a writer gets its u and u_t (`stream`).
+Level-sized memory kept alive across checkpoints would change glibc's
+malloc state, which perfbench's host-scale kernel reads as another host.
 
 The step is one fused kernel (LeapfrogSolver._next) with two invariants:
 
@@ -47,6 +45,7 @@ columns back into the level.  `energy` follows the same rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -464,27 +463,31 @@ class LeapfrogSolver:
         return self.step_index * self.dt
 
 
-def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
+def energy(u: np.ndarray, u_t, h: float, dt: Optional[float] = None) -> float:
     """Discrete 0.5 * int |du|^2 dx (squared energy norm) on a grid of spacing h.
 
-    With the centered gradients written as raw differences, d_x = u[i+1, j]
-    - u[i-1, j] on interior rows and d_y = u[i, j+1] - u[i, j-1] on interior
-    columns (both are zero elsewhere),
+    u_t is the level of u_t or, given dt, the pair of levels (u(t + dt),
+    u(t - dt)) whose centered difference it is.  With the gradients as raw
+    differences, d_x = u[i+1, j] - u[i-1, j] on interior rows and d_y =
+    u[i, j+1] - u[i, j-1] on interior columns (both zero elsewhere),
 
         E^2 = h^2/2 * sum u_t^2 + 1/8 * sum (d_x^2 + d_y^2),
 
-    so no pass divides.  Each sum of squares is a read-only dot product:
-    u_t's over the whole level, the differences' strip by strip while they
-    are in cache.  The only scratch is one strip-sized buffer for the
-    differences, freed on return (see the module docstring).
+    so no pass divides.  Each sum of squares is a read-only dot product
+    taken strip by strip while it is in cache; the only scratch is one
+    strip-sized buffer, freed on return (see the module docstring).
     """
     n, m = u.shape
-    # einsum sums a strided run in another order: read a contiguous one
-    ut = np.ascontiguousarray(u_t).reshape(-1)
-    sum_t = np.einsum("i,i->", ut, ut)
-    sum_d = 0.0
+    sum_t = sum_d = 0.0
     buf = np.empty(max(STRIP_CELLS, m))         # one strip's differences
     for s0, s1 in _row_strips(0, n, m):
+        if dt is None:
+            # einsum sums a strided run in another order: read a contiguous one
+            d = np.ascontiguousarray(u_t[s0:s1]).reshape(-1)
+        else:
+            d = buf[:(s1 - s0) * m]
+            np.subtract(u_t[0][s0:s1], u_t[1][s0:s1], out=d.reshape(s1 - s0, m))
+        sum_t += np.einsum("i,i->", d, d)
         i0, i1 = max(s0, 1), min(s1, n - 1)     # rows with a d_x
         d = buf[:(i1 - i0) * m]
         np.subtract(u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1], out=d.reshape(i1 - i0, m))
@@ -498,11 +501,12 @@ def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
         rows = d.reshape(s1 - s0, m)
         rows[:, 0] = rows[:, -1] = 0.0
         sum_d += np.einsum("i,i->", d, d)
-    return float(0.5 * h * h * sum_t + 0.125 * sum_d)
+    scale = h if dt is None else 0.5 * h / dt
+    return float(0.5 * scale * scale * sum_t + 0.125 * sum_d)
 
 
-def _inside_columns(xs: np.ndarray, cone: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i, the columns [a_i, b_i) of the cells with hypot(x_i, x_j) <= cone.
+def _inside_columns(xs: np.ndarray, cone: float, rows=slice(None)) -> tuple[np.ndarray, ...]:
+    """Per row i of `rows`, the columns [a_i, b_i) of the cells with hypot(x_i, x_j) <= cone.
 
     |x_j| falls then rises along a row, so those cells are one interval.
     searchsorted on the axis for +-sqrt(cone^2 - x_i^2) places its ends to
@@ -510,7 +514,8 @@ def _inside_columns(xs: np.ndarray, cone: float) -> tuple[np.ndarray, np.ndarray
     x_j) >= |x_i|), and the hypot test of a whole-grid mask then moves each
     end a cell at a time until it sits exactly on that mask's edge.
     """
-    d = cone * cone - xs * xs
+    x_rows = xs[rows]
+    d = cone * cone - x_rows * x_rows
     half = np.sqrt(np.maximum(d, 0.0))
     a = xs.searchsorted(-half, side="left")
     b = np.where(d < 0.0, a, xs.searchsorted(half, side="right"))
@@ -518,7 +523,7 @@ def _inside_columns(xs: np.ndarray, cone: float) -> tuple[np.ndarray, np.ndarray
     x_pad = np.concatenate((xs, [np.inf]))
 
     def inside(j: np.ndarray) -> np.ndarray:
-        return np.hypot(xs, x_pad[j]) <= cone
+        return np.hypot(x_rows, x_pad[j]) <= cone
 
     # shrink first, so an end only grows from a cell that is inside
     while (move := (a < b) & ~inside(a)).any():
@@ -532,12 +537,14 @@ def _inside_columns(xs: np.ndarray, cone: float) -> tuple[np.ndarray, np.ndarray
     return a, b
 
 
-def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float) -> float:
+def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float,
+                      rows: Optional[tuple[int, int]] = None) -> float:
     """max |u| outside the slack cone |x| > slack_cone(t, reach, h); u spans [-L, L]^2.
 
-    The cells inside the cone take the columns [a_i, b_i) of row i
-    (_inside_columns), so in the flattened level the cells outside are the
-    runs between those intervals, which np.maximum.reduceat and
+    Only the rows [r0, r1) = `rows` are read when given, as they hold every
+    nonzero cell.  The cells inside the cone take the columns [a_i, b_i)
+    of row i (_inside_columns), so in the flattened rows the cells outside
+    are the runs between those intervals, which np.maximum.reduceat and
     np.minimum.reduceat read without writing.  max |u| is then max(max u,
     -min u), and a NaN outside the cone reaches the result.  0.0 when no
     cell is outside.
@@ -545,14 +552,16 @@ def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float)
     n = u.shape[0]
     if u.shape != (n, n):   # the run edges below index an n x n level
         raise ValueError(f"u must be a square level, got shape {u.shape}")
-    a, b = _inside_columns(np.linspace(-L, L, n), slack_cone(t, reach, h))
-    rows = (a < b).nonzero()[0]
-    # edges of the inside runs, between a leading 0 and a closing n^2:
+    r0, r1 = rows or (0, n)
+    a, b = _inside_columns(np.linspace(-L, L, n), slack_cone(t, reach, h), slice(r0, r1))
+    crossing = (a < b).nonzero()[0]
+    size = (r1 - r0) * n
+    # edges of the inside runs, between a leading 0 and a closing `size`:
     # consecutive pairs are then the outside runs
-    edges = np.empty(2 * rows.size + 2, dtype=np.intp)
-    edges[0], edges[-1] = 0, n * n
-    edges[1:-1:2] = rows * n + a[rows]
-    edges[2:-1:2] = rows * n + b[rows]
+    edges = np.empty(2 * crossing.size + 2, dtype=np.intp)
+    edges[0], edges[-1] = 0, size
+    edges[1:-1:2] = crossing * n + a[crossing]
+    edges[2:-1:2] = crossing * n + b[crossing]
     runs = edges.reshape(-1, 2)
     # reduceat gives an element, not an empty max, for an empty run
     runs = runs[runs[:, 0] < runs[:, 1]].reshape(-1)
@@ -560,8 +569,8 @@ def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float)
         return 0.0
     # reduceat reduces [idx[k], idx[k + 1]), the last to the end: the outside
     # runs are the even entries, and the inside cells between them the odd
-    idx = runs[:-1] if runs[-1] == n * n else runs
-    flat = u.reshape(-1)
+    idx = runs[:-1] if runs[-1] == size else runs
+    flat = u[r0:r1].reshape(-1)
     peak = np.maximum(np.maximum.reduceat(flat, idx)[::2].max(),
                       -np.minimum.reduceat(flat, idx)[::2].min())
     return float(peak) + 0.0        # + 0.0: a -0.0 reads 0.0, as |u| does
@@ -639,10 +648,8 @@ class RunResult:
 
 @dataclass
 class Checkpoint:
-    """Snapshot at time t: u, the centered u_t, and their diagnostics.
-
-    `stream` yields each with its u and u_t; `run` keeps it with both None.
-    """
+    """Snapshot at time t: its diagnostics, and u and the centered u_t only
+    while `stream` hands it to a writer (None otherwise)."""
 
     t: float
     u: Optional[np.ndarray]
@@ -652,24 +659,37 @@ class Checkpoint:
     samples: list       # per ray tap, the (t, V) taken since the previous checkpoint
 
 
-def stream(
-    cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = ()
-) -> Iterator[Checkpoint]:
+def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
+           write: Optional[Callable[[int, Checkpoint], None]] = None) -> Iterator[Checkpoint]:
     """Advance to T, yielding each checkpoint as it is made: t = 0, every
-    checkpoint_interval, and T.  Each holds its own u and u_t, and none is
-    kept after it is yielded.  Ray taps sample V(t) from the three live levels.
+    checkpoint_interval, and T.  Ray taps sample V(t) from the three live levels.
+
+    A checkpoint holds t, E, the leak and the samples.  After t = 0, E and
+    the leak are read over the live rows: the solver's box rows grown by 2
+    and clipped.  Every nonzero cell of the three levels lies in the box or
+    on a grid edge row, so the live edge rows, like every row outside, have
+    d_x = 0.  Only write(index, checkpoint), when given, sees each checkpoint
+    (index 0 is t = 0) with a copy of u and the centered u_t, which are
+    dropped when it returns.
     """
     solver = LeapfrogSolver(cfg, data)
     dt, h, L = solver.dt, solver.h, cfg.L
     nsteps = cfg.steps
     ckpt_every = max(1, int(round(cfg.checkpoint_interval / dt)))
-    half_over_dt = 0.5 / dt         # the centered u_t's scale
+    written = itertools.count()
 
-    def checkpoint(t: float, u: np.ndarray, u_t: np.ndarray, samples: list) -> Checkpoint:
-        E = math.sqrt(energy(u, u_t, h))
-        return Checkpoint(t, u, u_t, E, check_propagation(u, t, h, L, data.reach), samples)
+    def checkpoint(t: float, u: np.ndarray, E2: float, rows, samples: list, full) -> Checkpoint:
+        """The checkpoint of the level u at t; a writer sees it with (u, u_t) = full()."""
+        ckpt = Checkpoint(t, None, None, math.sqrt(E2),
+                          check_propagation(u, t, h, L, data.reach, rows), samples)
+        if write is not None:
+            ckpt.u, ckpt.u_t = full()
+            write(next(written), ckpt)
+            ckpt.u = ckpt.u_t = None
+        return ckpt
 
-    yield checkpoint(0.0, *solver.initial, [[] for _ in rays])
+    yield checkpoint(0.0, solver.initial[0], energy(*solver.initial, h), None,
+                     [[] for _ in rays], lambda: solver.initial)
     del solver.initial
     samples = [[] for _ in rays]
     for n in range(1, nsteps + 1):
@@ -687,31 +707,26 @@ def stream(
                 taken.append((t_mid, v))
         if n % ckpt_every and n != nsteps:
             continue
-        u_t = np.subtract(solver.u_cur, u_prevprev)
-        u_t *= half_over_dt
-        yield checkpoint(t_mid, solver.u_prev.copy(), u_t, samples)
+        box = solver._box
+        r0, r1 = (max(box[0] - 2, 0), min(box[1] + 2, cfg.n)) if box else (0, 0)
+        E2 = energy(solver.u_prev[r0:r1], (solver.u_cur[r0:r1], u_prevprev[r0:r1]), h, dt)
+        yield checkpoint(t_mid, solver.u_prev, E2, (r0, r1), samples,
+                         lambda: (solver.u_prev.copy(), _centered(solver.u_cur, u_prevprev, dt)))
         samples = [[] for _ in rays]
 
 
-def run(
-    cfg: SolverConfig,
-    data: InitialData,
-    rays: Sequence[RayTap] = (),
-    write: Optional[Callable[[int, Checkpoint], None]] = None,
-) -> RunResult:
-    """Every checkpoint of `stream`, its energy series and ray profiles.
+def _centered(later: np.ndarray, earlier: np.ndarray, dt: float) -> np.ndarray:
+    """u_t = (later - earlier) / (2 dt) from the levels at t + dt and t - dt."""
+    u_t = np.subtract(later, earlier)
+    u_t *= 0.5 / dt
+    return u_t
 
-    write(index, checkpoint), when given, is called on each checkpoint as
-    `stream` yields it (index 0 is t = 0).  The checkpoint then drops its
-    u and u_t, so the run holds the solver's levels and one checkpoint's,
-    and `RunResult.checkpoints` keeps only t, E, leak and samples.
-    """
-    kept = []
-    for index, ckpt in enumerate(stream(cfg, data, rays)):
-        if write is not None:
-            write(index, ckpt)
-        ckpt.u = ckpt.u_t = None
-        kept.append(ckpt)
+
+def run(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
+        write: Optional[Callable[[int, Checkpoint], None]] = None) -> RunResult:
+    """Every checkpoint of stream(cfg, data, rays, write), as t, E, the leak
+    and the samples, with its energy series and ray profiles."""
+    kept = list(stream(cfg, data, rays, write))
     profiles = {}
     for i, tap in enumerate(rays):
         taken = [s for c in kept for s in c.samples[i]]

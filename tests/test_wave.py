@@ -1,5 +1,6 @@
 """Unit tests for the 2D leapfrog solver, diagnostics, and ray taps."""
 
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -375,11 +376,12 @@ def test_plane_wave_matches_dalembert():
     data = InitialData(
         kind="custom", eps=1.0, f_grid=f(X) * window(Y), g_grid=np.zeros_like(X)
     )
-    for final in stream(cfg, data):
+    written = []
+    for final in stream(cfg, data, write=lambda i, c: written.append(c.u)):
         pass
     t = final.t
     mid = cfg.n // 2
-    u_num = final.u[:, mid]
+    u_num = written[-1][:, mid]
     u_exact = 0.5 * (f(xs - t) + f(xs + t))
     assert np.abs(u_num - u_exact).max() < 5e-3
 
@@ -450,8 +452,9 @@ def test_off_centre_data_leaks_nothing_at_t0():
     assert data.reach == 4.0 and InitialData(R=1.0).reach == 1.0
     # L = T + reach + 4h + 1, the CLI's default
     cfg = SolverConfig(h=0.25, L=2.0 + data.reach + 4 * 0.25 + 1.0, T=2.0)
-    first = next(stream(cfg, data))
-    assert first.u.max() == pytest.approx(data.eps * math.exp(-1.0))
+    written = []
+    first = next(stream(cfg, data, write=lambda i, c: written.append(c.u)))
+    assert written[0].max() == pytest.approx(data.eps * math.exp(-1.0))
     assert first.leak == 0.0
 
 
@@ -706,7 +709,7 @@ def test_run_checkpoints_keep_their_levels():
     )
     data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
     levels = _recorded_levels(cfg, data)
-    checkpoints = list(stream(cfg, data))
+    checkpoints = _written(cfg, data)
     u0, ut0 = make_initial_data(data, cfg)
     assert np.array_equal(checkpoints[0].u, u0)
     assert np.array_equal(checkpoints[0].u_t, ut0)
@@ -715,6 +718,20 @@ def test_run_checkpoints_keep_their_levels():
         k = round(snap.t / cfg.dt)
         assert np.array_equal(snap.u, levels[k])
         assert np.array_equal(snap.u_t, (levels[k + 1] - levels[k - 1]) * (0.5 / cfg.dt))
+
+
+def _written(cfg, data, rays=()):
+    """Each checkpoint of stream(cfg, data, rays) as its writer saw it, u and u_t set."""
+    written = []
+
+    def write(index, ckpt):
+        assert index == len(written)
+        written.append(dataclasses.replace(ckpt))
+
+    checkpoints = list(stream(cfg, data, rays, write))
+    assert all(c.u is None and c.u_t is None for c in checkpoints)
+    assert [c.t for c in written] == [c.t for c in checkpoints]
+    return written
 
 
 def _traced_peak(fn):
@@ -738,7 +755,8 @@ def test_stream_holds_no_field():
     rest, stream_peak = _traced_peak(lambda: [(c.E, c.leak, c.samples) for c in checkpoints])
     res, run_peak = _traced_peak(lambda: run(cfg, data, rays))
     assert len(rest) == cfg.steps == 80
-    assert stream_peak < 10 * level
+    # no writer, so no checkpoint level: E and the leak take strip-sized scratch
+    assert stream_peak < 1.1 * level
     assert run_peak < 10 * level
 
     E, leaks, samples = zip((first.E, first.leak, first.samples), *rest)
@@ -755,6 +773,37 @@ def test_stream_holds_no_field():
         assert snap.u is None and snap.u_t is None
 
 
+def _streamed_diagnostics_case(case):
+    nonlinearity = _damping_coeffs() if case == "damped" else NonlinearityCoefficients()
+    cfg = SolverConfig(h=0.25, L=8.0, T=4.0, checkpoint_interval=0.25, nonlinearity=nonlinearity)
+    if case == "g-only column 1":
+        # sharp-edged data on rows 3 .. 8 of column 1: the live rows reach the
+        # grid's edge rows after a few steps, and every cell lies outside the
+        # slack cone of reach 0
+        return cfg, _g_only_data(cfg, slice(3, 9), slice(1, 2))
+    if case == "off-centre":
+        return cfg, InitialData(R=1.0, eps=-0.1, center=(1.3, -0.7))
+    return cfg, InitialData(R=1.0, eps=0.1)
+
+
+@pytest.mark.parametrize("strip_cells", [None, 7])
+@pytest.mark.parametrize("case", ["linear", "damped", "off-centre", "g-only column 1"])
+def test_streamed_diagnostics_match_the_full_level_formulas(case, strip_cells):
+    # the stream reads E and the leak over the live rows only; on the full
+    # levels its writer sees, the formulas give E to round-off and the leak
+    # bit for bit, at every checkpoint from t = 0 on
+    cfg, data = _streamed_diagnostics_case(case)
+    with mock.patch.object(wave, "STRIP_CELLS", strip_cells or wave.STRIP_CELLS):
+        checkpoints = _written(cfg, data)
+    assert len(checkpoints) == 17
+    for c in checkpoints:
+        E = math.sqrt(energy(c.u, c.u_t, cfg.h_eff))
+        assert abs(c.E - E) <= 1e-14 * E
+        leak = check_propagation(c.u, c.t, cfg.h_eff, cfg.L, data.reach)
+        assert np.float64(c.leak).tobytes() == np.float64(leak).tobytes()
+    assert any(c.leak > 0.0 for c in checkpoints)
+
+
 def test_run_hands_each_checkpoint_to_its_writer_and_keeps_the_floats():
     cfg = SolverConfig(
         h=0.25, L=8.0, T=3.0, nonlinearity=_damping_coeffs(), checkpoint_interval=0.5
@@ -763,7 +812,7 @@ def test_run_hands_each_checkpoint_to_its_writer_and_keeps_the_floats():
     rays = [RayTap(sigma=0.0, omega=Direction(1.0, 0.0), stride=1)]
     written = []
     res = run(cfg, data, rays, write=lambda i, c: written.append((i, c.t, c.u, c.u_t)))
-    full = list(stream(cfg, data, rays))
+    full = _written(cfg, data, rays)
     assert [i for i, *_ in written] == list(range(len(full))) == list(range(7))
     for (_, t, u, u_t), kept, c in zip(written, res.checkpoints, full):
         assert t == c.t and np.array_equal(u, c.u) and np.array_equal(u_t, c.u_t)
@@ -779,9 +828,10 @@ def test_stream_drops_the_initial_data():
     # once the t = 0 checkpoint is out, the stream keeps neither of its levels
     cfg = SolverConfig(h=0.5, L=6.0, T=2.0)
     data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
-    checkpoints = stream(cfg, data)
+    refs = []
+    checkpoints = stream(cfg, data, write=lambda i, c: refs.extend(map(weakref.ref, (c.u, c.u_t))))
     first = next(checkpoints)
-    refs = [weakref.ref(first.u), weakref.ref(first.u_t)]
+    assert len(refs) == 2 and all(r() is not None for r in refs)
     del first
     next(checkpoints)
     assert all(r() is None for r in refs)
