@@ -18,13 +18,13 @@ malloc state, which perfbench's host-scale kernel reads as another host.
 
 The step is one fused kernel (LeapfrogSolver._next) with two invariants:
 
-* it updates only the discrete domain of dependence: the bounding box
-  of the nonzero cells of the two starting levels, grown by one cell
-  per step and clipped to the interior.  Both stencils have radius 1
-  and F(0) = 0, so every cell outside the box is exactly zero.
-* it runs over the box in row strips of about STRIP_CELLS cells, each
-  taken through the stencil and both fixed-point sweeps while its
-  scratch arrays are in cache.
+* it updates only the discrete domain of dependence: per row, the column
+  interval of the starting levels' nonzero cells, dilated by the cross
+  one cell per step and clipped to the interior.  Both stencils are that
+  radius-1 cross and F(0) = 0, so every cell outside is exactly zero.
+* it runs over those rows in strips of about STRIP_CELLS cells, each as
+  wide as the union of its rows' intervals and taken through the stencil
+  and both fixed-point sweeps while its scratch arrays are in cache.
 
 The step folds 1/h^2, 1/dt and dt^2 into per-solver constants, so no
 strip pass divides: unew = lam (N + S + E + W) + (2 - 4 lam) uc - up +
@@ -39,8 +39,8 @@ copied with a one-cell halo into a tile, a contiguous array W = width + 2
 cells wide, so the stencil neighbours of a cell are flat slices 1 (west,
 east) and W (north, south) away.  The two pad columns at each row's ends
 compute garbage from the neighbouring rows; the new strip's pads are
-zeroed before its peak is taken, and one strided copy writes its real
-columns back into the level.  `energy` follows the same rule.
+zeroed before its sum of squares, which screens the blow-up guard, is
+taken, and one strided copy writes its real columns back into the level.  `energy` follows the same rule.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ from .trig import Direction, NonlinearityCoefficients
 
 BLOWUP_GUARD = 1e10
 PROPAGATION_SLACK_CELLS = 4
+_EMPTY = 1 << 62    # an empty row is [_EMPTY, -_EMPTY): growth never closes it
+# A float sum of squares is never below one of its terms, so a level whose
+# sum is within this has every |u| within BLOWUP_GUARD (NaN is not within).
+_GUARD_SCREEN = (0.5 * BLOWUP_GUARD) ** 2
 # Cells in one row strip of the fused step and of `energy`.  A
 # strip's scratch arrays (128 kB each) stay in cache, where a numpy ufunc
 # costs ~0.4 ns per element against ~1.3 ns on a whole 401^2 level.
@@ -267,14 +271,16 @@ def _folded_terms(coeffs: NonlinearityCoefficients, dt: float, h: float) -> tupl
     return tuple(sweeps)
 
 
-def _nonzero_box(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int, int, int]]:
-    """(r0, r1, c0, c1) bounding the nonzero cells of a and b; None if both are 0."""
+def _row_hulls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, the columns [lo_i, hi_i) from the first to the last nonzero
+    cell of a or b; [_EMPTY, -_EMPTY) on a row where both are 0."""
     nonzero = (a != 0.0) | (b != 0.0)
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    if not rows.size:
-        return None
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    # row by row: argmax over a reversed view would copy the whole mask
+    lo, hi = np.full(len(a), _EMPTY), np.full(len(a), -_EMPTY)
+    for i in np.flatnonzero(nonzero.any(axis=1)):
+        cols = np.flatnonzero(nonzero[i])
+        lo[i], hi[i] = cols[0], cols[-1] + 1
+    return lo, hi
 
 
 class LeapfrogSolver:
@@ -289,28 +295,32 @@ class LeapfrogSolver:
 
     Invariants of the fused step:
 
-    * box: `_box` = (r0, r1, c0, c1) holds every nonzero cell of `u_cur`
-      and every interior nonzero cell of `u_prev`; None when both are
-      zero.  `_next` updates only the box grown by one cell and clipped
-      to the interior [1, n-1), and that region is the next `_box`.
-    * outside the updated region the output buffer is zero: it holds
-      the level before `u_prev`, whose interior support lies in a
-      smaller box, and its boundary ring is zeroed on every step.
-    * strips: the region is updated in row strips of about STRIP_CELLS
-      cells, each taken through the stencil, the differences d_x, d_y
-      (only when F has a spatial factor) and both fixed-point sweeps
-      before the next strip starts.
+    * intervals: `_intervals` = (a, b), two intp arrays of length n; row
+      i's columns [a_i, b_i) hold its nonzero cells of `u_cur` and its
+      interior ones of `u_prev` (a_i >= b_i: none).  `_next` updates
+      their dilation by the cross (`_grown`), and that is the next
+      `_intervals`.
+    * outside the updated intervals the output buffer is zero: it holds
+      the level before `u_prev`, whose interior support lies in smaller
+      intervals, and its boundary ring is zeroed on every step.
+    * strips: the rows from the first to the last non-empty interval are
+      updated in row strips of about STRIP_CELLS cells of the intervals'
+      bounding width, each taken through the stencil, the differences
+      d_x, d_y (only when F has a spatial factor) and both fixed-point
+      sweeps before the next strip starts.  A strip of empty rows is skipped.
     * constants: lam, 2 - 4 lam and each sweep's kappa are computed once,
       here; no strip pass divides, and every cfl takes the same path.
-    * tiles: a strip [s0, s1) of the region (r0, r1, c0, c1) is worked on
-      in contiguous copies W = c1 - c0 + 2 columns wide.  `_tile` holds
-      u_cur[s0-1:s1+1, c0-1:c1+1], the strip with its halo rows and pad
-      columns; `up` holds u_prev[s0:s1, c0-1:c1+1], which a nonlinear step
-      reads three times.  All arithmetic runs on flat slices of these,
+    * tiles: a strip [s0, s1) whose rows' intervals have the union
+      [c0, c1) is worked on in contiguous copies W = c1 - c0 + 2 columns
+      wide (a cell outside its row's interval computes +0.0).  `_tile`
+      holds u_cur[s0-1:s1+1, c0-1:c1+1], the strip with its halo rows and
+      pad columns; `up` holds u_prev[s0:s1, c0-1:c1+1], which a nonlinear
+      step reads three times.  All arithmetic runs on flat slices of these,
       the new strip is built in `unew`, its pad columns are zeroed, its
-      peak is read as max and -min, and `out[s0:s1, c0:c1]` takes its
-      real columns in one copy.  The scratch is strip-sized and made
-      once, here; nothing level-sized is kept beyond the three levels.
+      sum of squares is taken, and `out[s0:s1, c0:c1]` takes its real
+      columns in one copy.  A level whose sum fails _GUARD_SCREEN goes to
+      `_guard`.  The scratch is strip-sized and made once, here; nothing
+      level-sized is kept beyond the three levels.
     """
 
     def __init__(self, cfg: SolverConfig, data: InitialData):
@@ -326,10 +336,10 @@ class LeapfrogSolver:
         self._gradient_terms = any(any(index) for _, index in self._sweeps[0])
         self.initial = (u, u_t)          # the data at t = 0, for stream()
         # u + 0.0, not a copy: a -0.0 cell of u (eps < 0 off the support)
-        # becomes the +0.0 that a full-grid step leaves outside the box
+        # becomes the +0.0 that a full-grid step leaves outside the intervals
         self.u_prev, self.u_cur = u + 0.0, self._taylor_level(u, u_t)
         for k, level in enumerate((self.u_prev, self.u_cur)):
-            self._guard(max(float(level.max()), -float(level.min())), k)
+            self._guard(level, k)
         self._spare = np.zeros_like(u)
         n = u.shape[0]
         # a strip is STRIP_CELLS cells, or one row when a row is longer.
@@ -339,17 +349,17 @@ class LeapfrogSolver:
         # process.  The tile holds a strip and its two halo rows.
         cells = max(STRIP_CELLS, n)
         self._tile = np.empty(cells + 2 * n)
-        roles = ["up", "unew", "tmp"]
-        if not self.linear:
-            roles += ["base", "ut", "rhs"]
-        if self._gradient_terms:
-            roles += ["ux", "uy"]
-        self._scratch = {role: np.empty(cells) for role in roles}
-        self._box = _nonzero_box(self.u_prev, self.u_cur)
+        # up, unew, tmp, base, ut, rhs, ux, uy: None for a role the solver
+        # does not use (base, ut, rhs on a linear step; ux, uy without d_x, d_y)
+        used = (True,) * 3 + (not self.linear,) * 3 + (self._gradient_terms,) * 2
+        self._scratch = [np.empty(cells) if on else None for on in used]
+        self._intervals = _row_hulls(self.u_prev, self.u_cur)
         self.step_index = 1          # u_cur lives at t = step_index * dt
 
-    def _guard(self, maxu: float, step_index: int) -> None:
-        """Raise BlowUpError unless a level's max |u| is finite and within BLOWUP_GUARD."""
+    def _guard(self, level: np.ndarray, step_index: int) -> None:
+        """Raise BlowUpError unless the level's max |u| is finite and within BLOWUP_GUARD."""
+        # max and -min, not abs: read-only, and a NaN reaches both
+        maxu = max(float(level.max()), -float(level.min()))
         if not maxu <= BLOWUP_GUARD:
             raise BlowUpError(step_index * self.dt, maxu)
 
@@ -374,16 +384,19 @@ class LeapfrogSolver:
         u[0, :] = u[-1, :] = 0.0
         u[:, 0] = u[:, -1] = 0.0
 
-    def _region(self) -> Optional[tuple[int, int, int, int]]:
-        """The box grown by one cell, clipped to the interior."""
-        if self._box is None:
-            return None
-        r0, r1, c0, c1 = self._box
-        n = self.u_cur.shape[0]
-        return max(r0 - 1, 1), min(r1 + 1, n - 1), max(c0 - 1, 1), min(c1 + 1, n - 1)
+    def _grown(self) -> tuple[np.ndarray, np.ndarray]:
+        """The intervals dilated by the cross, a'_i = min(a_{i-1}, a_i - 1, a_{i+1})
+        and b'_i = max(b_{i-1}, b_i + 1, b_{i+1}), clipped to the interior."""
+        a, b = self._intervals
+        n = a.size
+        grown = np.full(n, _EMPTY), np.full(n, -_EMPTY)     # rows 0 and n-1 stay empty
+        lo, hi = grown[0][1:-1], grown[1][1:-1]
+        np.maximum(np.minimum(np.minimum(a[:-2], a[2:], out=lo), a[1:-1] - 1, out=lo), 1, out=lo)
+        np.minimum(np.maximum(np.maximum(b[:-2], b[2:], out=hi), b[1:-1] + 1, out=hi), n - 1, out=hi)
+        return grown
 
-    def _next(self) -> tuple[np.ndarray, float]:
-        """The next level, written into the spare buffer, and its max |u|.
+    def _next(self, intervals: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, float]:
+        """The next level over `intervals` in the spare buffer, and its sum of squares.
 
         unew = lam (N + S + E + W) + (2 - 4 lam) uc - up, plus on a
         nonlinear step sum kappa * prod d over F's terms with d_x = S - N,
@@ -392,24 +405,29 @@ class LeapfrogSolver:
         """
         out = self._spare
         self._zero_boundary(out)
-        region = self._region()
-        if region is None:
+        a, b = intervals
+        live = np.flatnonzero(a < b)            # the rows of non-empty intervals
+        if not live.size:
             return out, 0.0
-        r0, r1, c0, c1 = region
-        W = c1 - c0 + 2                 # tile width: the region's columns and two pads
+        r0, r1 = int(live[0]), int(live[-1]) + 1
+        strips = list(_row_strips(r0, r1, int(b.max() - a.min()) + 2))
+        # per strip, the union [c0, c1) of its rows' intervals
+        starts = [s0 for s0, _ in strips]
+        unions = zip(np.minimum.reduceat(a[:r1], starts).tolist(),
+                     np.maximum.reduceat(b[:r1], starts).tolist())
         lam, centre = self._stencil
-        peak, size = 0.0, 0
+        sumsq, shape = 0.0, None
         with np.errstate(over="ignore", invalid="ignore"):
-            for s0, s1 in _row_strips(r0, r1, W):
-                rows = s1 - s0
+            for (s0, s1), (c0, c1) in zip(strips, unions):
+                if c0 >= c1:            # every row of the strip is empty
+                    continue
+                rows, W = s1 - s0, c1 - c0 + 2      # W: the union's columns and two pads
                 cells = rows * W
-                if cells != size:       # the first strip, and a shorter last one
-                    size = cells
-                    strip = {role: buf[:cells] for role, buf in self._scratch.items()}
-                    # None for the roles a solver does not use
-                    up, unew, tmp, ut, rhs, ux, uy = map(
-                        strip.get, ("up", "unew", "tmp", "ut", "rhs", "ux", "uy"))
-                    base = strip.get("base", unew)      # a linear step builds unew
+                if (rows, W) != shape:
+                    shape = rows, W
+                    up, unew, tmp, base, ut, rhs, ux, uy = [
+                        None if buf is None else buf[:cells] for buf in self._scratch]
+                    base = unew if base is None else base   # a linear step builds unew
                     tile = self._tile[:cells + 2 * W]
                     # cell k of the strip is tile[W + k]; its neighbours are
                     # W away (north, south) and 1 away (west, east)
@@ -434,10 +452,9 @@ class LeapfrogSolver:
                         np.add(base, rhs, out=unew)
                 grid = unew.reshape(rows, W)
                 grid[:, 0] = grid[:, -1] = 0.0          # the pad columns' garbage
-                # max and -min, not abs: read-only, and a NaN still reaches the guard
-                peak = np.maximum(peak, np.maximum(unew.max(), -unew.min()))
+                sumsq += np.dot(unew, unew)
                 out[s0:s1, c0:c1] = grid[:, 1:-1]
-        return out, float(peak)
+        return out, float(sumsq)
 
     @staticmethod
     def _force_into(out: np.ndarray, d: tuple, tmp: np.ndarray, terms: list) -> None:
@@ -452,10 +469,12 @@ class LeapfrogSolver:
                 out += tmp
 
     def advance(self) -> None:
-        unew, m = self._next()
-        self._guard(m, self.step_index + 1)
+        intervals = self._grown()
+        unew, sumsq = self._next(intervals)
+        if not sumsq <= _GUARD_SCREEN:
+            self._guard(unew, self.step_index + 1)
         self._spare, self.u_prev, self.u_cur = self.u_prev, self.u_cur, unew
-        self._box = self._region()
+        self._intervals = intervals
         self.step_index += 1
 
     @property
@@ -665,12 +684,13 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
     checkpoint_interval, and T.  Ray taps sample V(t) from the three live levels.
 
     A checkpoint holds t, E, the leak and the samples.  After t = 0, E and
-    the leak are read over the live rows: the solver's box rows grown by 2
-    and clipped.  Every nonzero cell of the three levels lies in the box or
-    on a grid edge row, so the live edge rows, like every row outside, have
-    d_x = 0.  Only write(index, checkpoint), when given, sees each checkpoint
-    (index 0 is t = 0) with a copy of u and the centered u_t, which are
-    dropped when it returns.
+    the leak are read over the live rows: the first to the last row with a
+    non-empty solver interval, grown by 2 and clipped.  Every nonzero cell
+    of the three levels lies in the intervals or on a grid edge row, so the
+    live edge rows, like every row outside, have d_x = 0.  Only
+    write(index, checkpoint), when given, sees each checkpoint (index 0 is
+    t = 0) with a copy of u and the centered u_t, which are dropped when it
+    returns.
     """
     solver = LeapfrogSolver(cfg, data)
     dt, h, L = solver.dt, solver.h, cfg.L
@@ -707,8 +727,8 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
                 taken.append((t_mid, v))
         if n % ckpt_every and n != nsteps:
             continue
-        box = solver._box
-        r0, r1 = (max(box[0] - 2, 0), min(box[1] + 2, cfg.n)) if box else (0, 0)
+        live = np.flatnonzero(np.less(*solver._intervals))
+        r0, r1 = (max(live[0] - 2, 0), min(live[-1] + 3, cfg.n)) if live.size else (0, 0)
         E2 = energy(solver.u_prev[r0:r1], (solver.u_cur[r0:r1], u_prevprev[r0:r1]), h, dt)
         yield checkpoint(t_mid, solver.u_prev, E2, (r0, r1), samples,
                          lambda: (solver.u_prev.copy(), _centered(solver.u_cur, u_prevprev, dt)))

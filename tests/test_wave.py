@@ -512,12 +512,47 @@ def _random_tensor(rng, shape, density):
     return np.where(keep, rng.uniform(-1.0, 1.0, shape), 0.0)
 
 
+# supports whose row intervals are not a box: rows shared by two blobs,
+# empty rows between two blobs, one cell per row, and boundary-row data
+SHAPED_SUPPORTS = ["two blobs sharing rows", "two blobs apart", "diagonal", "row 0 and column 1"]
+
+
+def _support(rng, n, edge):
+    """A random mask of data cells on an n x n grid, n >= 17: an off-centre
+    rectangle, possibly on row 1, column 1 or the boundary ring itself
+    (`edge` "row 1", "column 1", "row 0" or "free"), or one of
+    SHAPED_SUPPORTS, which keep off columns 0 and n - 1."""
+    mask = np.zeros((n, n), bool)
+
+    def rect(r0, c0):
+        mask[r0:r0 + int(rng.integers(1, 6)), c0:c0 + int(rng.integers(1, 6))] = True
+
+    r0, c0 = (int(v) for v in rng.integers(0, n - 4, size=2))
+    if edge in ("row 1", "column 1", "row 0", "free"):
+        rect({"row 1": 1, "row 0": 0}.get(edge, r0), 1 if edge == "column 1" else c0)
+        return mask
+    r0, c0 = (int(v) for v in rng.integers(1, n - 6, size=2))
+    if edge == "two blobs sharing rows":
+        rect(r0, int(rng.integers(1, 4)))
+        rect(r0, n - 6)
+    elif edge == "two blobs apart":         # rows 1 .. 7, then 10 .. n - 2
+        rect(int(rng.integers(1, 4)), c0)
+        rect(int(rng.integers(10, n - 6)), int(rng.integers(1, n - 6)))
+    elif edge == "diagonal":
+        k = np.arange(int(rng.integers(3, n - 6)))
+        mask[int(rng.integers(1, 5)) + k, int(rng.integers(1, 5)) + k] = True
+    else:
+        rect(0, c0)
+        mask[r0:r0 + int(rng.integers(1, 6)), 1] = True
+    return mask
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     kind=st.sampled_from(["single C000", "random", "linear"]),
     zero_data=st.booleans(),
-    edge=st.sampled_from(["row 1", "column 1", "row 0", "free"]),
+    edge=st.sampled_from(["row 1", "column 1", "row 0", "free", *SHAPED_SUPPORTS]),
     strip_rows=st.sampled_from([1, 3, None]),
     cfl=st.sampled_from([0.5, 0.3]),
 )
@@ -534,16 +569,9 @@ def test_fused_step_matches_full_grid_step(seed, kind, zero_data, edge, strip_ro
         h=0.5, L=5.0, T=1.0, cfl=cfl, nonlinearity=NonlinearityCoefficients(B=B, C=C)
     )
     n = cfg.n
-    # off-centre rectangular support, possibly on row/column 1 or on the
-    # boundary ring itself
-    r0, c0 = (int(v) for v in rng.integers(0, n - 4, size=2))
-    r0 = {"row 1": 1, "row 0": 0}.get(edge, r0)
-    c0 = 1 if edge == "column 1" else c0
-    r1, c1 = r0 + int(rng.integers(1, 6)), c0 + int(rng.integers(1, 6))
-    f, g = np.zeros((n, n)), np.zeros((n, n))
-    if not zero_data:
-        f[r0:r1, c0:c1] = rng.uniform(-0.1, 0.1, (r1 - r0, c1 - c0))
-        g[r0:r1, c0:c1] = rng.uniform(-0.1, 0.1, (r1 - r0, c1 - c0))
+    # off-centre support, possibly on row/column 1 or on the boundary ring itself
+    mask = _support(rng, n, edge) & (not zero_data)
+    f, g = (np.where(mask, rng.uniform(-0.1, 0.1, (n, n)), 0.0) for _ in range(2))
     data = InitialData(kind="custom", eps=1.0, f_grid=f, g_grid=g)
     strip_cells = wave.STRIP_CELLS if strip_rows is None else strip_rows * n
     with mock.patch.object(wave, "STRIP_CELLS", strip_cells):
@@ -561,6 +589,57 @@ def _check_steps(cfg, data, steps):
         u_prev, u_cur = u_cur, _full_grid_next(cfg, u_prev, u_cur)
         assert solver.u_cur.tobytes() == u_cur.tobytes()
     return solver
+
+
+def _row_hulls_of(mask):
+    """Per row, [first, last + 1) of its True cells by a plain loop; None on a row with none."""
+    hulls = []
+    for row in mask:
+        cols = np.flatnonzero(row)
+        hulls.append((int(cols[0]), int(cols[-1]) + 1) if cols.size else None)
+    return hulls
+
+
+def _intervals_of(solver):
+    a, b = solver._intervals
+    return [(int(lo), int(hi)) if lo < hi else None for lo, hi in zip(a, b)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    edge=st.sampled_from(SHAPED_SUPPORTS),
+    damped=st.booleans(),
+)
+def test_intervals_are_the_dilated_row_hulls(seed, edge, damped):
+    # the intervals hold every nonzero cell of u_cur, and they are exactly the
+    # row hulls of the starting levels' nonzero mask dilated by the cross one
+    # cell per step, its boundary ring cleared as the step clears it.  (Data
+    # on column 0 or n - 1 can leave an interval wider than that: the clip
+    # keeps the column next to it.  These supports keep off those columns.)
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig(h=0.5, L=5.0, T=1.0,
+                       nonlinearity=_damping_coeffs() if damped else NonlinearityCoefficients())
+    n = cfg.n
+    mask = _support(rng, n, edge)
+    f, g = (np.where(mask, rng.uniform(-0.1, 0.1, (n, n)), 0.0) for _ in range(2))
+    solver = LeapfrogSolver(cfg, InitialData(kind="custom", eps=1.0, f_grid=f, g_grid=g))
+    reach = (solver.u_prev != 0.0) | (solver.u_cur != 0.0)
+    for _ in range(8):
+        intervals = _intervals_of(solver)
+        assert intervals == _row_hulls_of(reach)
+        inside = np.zeros((n, n), bool)
+        for row, hull in zip(inside, intervals):
+            row[slice(*hull or (0, 0))] = True
+        assert not np.any((solver.u_cur != 0.0) & ~inside)
+        solver.advance()
+        grown = reach.copy()
+        grown[1:] |= reach[:-1]
+        grown[:-1] |= reach[1:]
+        grown[:, 1:] |= reach[:, :-1]
+        grown[:, :-1] |= reach[:, 1:]
+        grown[0, :] = grown[-1, :] = grown[:, 0] = grown[:, -1] = False
+        reach = grown
 
 
 @settings(max_examples=30, deadline=None)
@@ -671,7 +750,9 @@ def _check_tile_kernel(cfg, place, strip_cells):
     cells = wave.STRIP_CELLS if strip_cells is None else strip_cells
     with mock.patch.object(wave, "STRIP_CELLS", cells):
         solver = LeapfrogSolver(cfg, data)
-        assert solver._box == (rows.start, rows.stop, cols.start, cols.stop)
+        want = [(cols.start, cols.stop) if rows.start <= i < rows.stop else None
+                for i in range(n)]
+        assert _intervals_of(solver) == want
         _check_steps(cfg, data, 12)
 
 
@@ -679,7 +760,7 @@ def _check_tile_kernel(cfg, place, strip_cells):
 @pytest.mark.parametrize("damped", [False, True])
 def test_non_finite_cell_raises_through_the_peak(bad, damped):
     # u_prev = +-inf on one cell gives -+inf there and no NaN on a linear
-    # step, so both max and -min of the strip are read
+    # step, so both max and -min of the level are read
     cfg = SolverConfig(
         h=0.5, L=5.0, T=1.0,
         nonlinearity=_damping_coeffs() if damped else NonlinearityCoefficients(),
@@ -691,6 +772,34 @@ def test_non_finite_cell_raises_through_the_peak(bad, damped):
         solver.advance()
     assert err.value.t == 3 * cfg.dt
     assert not err.value.maxu <= wave.BLOWUP_GUARD
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("damped", [False, True])
+def test_guard_screen_passes_a_large_sum_and_raises_on_one_cell(sign, damped):
+    # u_cur = 0 and u_prev = -v on the interior make the next level v there,
+    # bit for bit: the damped solver's F = -c u_t^3 has c so small that its
+    # force on a cell of 1e10 is below the cell's last bit
+    C = np.zeros((3, 3, 3))
+    C[0, 0, 0] = -2.0 ** -200 if damped else 0.0
+    cfg = SolverConfig(h=0.5, L=5.0, T=1.0, nonlinearity=NonlinearityCoefficients(C=C))
+    n = cfg.n
+    interior = (slice(1, n - 1), slice(1, n - 1))
+    solver = LeapfrogSolver(cfg, _g_only_data(cfg, *interior))
+    solver.u_cur[:] = 0.0
+    solver.u_prev[interior] = -sign * wave.BLOWUP_GUARD
+    with mock.patch.object(solver, "_guard", wraps=solver._guard) as guard:
+        solver.advance()
+    # 361 cells of 1e10: the sum of squares fails the screen, the exact max passes
+    guard.assert_called_once()
+    assert np.all(solver.u_cur[interior] == sign * wave.BLOWUP_GUARD)
+    solver.u_cur[:] = 0.0
+    solver.u_prev[:] = 0.0
+    solver.u_prev[n // 2, 3] = -sign * 1.5e10
+    with pytest.raises(BlowUpError) as err:
+        solver.advance()
+    assert err.value.maxu == 1.5e10
+    assert err.value.t == 3 * cfg.dt
 
 
 def _recorded_levels(cfg, data):
@@ -783,11 +892,20 @@ def _streamed_diagnostics_case(case):
         return cfg, _g_only_data(cfg, slice(3, 9), slice(1, 2))
     if case == "off-centre":
         return cfg, InitialData(R=1.0, eps=-0.1, center=(1.3, -0.7))
+    if case == "two blobs apart":
+        # the starting levels hold rows 18 .. 26 and 38 .. 46, 11 empty rows
+        # apart: the gap closes in 6 steps, so the t = 0.25 and 0.5 checkpoints
+        # take live rows across it, and one-row strips inside it are empty
+        f, g = (sum(grids) for grids in zip(*(
+            make_initial_data(InitialData(R=1.0, eps=0.1, center=(x, 0.3)), cfg)
+            for x in (-2.5, 2.5))))
+        return cfg, InitialData(kind="custom", eps=1.0, f_grid=f, g_grid=g)
     return cfg, InitialData(R=1.0, eps=0.1)
 
 
 @pytest.mark.parametrize("strip_cells", [None, 7])
-@pytest.mark.parametrize("case", ["linear", "damped", "off-centre", "g-only column 1"])
+@pytest.mark.parametrize("case", ["linear", "damped", "off-centre", "g-only column 1",
+                                  "two blobs apart"])
 def test_streamed_diagnostics_match_the_full_level_formulas(case, strip_cells):
     # the stream reads E and the leak over the live rows only; on the full
     # levels its writer sees, the formulas give E to round-off and the leak
