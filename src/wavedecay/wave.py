@@ -15,6 +15,8 @@ checkpoint reads E and the leak over the live rows only and allocates
 nothing level-sized; only a writer gets its u and u_t (`stream`).
 Level-sized memory kept alive across checkpoints would change glibc's
 malloc state, which perfbench's host-scale kernel reads as another host.
+Set-up works in the data's support box (make_initial_data, _taylor_level),
+so building a solver makes no level-sized temporary beyond what it keeps.
 
 The step is one fused kernel (LeapfrogSolver._next) with two invariants:
 
@@ -68,12 +70,13 @@ _GUARD_SCREEN = (0.5 * BLOWUP_GUARD) ** 2
 STRIP_CELLS = 16384
 
 
-def _row_strips(r0: int, r1: int, width: int) -> Iterator[tuple[int, int]]:
+def _row_strips(r0: int, r1: int, width: int) -> tuple[np.ndarray, Iterator[tuple[int, int]]]:
     """Row ranges [s0, s1) that cover [r0, r1) in strips of about STRIP_CELLS
-    cells of a `width`-column region, or one row when a row is longer."""
-    step_rows = max(1, STRIP_CELLS // width)
-    for s0 in range(r0, r1, step_rows):
-        yield s0, min(s0 + step_rows, r1)
+    cells of a `width`-column region, or one row when a row is longer, and
+    their s0 as an intp array."""
+    starts = np.arange(r0, r1, max(1, STRIP_CELLS // width), dtype=np.intp)
+    edges = starts.tolist() + [r1]
+    return starts, zip(edges, edges[1:])
 
 
 def slack_cone(t: float, reach: float, h: float) -> float:
@@ -193,7 +196,8 @@ class EnergySeries:
 
 def make_initial_data(data: InitialData, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """(u, u_t) at t = 0 on the solver grid: the bump exp(-1/(1-rho^2)), 0 where
-    rho^2 = |x - center|^2 / R^2 >= 1, and its d1, evaluated under one mask."""
+    rho^2 = |x - center|^2 / R^2 >= 1, and its d1, evaluated under one mask
+    on the support's bounding box only."""
     xs = cfg.axis()
     shape = (xs.size, xs.size)
     if data.kind == "custom":
@@ -204,17 +208,27 @@ def make_initial_data(data: InitialData, cfg: SolverConfig) -> tuple[np.ndarray,
         return data.eps * f, data.eps * g
     cx, cy = data.center
     R2 = data.R * data.R
-    dx = xs[:, None] - cx
-    rho2 = (dx ** 2 + (xs[None, :] - cy) ** 2) / R2
+    # the box of the support: a float rho^2 is never below either axis term
+    box = tuple(_span((xs - c) ** 2 / R2 < 1.0, 0) for c in (cx, cy))
+    dx = xs[box[0], None] - cx
+    rho2 = (dx ** 2 + (xs[None, box[1]] - cy) ** 2) / R2
     inside = rho2 < 1.0
     gap = 1.0 - rho2[inside]
-    f, dbump = np.zeros(shape), np.zeros(shape)
+    # eps * f and eps * g with f = 0 and g = -dbump = -0.0 off the support
+    u, u_t = np.full(shape, data.eps * 0.0), np.full(shape, data.eps * -0.0)
     bump = np.exp(-1.0 / gap)           # on the support only
     if data.kind == "smooth_bump":      # deriv_bump is g-only data
-        f[inside] = bump
-    dbump[inside] = bump * (-2.0 * np.broadcast_to(dx, shape)[inside] / R2) / gap ** 2
-    # g = -dbump over the whole level, so u_t is -0.0 outside the support
-    return data.eps * f, data.eps * -dbump
+        u[box][inside] = data.eps * bump
+    dbump = bump * (-2.0 * np.broadcast_to(dx, rho2.shape)[inside] / R2) / gap ** 2
+    u_t[box][inside] = data.eps * -dbump
+    return u, u_t
+
+
+def _span(flags: np.ndarray, grow: int) -> slice:
+    """First to last True flag grown by `grow` and clipped; empty if none is True."""
+    on = np.flatnonzero(flags)
+    ends = (int(on[0]) - grow, int(on[-1]) + 1 + grow) if on.size else (0, 0)
+    return slice(max(ends[0], 0), min(ends[1], flags.size))
 
 
 def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
@@ -271,15 +285,17 @@ def _folded_terms(coeffs: NonlinearityCoefficients, dt: float, h: float) -> tupl
     return tuple(sweeps)
 
 
-def _row_hulls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_hulls(a: np.ndarray, b: np.ndarray, box: tuple[slice, slice]) -> tuple[np.ndarray, ...]:
     """Per row i, the columns [lo_i, hi_i) from the first to the last nonzero
-    cell of a or b; [_EMPTY, -_EMPTY) on a row where both are 0."""
-    nonzero = (a != 0.0) | (b != 0.0)
+    cell of a or b, all of which lie in `box`; [_EMPTY, -_EMPTY) on a row
+    where both are 0."""
+    rows, cols = box
+    nonzero = (a[box] != 0.0) | (b[box] != 0.0)
     # row by row: argmax over a reversed view would copy the whole mask
     lo, hi = np.full(len(a), _EMPTY), np.full(len(a), -_EMPTY)
     for i in np.flatnonzero(nonzero.any(axis=1)):
-        cols = np.flatnonzero(nonzero[i])
-        lo[i], hi[i] = cols[0], cols[-1] + 1
+        on = np.flatnonzero(nonzero[i]) + cols.start
+        lo[rows.start + i], hi[rows.start + i] = on[0], on[-1] + 1
     return lo, hi
 
 
@@ -295,11 +311,13 @@ class LeapfrogSolver:
 
     Invariants of the fused step:
 
+    * set-up: the level at t = dt and the first intervals are computed in
+      the data's support box (`_taylor_level`), outside which the level is +0.0.
     * intervals: `_intervals` = (a, b), two intp arrays of length n; row
       i's columns [a_i, b_i) hold its nonzero cells of `u_cur` and its
       interior ones of `u_prev` (a_i >= b_i: none).  `_next` updates
-      their dilation by the cross (`_grown`), and that is the next
-      `_intervals`.
+      their dilation by the cross (`_grown`, into the spare pair
+      `_spare_intervals`), and that is the next `_intervals`.
     * outside the updated intervals the output buffer is zero: it holds
       the level before `u_prev`, whose interior support lies in smaller
       intervals, and its boundary ring is zeroed on every step.
@@ -337,7 +355,8 @@ class LeapfrogSolver:
         self.initial = (u, u_t)          # the data at t = 0, for stream()
         # u + 0.0, not a copy: a -0.0 cell of u (eps < 0 off the support)
         # becomes the +0.0 that a full-grid step leaves outside the intervals
-        self.u_prev, self.u_cur = u + 0.0, self._taylor_level(u, u_t)
+        self.u_prev = u + 0.0
+        self.u_cur, box = self._taylor_level(u, u_t)
         for k, level in enumerate((self.u_prev, self.u_cur)):
             self._guard(level, k)
         self._spare = np.zeros_like(u)
@@ -353,7 +372,9 @@ class LeapfrogSolver:
         # does not use (base, ut, rhs on a linear step; ux, uy without d_x, d_y)
         used = (True,) * 3 + (not self.linear,) * 3 + (self._gradient_terms,) * 2
         self._scratch = [np.empty(cells) if on else None for on in used]
-        self._intervals = _row_hulls(self.u_prev, self.u_cur)
+        self._intervals = _row_hulls(self.u_prev, self.u_cur, box)
+        # _grown's output, swapped with _intervals on every step
+        self._spare_intervals = np.empty(n, np.intp), np.empty(n, np.intp)
         self.step_index = 1          # u_cur lives at t = step_index * dt
 
     def _guard(self, level: np.ndarray, step_index: int) -> None:
@@ -363,21 +384,26 @@ class LeapfrogSolver:
         if not maxu <= BLOWUP_GUARD:
             raise BlowUpError(step_index * self.dt, maxu)
 
-    def _taylor_level(self, u: np.ndarray, ut: np.ndarray) -> np.ndarray:
-        """Second-order accurate level at t = dt from (u, u_t) at t = 0."""
+    def _taylor_level(self, u: np.ndarray, ut: np.ndarray) -> tuple[np.ndarray, tuple[slice, ...]]:
+        """Second-order accurate level at t = dt from (u, u_t) at t = 0, and
+        its box: the rows and columns of the nonzero cells of u and u_t, grown
+        by 2 and clipped.  On and outside its edge a cell's stencil reads only
+        signed zeros, so the full-grid formula gives +0.0 there, as the level holds."""
+        box = tuple(_span(np.any(u, axis=k) | np.any(ut, axis=k), 2) for k in (1, 0))
+        level = np.zeros_like(u)
+        u, ut = u[box], ut[box]
         dt = self.dt
         # overflow is left to the blow-up guard, which reports it
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = _laplacian(u, self.h)
-            # taken on linear runs too (perfbench times this call), and freed before
-            # the level is formed, so its temporaries do not come on top of them
+            # taken on linear runs too (perfbench times this call)
             ux, uy = _gradients(u, self.h)
             # a linear F adds the scalar 0.0, which turns a -0.0 cell into +0.0
             rhs += 0.0 if self.linear else apply_nonlinearity(self.cfg.nonlinearity, ut, ux, uy)
             del ux, uy
-            level = u + dt * ut + 0.5 * dt ** 2 * rhs
+            level[box] = u + dt * ut + 0.5 * dt ** 2 * rhs
         self._zero_boundary(level)
-        return level
+        return level, box
 
     @staticmethod
     def _zero_boundary(u: np.ndarray) -> None:
@@ -386,10 +412,13 @@ class LeapfrogSolver:
 
     def _grown(self) -> tuple[np.ndarray, np.ndarray]:
         """The intervals dilated by the cross, a'_i = min(a_{i-1}, a_i - 1, a_{i+1})
-        and b'_i = max(b_{i-1}, b_i + 1, b_{i+1}), clipped to the interior."""
+        and b'_i = max(b_{i-1}, b_i + 1, b_{i+1}), clipped to the interior,
+        written into the spare pair."""
         a, b = self._intervals
         n = a.size
-        grown = np.full(n, _EMPTY), np.full(n, -_EMPTY)     # rows 0 and n-1 stay empty
+        grown = self._spare_intervals
+        for row in (0, n - 1):                          # rows 0 and n-1 stay empty
+            grown[0][row], grown[1][row] = _EMPTY, -_EMPTY
         lo, hi = grown[0][1:-1], grown[1][1:-1]
         np.maximum(np.minimum(np.minimum(a[:-2], a[2:], out=lo), a[1:-1] - 1, out=lo), 1, out=lo)
         np.minimum(np.maximum(np.maximum(b[:-2], b[2:], out=hi), b[1:-1] + 1, out=hi), n - 1, out=hi)
@@ -410,9 +439,8 @@ class LeapfrogSolver:
         if not live.size:
             return out, 0.0
         r0, r1 = int(live[0]), int(live[-1]) + 1
-        strips = list(_row_strips(r0, r1, int(b.max() - a.min()) + 2))
+        starts, strips = _row_strips(r0, r1, int(b.max() - a.min()) + 2)
         # per strip, the union [c0, c1) of its rows' intervals
-        starts = [s0 for s0, _ in strips]
         unions = zip(np.minimum.reduceat(a[:r1], starts).tolist(),
                      np.maximum.reduceat(b[:r1], starts).tolist())
         lam, centre = self._stencil
@@ -474,7 +502,7 @@ class LeapfrogSolver:
         if not sumsq <= _GUARD_SCREEN:
             self._guard(unew, self.step_index + 1)
         self._spare, self.u_prev, self.u_cur = self.u_prev, self.u_cur, unew
-        self._intervals = intervals
+        self._intervals, self._spare_intervals = intervals, self._intervals
         self.step_index += 1
 
     @property
@@ -499,7 +527,7 @@ def energy(u: np.ndarray, u_t, h: float, dt: Optional[float] = None) -> float:
     n, m = u.shape
     sum_t = sum_d = 0.0
     buf = np.empty(max(STRIP_CELLS, m))         # one strip's differences
-    for s0, s1 in _row_strips(0, n, m):
+    for s0, s1 in _row_strips(0, n, m)[1]:
         if dt is None:
             # einsum sums a strided run in another order: read a contiguous one
             d = np.ascontiguousarray(u_t[s0:s1]).reshape(-1)

@@ -77,6 +77,20 @@ def _initial_data_oracle(data, cfg):
     return data.eps * f, data.eps * -dbump
 
 
+def _taylor_level_oracle(cfg, u, ut):
+    """The level at t = dt on the whole grid, u + dt u_t + dt^2/2 (Laplacian + F),
+    its boundary ring zeroed.  A linear F is +0.0 on every cell."""
+    h, dt = cfg.h_eff, cfg.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = _laplacian(u, h)
+        ux, uy = _gradients(u, h)
+        rhs += apply_nonlinearity(cfg.nonlinearity, ut, ux, uy)
+        level = u + dt * ut + 0.5 * dt ** 2 * rhs
+    level[0, :] = level[-1, :] = 0.0
+    level[:, 0] = level[:, -1] = 0.0
+    return level
+
+
 def test_initial_data_kinds():
     with pytest.raises(ValueError):
         InitialData(kind="bogus")
@@ -97,6 +111,66 @@ def test_initial_data_kinds():
                 got, want = make_initial_data(data, cfg), _initial_data_oracle(data, cfg)
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
                 assert np.signbit(got[1][0, 0])
+
+
+def _scattered_grid(n, cells, signed_zeros):
+    """A custom grid, 0 but for the values at `cells` and -0.0 at `signed_zeros`."""
+    grid = np.zeros((n, n))
+    for k, (i, j) in enumerate(cells):
+        grid[i, j] = (-1.0) ** k * 0.01 * (k + 1)
+    for i, j in signed_zeros:
+        grid[i, j] = -0.0
+    return grid
+
+
+def _setup_case(case, n):
+    """InitialData of one set-up case on an n x n grid."""
+    if case == "scattered custom":
+        # cells on row 1 and column n - 2 clip the box to the grid; the -0.0
+        # cells, on the box's edge and outside it, are zeros it need not hold
+        f = _scattered_grid(n, [(1, 7), (6, 10)], [(3, 5), (20, 20)])
+        g = _scattered_grid(n, [(4, n - 2), (8, n - 3)], [(30, 2), (10, n - 1)])
+        return InitialData(kind="custom", eps=0.5, f_grid=f, g_grid=g)
+    if case == "signed zeros only":
+        f = _scattered_grid(n, [], [(1, 1), (9, n - 2), (24, 24)])
+        return InitialData(kind="custom", eps=-1.0, f_grid=f, g_grid=f)
+    return {
+        "centred": InitialData(R=1.0, eps=0.1),
+        "eps < 0": InitialData(R=1.0, eps=-0.2),
+        "deriv_bump": InitialData("deriv_bump", R=1.0, eps=0.3),
+        "off-centre": InitialData(R=1.3, eps=0.2, center=(1.3, -0.7)),
+    }[case]
+
+
+SETUP_NONLINEARITIES = {
+    "linear": NonlinearityCoefficients(),
+    "-u_t^3": _damping_coeffs(),
+    # B and C with spatial indices, so F reads the gradients
+    "B and C": NonlinearityCoefficients(*(np.random.default_rng(5).uniform(-1.0, 1.0, shape)
+                                          for shape in ((3, 3), (3, 3, 3)))),
+}
+
+
+@pytest.mark.parametrize("cfl", [0.5, 0.3])
+@pytest.mark.parametrize("nonlinearity", SETUP_NONLINEARITIES)
+@pytest.mark.parametrize("case", ["centred", "eps < 0", "deriv_bump", "off-centre",
+                                  "scattered custom", "signed zeros only"])
+def test_setup_matches_the_full_grid_taylor_level(case, nonlinearity, cfl):
+    # the solver builds its starting levels in the data's support box; on the
+    # whole grid they, and the intervals, are bitwise those of the full-grid formulas
+    cfg = SolverConfig(h=0.25, L=6.0, T=1.0, cfl=cfl,
+                       nonlinearity=SETUP_NONLINEARITIES[nonlinearity])
+    data = _setup_case(case, cfg.n)
+    if data.kind == "custom":
+        u, ut = data.eps * data.f_grid, data.eps * data.g_grid
+    else:
+        u, ut = _initial_data_oracle(data, cfg)
+    solver = LeapfrogSolver(cfg, data)
+    u_prev, u_cur = u + 0.0, _taylor_level_oracle(cfg, u, ut)
+    assert solver.u_prev.tobytes() == u_prev.tobytes()
+    assert solver.u_cur.tobytes() == u_cur.tobytes()
+    assert _intervals_of(solver) == _row_hulls_of((u_prev != 0.0) | (u_cur != 0.0))
+    assert np.any(u_cur) == (case != "signed zeros only")
 
 
 def test_initial_velocity_matches_numerical_derivative():
@@ -136,6 +210,7 @@ def test_blow_up_guard_on_field():
     with pytest.raises(BlowUpError) as err:
         LeapfrogSolver(GUARD_CFG, InitialData(kind="custom", eps=1.0, f_grid=f))
     assert err.value.t == 0.0
+    assert err.value.maxu == 1e11
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1e11])
@@ -145,6 +220,7 @@ def test_blow_up_guard_on_single_cell(bad):
     with pytest.raises(BlowUpError) as err:
         LeapfrogSolver(GUARD_CFG, InitialData(kind="custom", eps=1.0, f_grid=f))
     assert err.value.t == 0.0
+    assert np.array_equal(err.value.maxu, abs(bad), equal_nan=True)
 
 
 def test_blow_up_guard_on_taylor_level():
@@ -154,6 +230,7 @@ def test_blow_up_guard_on_taylor_level():
     with pytest.raises(BlowUpError) as err:
         LeapfrogSolver(cfg, InitialData(kind="deriv_bump", eps=1e120))
     assert err.value.t == cfg.dt
+    assert err.value.maxu == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +929,23 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _footprint(solver):
+    """Bytes a new solver keeps: the initial data, its three levels and the strip scratch."""
+    scratch = [solver._tile, *(buf for buf in solver._scratch if buf is not None)]
+    return 5 * solver.u_cur.nbytes + sum(buf.nbytes for buf in scratch)
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_setup_peaks_at_the_solver_footprint(damped):
+    # the starting levels are built in the data's support box, so no
+    # level-sized temporary comes on top of what the solver keeps
+    cfg = SolverConfig(h=0.1, L=8.0, T=4.0,
+                       nonlinearity=_damping_coeffs() if damped else NonlinearityCoefficients())
+    assert cfg.n == 161
+    solver, peak = _traced_peak(lambda: LeapfrogSolver(cfg, InitialData(R=1.0, eps=0.1)))
+    assert peak <= _footprint(solver) + 0.1 * cfg.n ** 2 * 8
+
+
 def test_stream_holds_no_field():
     # a checkpoint at every step: the stream, and run collecting it, hold
     # only the solver's levels and those of the checkpoint being made
@@ -866,7 +960,10 @@ def test_stream_holds_no_field():
     assert len(rest) == cfg.steps == 80
     # no writer, so no checkpoint level: E and the leak take strip-sized scratch
     assert stream_peak < 1.1 * level
-    assert run_peak < 10 * level
+    # run peaks at t = 0, where E of the initial data takes one energy strip
+    # on top of the new solver's footprint
+    footprint = _footprint(LeapfrogSolver(cfg, data)) + 8 * wave.STRIP_CELLS
+    assert run_peak < footprint + 0.1 * level
 
     E, leaks, samples = zip((first.E, first.leak, first.samples), *rest)
     assert res.energy.E.tolist() == list(E)
