@@ -11,12 +11,14 @@ ODE module.
 
 The step and `energy` run over the level in row strips of about
 STRIP_CELLS cells (_row_strips), so their scratch stays in cache.  A
-checkpoint reads E and the leak over the live rows only and allocates
-nothing level-sized; only a writer gets its u and u_t (`stream`).
-Level-sized memory kept alive across checkpoints would change glibc's
-malloc state, which perfbench's host-scale kernel reads as another host.
-Set-up works in the data's support box (make_initial_data, _taylor_level),
-so building a solver makes no level-sized temporary beyond what it keeps.
+checkpoint step takes E's sums of squares from the tiles the step already
+holds (LeapfrogSolver._next) and reads the leak over the live rows only,
+so it allocates nothing level-sized; only a writer gets its u and u_t
+(`stream`).  Level-sized memory kept alive across checkpoints would change
+glibc's malloc state, which perfbench's host-scale kernel reads as another
+host.  Set-up works in the data's support box (make_initial_data,
+_taylor_level), so building a solver makes no level-sized temporary
+beyond what it keeps, and E and the leak at t = 0 are read in that box.
 
 The step is one fused kernel (LeapfrogSolver._next) with two invariants:
 
@@ -42,7 +44,8 @@ cells wide, so the stencil neighbours of a cell are flat slices 1 (west,
 east) and W (north, south) away.  The two pad columns at each row's ends
 compute garbage from the neighbouring rows; the new strip's pads are
 zeroed before its sum of squares, which screens the blow-up guard, is
-taken, and one strided copy writes its real columns back into the level.  `energy` follows the same rule.
+taken, and one strided copy writes its real columns back into the level.
+On a checkpoint step E's d_x and d_y are zeroed on the pads too.
 """
 
 from __future__ import annotations
@@ -321,6 +324,11 @@ class LeapfrogSolver:
     * outside the updated intervals the output buffer is zero: it holds
       the level before `u_prev`, whose interior support lies in smaller
       intervals, and its boundary ring is zeroed on every step.
+    * energy: `advance(with_energy=True)` returns E^2 at t from E's sums of
+      squares, which `_next` takes from each finished strip's tiles with
+      np.dot into the scratch the step already has (d_t = unew - up through
+      `tmp`; d_x and d_y in `ux`, `uy` on runs with gradient terms, else
+      through `tmp`).  The levels are the same bits with or without it.
     * strips: the rows from the first to the last non-empty interval are
       updated in row strips of about STRIP_CELLS cells of the intervals'
       bounding width, each taken through the stencil, the differences
@@ -356,7 +364,9 @@ class LeapfrogSolver:
         # u + 0.0, not a copy: a -0.0 cell of u (eps < 0 off the support)
         # becomes the +0.0 that a full-grid step leaves outside the intervals
         self.u_prev = u + 0.0
-        self.u_cur, box = self._taylor_level(u, u_t)
+        # the rows and columns of the data's nonzero cells grown by 2, where
+        # stream() reads E and the leak at t = 0
+        self.u_cur, self.data_box = self._taylor_level(u, u_t)
         for k, level in enumerate((self.u_prev, self.u_cur)):
             self._guard(level, k)
         self._spare = np.zeros_like(u)
@@ -372,7 +382,7 @@ class LeapfrogSolver:
         # does not use (base, ut, rhs on a linear step; ux, uy without d_x, d_y)
         used = (True,) * 3 + (not self.linear,) * 3 + (self._gradient_terms,) * 2
         self._scratch = [np.empty(cells) if on else None for on in used]
-        self._intervals = _row_hulls(self.u_prev, self.u_cur, box)
+        self._intervals = _row_hulls(self.u_prev, self.u_cur, self.data_box)
         # _grown's output, swapped with _intervals on every step
         self._spare_intervals = np.empty(n, np.intp), np.empty(n, np.intp)
         self.step_index = 1          # u_cur lives at t = step_index * dt
@@ -424,20 +434,42 @@ class LeapfrogSolver:
         np.minimum(np.maximum(np.maximum(b[:-2], b[2:], out=hi), b[1:-1] + 1, out=hi), n - 1, out=hi)
         return grown
 
-    def _next(self, intervals: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, float]:
-        """The next level over `intervals` in the spare buffer, and its sum of squares.
+    def _next(self, intervals: tuple[np.ndarray, np.ndarray],
+              with_energy: bool) -> tuple[np.ndarray, float, float, float]:
+        """The next level over `intervals` in the spare buffer, its sum of
+        squares, and, `with_energy`, E^2's sums of squares (else 0.0, 0.0).
 
         unew = lam (N + S + E + W) + (2 - 4 lam) uc - up, plus on a
         nonlinear step sum kappa * prod d over F's terms with d_x = S - N,
         d_y = E - W, and d_t = uc - up on the first fixed-point sweep and
         unew - up on the second.  Bitwise tests/test_wave.py::_full_grid_next.
+
+        E^2's sums, `with_energy`: sum d_t^2 with d_t = unew - up, the
+        levels at t + dt and t - dt, and sum (d_x^2 + d_y^2) of the level at
+        t, as `energy` takes them over whole levels.  Each finished strip's
+        tiles give them, as the tiles hold every nonzero d:
+        * the level at t is nonzero only inside the previous intervals, whose
+          dilation by the cross the updated ones are, so its d_x and d_y
+          vanish outside them;
+        * the level at t - dt is nonzero only inside smaller intervals, and
+          the new level only inside these, so d_t vanishes outside them too;
+        * on the boundary ring d_x = d_y = 0 by definition, and d_t = -up is
+          nonzero only where the data at t = 0 (up on the first step) is.
+          An interior row's boundary cells are pad columns of its tile,
+          where d_t is exact once unew's pads are zeroed; rows 0 and n - 1,
+          in no strip, are summed apart.
+        d_x and d_y are zeroed on the pads, where d_y reads the neighbouring
+        rows and d_x is 0.
         """
         out = self._spare
         self._zero_boundary(out)
+        sum_t = sum_d = 0.0
+        if with_energy:                         # d_t = -u_prev on rows 0 and n - 1
+            sum_t = sum(np.dot(row, row) for row in (self.u_prev[0], self.u_prev[-1]))
         a, b = intervals
         live = np.flatnonzero(a < b)            # the rows of non-empty intervals
         if not live.size:
-            return out, 0.0
+            return out, 0.0, float(sum_t), sum_d
         r0, r1 = int(live[0]), int(live[-1]) + 1
         starts, strips = _row_strips(r0, r1, int(b.max() - a.min()) + 2)
         # per strip, the union [c0, c1) of its rows' intervals
@@ -482,7 +514,16 @@ class LeapfrogSolver:
                 grid[:, 0] = grid[:, -1] = 0.0          # the pad columns' garbage
                 sumsq += np.dot(unew, unew)
                 out[s0:s1, c0:c1] = grid[:, 1:-1]
-        return out, float(sumsq)
+                if with_energy:
+                    np.subtract(unew, up, out=tmp)
+                    sum_t += np.dot(tmp, tmp)
+                    for d, (later, earlier) in zip((ux, uy), ((south, north), (east, west))):
+                        if d is None:           # no gradient terms: d_x, d_y go through tmp
+                            d = np.subtract(later, earlier, out=tmp)
+                        pads = d.reshape(rows, W)
+                        pads[:, 0] = pads[:, -1] = 0.0
+                        sum_d += np.dot(d, d)
+        return out, float(sumsq), float(sum_t), float(sum_d)
 
     @staticmethod
     def _force_into(out: np.ndarray, d: tuple, tmp: np.ndarray, terms: list) -> None:
@@ -496,14 +537,17 @@ class LeapfrogSolver:
             if k:
                 out += tmp
 
-    def advance(self) -> None:
+    def advance(self, with_energy: bool = False) -> Optional[float]:
+        """Step from t to t + dt; `with_energy`, return E^2 at t, which
+        energy(u(t), (u(t + dt), u(t - dt)), h, dt) gives over whole levels."""
         intervals = self._grown()
-        unew, sumsq = self._next(intervals)
+        unew, sumsq, sum_t, sum_d = self._next(intervals, with_energy)
         if not sumsq <= _GUARD_SCREEN:
             self._guard(unew, self.step_index + 1)
         self._spare, self.u_prev, self.u_cur = self.u_prev, self.u_cur, unew
         self._intervals, self._spare_intervals = intervals, self._intervals
         self.step_index += 1
+        return _squared_energy(sum_t, sum_d, 0.5 * self.h / self.dt) if with_energy else None
 
     @property
     def t(self) -> float:
@@ -520,35 +564,38 @@ def energy(u: np.ndarray, u_t, h: float, dt: Optional[float] = None) -> float:
 
         E^2 = h^2/2 * sum u_t^2 + 1/8 * sum (d_x^2 + d_y^2),
 
-    so no pass divides.  Each sum of squares is a read-only dot product
-    taken strip by strip while it is in cache; the only scratch is one
-    strip-sized buffer, freed on return (see the module docstring).
+    so no pass divides.  Each sum of squares is a dot product taken strip
+    by strip while it is in cache, as the fused step takes them
+    (LeapfrogSolver.advance); the only scratch is one strip's buffer,
+    freed on return (see the module docstring).
     """
     n, m = u.shape
+    if not u.size:
+        return 0.0
+    strips = list(_row_strips(0, n, m)[1])
+    buf = np.empty((strips[0][1] - strips[0][0]) * m)   # the largest strip's differences
     sum_t = sum_d = 0.0
-    buf = np.empty(max(STRIP_CELLS, m))         # one strip's differences
-    for s0, s1 in _row_strips(0, n, m)[1]:
+    for s0, s1 in strips:
+        strip = buf[:(s1 - s0) * m]
+        rows = strip.reshape(s1 - s0, m)
         if dt is None:
-            # einsum sums a strided run in another order: read a contiguous one
-            d = np.ascontiguousarray(u_t[s0:s1]).reshape(-1)
+            np.copyto(rows, u_t[s0:s1])
         else:
-            d = buf[:(s1 - s0) * m]
-            np.subtract(u_t[0][s0:s1], u_t[1][s0:s1], out=d.reshape(s1 - s0, m))
-        sum_t += np.einsum("i,i->", d, d)
+            np.subtract(u_t[0][s0:s1], u_t[1][s0:s1], out=rows)
+        sum_t += np.dot(strip, strip)
         i0, i1 = max(s0, 1), min(s1, n - 1)     # rows with a d_x
         d = buf[:(i1 - i0) * m]
         np.subtract(u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1], out=d.reshape(i1 - i0, m))
-        sum_d += np.einsum("i,i->", d, d)
-        # d_y over the strip's full rows as one flat run: cell k takes cells
-        # k +- 1, so each row's two edge cells read a neighbour row and are
-        # zeroed (d_y is 0 there)
-        flat = u[s0:s1].reshape(-1)
-        d = buf[:flat.size]
-        np.subtract(flat[2:], flat[:-2], out=d[1:-1])
-        rows = d.reshape(s1 - s0, m)
-        rows[:, 0] = rows[:, -1] = 0.0
-        sum_d += np.einsum("i,i->", d, d)
-    scale = h if dt is None else 0.5 * h / dt
+        sum_d += np.dot(d, d)
+        np.subtract(u[s0:s1, 2:], u[s0:s1, :-2], out=rows[:, 1:-1])
+        rows[:, 0] = rows[:, -1] = 0.0          # d_y is 0 on the edge columns
+        sum_d += np.dot(strip, strip)
+    return _squared_energy(sum_t, sum_d, h if dt is None else 0.5 * h / dt)
+
+
+def _squared_energy(sum_t: float, sum_d: float, scale: float) -> float:
+    """E^2 = scale^2/2 * sum_t + 1/8 * sum_d from the sums of squares of the raw
+    time differences (scale h/(2 dt)) or of u_t (scale h) and of d_x, d_y."""
     return float(0.5 * scale * scale * sum_t + 0.125 * sum_d)
 
 
@@ -711,11 +758,12 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
     """Advance to T, yielding each checkpoint as it is made: t = 0, every
     checkpoint_interval, and T.  Ray taps sample V(t) from the three live levels.
 
-    A checkpoint holds t, E, the leak and the samples.  After t = 0, E and
-    the leak are read over the live rows: the first to the last row with a
-    non-empty solver interval, grown by 2 and clipped.  Every nonzero cell
-    of the three levels lies in the intervals or on a grid edge row, so the
-    live edge rows, like every row outside, have d_x = 0.  Only
+    A checkpoint holds t, E, the leak and the samples.  At t = 0 E and the
+    leak are read in the data's box (LeapfrogSolver.data_box), outside
+    which u, u_t and their differences are zero.  After t = 0 the step that
+    makes the level at t + dt also returns E^2 at t (LeapfrogSolver.advance),
+    and the leak is read over the live rows, the first to the last row with
+    a non-empty solver interval: the level at t is zero outside them.  Only
     write(index, checkpoint), when given, sees each checkpoint (index 0 is
     t = 0) with a copy of u and the centered u_t, which are dropped when it
     returns.
@@ -736,13 +784,15 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
             ckpt.u = ckpt.u_t = None
         return ckpt
 
-    yield checkpoint(0.0, solver.initial[0], energy(*solver.initial, h), None,
+    (u, u_t), box = solver.initial, solver.data_box
+    yield checkpoint(0.0, u, energy(u[box], u_t[box], h), (box[0].start, box[0].stop),
                      [[] for _ in rays], lambda: solver.initial)
-    del solver.initial
+    del solver.initial, u, u_t
     samples = [[] for _ in rays]
     for n in range(1, nsteps + 1):
         u_prevprev = solver.u_prev
-        solver.advance()
+        at_checkpoint = n % ckpt_every == 0 or n == nsteps
+        E2 = solver.advance(with_energy=at_checkpoint)
         # levels now: u_prevprev at t-dt, solver.u_prev at t, solver.u_cur
         # at t+dt, so everything centered at t is available
         t_mid = solver.t - dt
@@ -753,11 +803,10 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
             v = _ray_V(levels, t_mid, tap.sigma, tap.omega, h, L, dt)
             if v is not None:
                 taken.append((t_mid, v))
-        if n % ckpt_every and n != nsteps:
+        if not at_checkpoint:
             continue
         live = np.flatnonzero(np.less(*solver._intervals))
-        r0, r1 = (max(live[0] - 2, 0), min(live[-1] + 3, cfg.n)) if live.size else (0, 0)
-        E2 = energy(solver.u_prev[r0:r1], (solver.u_cur[r0:r1], u_prevprev[r0:r1]), h, dt)
+        r0, r1 = (live[0], live[-1] + 1) if live.size else (0, 0)
         yield checkpoint(t_mid, solver.u_prev, E2, (r0, r1), samples,
                          lambda: (solver.u_prev.copy(), _centered(solver.u_cur, u_prevprev, dt)))
         samples = [[] for _ in rays]

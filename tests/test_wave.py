@@ -958,12 +958,14 @@ def test_stream_holds_no_field():
     rest, stream_peak = _traced_peak(lambda: [(c.E, c.leak, c.samples) for c in checkpoints])
     res, run_peak = _traced_peak(lambda: run(cfg, data, rays))
     assert len(rest) == cfg.steps == 80
-    # no writer, so no checkpoint level: E and the leak take strip-sized scratch
-    assert stream_peak < 1.1 * level
-    # run peaks at t = 0, where E of the initial data takes one energy strip
-    # on top of the new solver's footprint
-    footprint = _footprint(LeapfrogSolver(cfg, data)) + 8 * wave.STRIP_CELLS
-    assert run_peak < footprint + 0.1 * level
+    # no writer, so no checkpoint level: E comes from the step's own scratch
+    # and the leak takes row-sized arrays
+    assert stream_peak < 0.3 * level
+    # run peaks at t = 0, where E and the leak of the initial data take
+    # scratch the size of the data's 23 x 23 box on top of the new solver's
+    # footprint
+    footprint = _footprint(LeapfrogSolver(cfg, data))
+    assert run_peak < footprint + 0.2 * level
 
     E, leaks, samples = zip((first.E, first.leak, first.samples), *rest)
     assert res.energy.E.tolist() == list(E)
@@ -1004,9 +1006,10 @@ def _streamed_diagnostics_case(case):
 @pytest.mark.parametrize("case", ["linear", "damped", "off-centre", "g-only column 1",
                                   "two blobs apart"])
 def test_streamed_diagnostics_match_the_full_level_formulas(case, strip_cells):
-    # the stream reads E and the leak over the live rows only; on the full
-    # levels its writer sees, the formulas give E to round-off and the leak
-    # bit for bit, at every checkpoint from t = 0 on
+    # the stream takes E from the step's tiles and the leak over the live
+    # rows only (at t = 0, both in the data's box); on the full levels its
+    # writer sees, the formulas give E to round-off and the leak bit for bit,
+    # at every checkpoint from t = 0 on
     cfg, data = _streamed_diagnostics_case(case)
     with mock.patch.object(wave, "STRIP_CELLS", strip_cells or wave.STRIP_CELLS):
         checkpoints = _written(cfg, data)
@@ -1016,6 +1019,61 @@ def test_streamed_diagnostics_match_the_full_level_formulas(case, strip_cells):
         assert abs(c.E - E) <= 1e-14 * E
         leak = check_propagation(c.u, c.t, cfg.h_eff, cfg.L, data.reach)
         assert np.float64(c.leak).tobytes() == np.float64(leak).tobytes()
+    assert any(c.leak > 0.0 for c in checkpoints)
+
+
+def _fused_energy_case(case):
+    """(cfg, data) of `case` with a checkpoint at every step."""
+    if case in ("linear", "damped", "g-only column 1", "two blobs apart"):
+        cfg, data = _streamed_diagnostics_case(case)
+    elif case == "negative eps":
+        cfg, data = _streamed_diagnostics_case("off-centre")
+    elif case == "cfl 0.3":
+        cfg, data = _streamed_diagnostics_case("damped")
+        cfg = dataclasses.replace(cfg, cfl=0.3)
+    elif case == "random B and C":
+        rng = np.random.default_rng(11)
+        B, C = _random_tensor(rng, (3, 3), 0.4), _random_tensor(rng, (3, 3, 3), 0.3)
+        B[1, 2] = 0.5                   # a term with d_x and d_y
+        cfg, data = _streamed_diagnostics_case("linear")
+        cfg = dataclasses.replace(cfg, nonlinearity=NonlinearityCoefficients(B=B, C=C))
+    else:                               # data on the boundary ring, which no strip updates
+        cfg, _ = _streamed_diagnostics_case("damped")
+        rng = np.random.default_rng(12)
+        f, g = np.zeros((cfg.n, cfg.n)), np.zeros((cfg.n, cfg.n))
+        f[:3, :4] = rng.uniform(-0.1, 0.1, (3, 4))
+        f[-1, -3:] = rng.uniform(-0.1, 0.1, 3)
+        g[:2, 5:8] = rng.uniform(-0.1, 0.1, (2, 3))
+        data = InitialData(kind="custom", eps=1.0, f_grid=f, g_grid=g)
+    return dataclasses.replace(cfg, checkpoint_interval=0.0), data
+
+
+@pytest.mark.parametrize("strip_cells", [None, 7])
+@pytest.mark.parametrize("case", ["linear", "damped", "random B and C", "cfl 0.3", "negative eps",
+                                  "g-only column 1", "two blobs apart", "boundary ring"])
+def test_fused_energy_matches_the_level_formula(case, strip_cells):
+    # a checkpoint at every step: the E^2 each step takes from its own tiles
+    # is energy() on the full levels the writer sees, to round-off, and the
+    # levels and the leak are the bits of a solver stepped without it
+    cfg, data = _fused_energy_case(case)
+    h, dt = cfg.h_eff, cfg.dt
+    with mock.patch.object(wave, "STRIP_CELLS", strip_cells or wave.STRIP_CELLS):
+        with mock.patch.object(wave, "energy", wraps=wave.energy) as level_energy:
+            checkpoints = _written(cfg, data)
+        assert level_energy.call_count == 1         # at t = 0 only
+        plain = LeapfrogSolver(cfg, data)
+        assert plain._gradient_terms == (case == "random B and C")
+        assert len(checkpoints) == cfg.steps + 1
+        for k, c in enumerate(checkpoints):
+            E = math.sqrt(energy(c.u, c.u_t, h))
+            assert abs(c.E - E) <= 1e-14 * E
+            leak = check_propagation(c.u, c.t, h, cfg.L, data.reach)
+            assert np.float64(c.leak).tobytes() == np.float64(leak).tobytes()
+            if k:
+                earlier = plain.u_prev.copy()
+                assert plain.advance() is None
+                assert c.u.tobytes() == plain.u_prev.tobytes()
+                assert c.u_t.tobytes() == wave._centered(plain.u_cur, earlier, dt).tobytes()
     assert any(c.leak > 0.0 for c in checkpoints)
 
 
