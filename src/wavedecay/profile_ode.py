@@ -149,6 +149,8 @@ def matsumura_constant(params: MatsumuraParams) -> float:
 # with scipy's step control, run on one Python-float component.  The tableau
 # is Hairer's DOP853, written out as the (index, coefficient) nonzeros of each
 # row; tests/test_profile_ode.py pins it bitwise to scipy.integrate.DOP853.
+# These tuples are the one source of the tableau: the loop sums each row with
+# a function compiled from its tuple at import (_compile_rows).
 _RTOL, _ATOL = 1e-10, 1e-12
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8        # -1 / (error estimator order 7 + 1)
@@ -226,11 +228,24 @@ _D = (
 )
 
 
-def _dot(row: tuple, K: list) -> float:
-    acc = 0.0
-    for j, a in row:
-        acc += a * K[j]
-    return acc
+def _compile_rows(*groups):
+    """Each group of (index, coefficient) rows as a tuple of functions, all
+    compiled by one eval: a row becomes K -> 0.0 + a0 * K[j0] + a1 * K[j1] + ...,
+    summed left to right in the row's order, so it rounds exactly as
+    `acc = 0.0; acc += a * K[j]` over the row.  The source holds only the
+    rows' indices and the reprs of their floats, which round-trip exactly.
+    Each row is one line of "<DOP853 rows>", so a profile tells them apart."""
+    def row_sum(row):
+        return "lambda K: 0.0" + "".join(f" + {a!r} * K[{j}]" for j, a in row) + ",\n"
+    source = "".join("(\n" + "".join(map(row_sum, group)) + "),\n" for group in groups)
+    return eval(compile(f"(\n{source})", "<DOP853 rows>", "eval"), {"__builtins__": {}})
+
+
+_A_SUMS, _A_EXTRA_SUMS, (_B_SUM, _E5_SUM, _E3_SUM), _D_SUMS = _compile_rows(
+    [row for _, row in _STAGES], [row for _, row in _EXTRA_STAGES], (_B, _E5, _E3), _D)
+# (c, compiled row of A) of stages 1-11 and of the dense-output stages 13-15
+_STAGE_SUMS = tuple(zip([c for c, _ in _STAGES], _A_SUMS))
+_EXTRA_STAGE_SUMS = tuple(zip([c for c, _ in _EXTRA_STAGES], _A_EXTRA_SUMS))
 
 
 def _dense(x, F, y_old):
@@ -294,7 +309,10 @@ def _integrate_adaptive(
     The in-package scalar DOP853 loop: Hairer's DOP853 tableau, embedded
     in this module and pinned bitwise to scipy's by a test, and scipy's
     initial step, 5th/3rd-order error norm and step control, with a floor
-    of 10 ulp of s on the step.  Returns y at the increasing points out_s, read from the
+    of 10 ulp of s on the step.  Each row of the tableau is summed by a
+    function compiled once, at import, from the row's tuple, adding its
+    terms in the tuple's order (_compile_rows); the functions take floats
+    or arrays alike.  Returns y at the increasing points out_s, read from the
     dense output of the step that holds each point.  guard(s, y), if given,
     is a terminal event, checked at the start and after each accepted step:
     where it changes sign the root is located on that step's interpolant
@@ -336,13 +354,13 @@ def _integrate_adaptive(
             s_new = min(s + h_abs, s_end)
             h_abs = h = s_new - s
             K = [dy]
-            for c, row in _STAGES:
-                K.append(f(s + c * h, y + _dot(row, K) * h))
-            y_new = y + h * _dot(_B, K)
+            for c, row_sum in _STAGE_SUMS:
+                K.append(f(s + c * h, y + row_sum(K) * h))
+            y_new = y + h * _B_SUM(K)
             dy_new = f(s_new, y_new)
             K.append(dy_new)
             scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
-            e5, e3 = _dot(_E5, K) / scale, _dot(_E3, K) / scale
+            e5, e3 = _E5_SUM(K) / scale, _E3_SUM(K) / scale
             e5, e3 = e5 * e5, e3 * e3
             err = h * e5 / math.sqrt(e5 + 0.01 * e3) if e5 or e3 else 0.0
             if err < 1.0:
@@ -359,11 +377,11 @@ def _integrate_adaptive(
             crossed = (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0)
             g = g_new
         if crossed or s_new >= out[j]:
-            for c, row in _EXTRA_STAGES:
-                K.append(f(s + c * h, y + _dot(row, K) * h))
+            for c, row_sum in _EXTRA_STAGE_SUMS:
+                K.append(f(s + c * h, y + row_sum(K) * h))
             delta = y_new - y
             F = (delta, h * dy - delta, 2 * delta - h * (dy_new + dy),
-                 *(h * _dot(row, K) for row in _D))
+                 *(h * row_sum(K) for row_sum in _D_SUMS))
             if crossed:
                 root = _refine_root(lambda r: guard(r, _dense((r - s) / h, F, y)), s, s_new)
                 raise ProfileBlowUp(math.exp(root), _dense((root - s) / h, F, y))
@@ -545,7 +563,7 @@ def integrate_profile(
         return BLOWUP_GUARD - abs(v)
 
     vs = _integrate_adaptive(rhs, v0, out_s, guard=guard)
-    gs = np.array([forcing(t, v) for t, v in zip(out_t.tolist(), vs.tolist())])
+    gs = np.array(list(map(forcing, out_t.tolist(), vs.tolist())))
     return ProfileSeries(
         times=out_t, V=vs, G=gs, Phi=P_val * vs ** 2,
         sigma=ray.sigma, P_val=P_val,

@@ -346,6 +346,57 @@ def test_embedded_tableau_is_scipys_dop853():
     assert profile_ode._ERROR_EXPONENT == -1.0 / (D.error_estimator_order + 1)
 
 
+def _loop_sum(row):
+    """A tableau row summed as a loop over its tuple: the compiled rows' reference."""
+    def row_sum(K):
+        acc = 0.0
+        for j, a in row:
+            acc += a * K[j]
+        return acc
+    return row_sum
+
+
+def _rows_and_sums():
+    """Every tableau row of profile_ode beside the function compiled from it."""
+    po = profile_ode
+    assert [c for c, _ in po._STAGE_SUMS] == [c for c, _ in po._STAGES]
+    assert [c for c, _ in po._EXTRA_STAGE_SUMS] == [c for c, _ in po._EXTRA_STAGES]
+    rows = [row for _, row in po._STAGES + po._EXTRA_STAGES] + [po._B, po._E5, po._E3, *po._D]
+    sums = ([row_sum for _, row_sum in po._STAGE_SUMS + po._EXTRA_STAGE_SUMS]
+            + [po._B_SUM, po._E5_SUM, po._E3_SUM, *po._D_SUMS])
+    assert len(rows) == len(sums) == 21
+    return list(zip(rows, sums))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_compiled_rows_sum_as_the_tuple_loop():
+    # float == would let -0.0 pass for 0.0 and fail on NaN, so compare bytes
+    rng = np.random.default_rng(35)
+    mixed = (rng.choice([-1.0, 1.0], 16) * 10.0 ** rng.uniform(-300, 300, 16)).tolist()
+    Ks = [
+        [0.0] * 16, [-0.0] * 16, [(-0.0, 0.0)[j % 2] for j in range(16)],
+        [1e-300] * 16, [(-1e-300, 1e-300)[j % 3 == 0] for j in range(16)],
+        [1e300] * 16, [(-1e300, 1e300)[j % 2] for j in range(16)],
+        [(1e300, -0.0, 1e-300, -2.5)[j % 4] for j in range(16)],
+        mixed, rng.standard_normal(16).tolist(),
+    ]
+    arrays = [np.array(column) for column in zip(*Ks)]      # K[j] over every case at once
+    for row, row_sum in _rows_and_sums():
+        loop = _loop_sum(row)
+        for K in Ks:
+            got = row_sum(K)
+            assert type(got) is float
+            assert _bits(got) == _bits(loop(K)), (row, K)
+        got = row_sum(arrays)
+        assert got.dtype == np.float64 and got.shape == (len(Ks),)
+        assert _bits(got) == _bits(loop(arrays))
+        # the vector sum equals the scalar sums, case by case
+        assert _bits(got) == _bits([row_sum(K) for K in Ks])
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Records the arguments of every _integrate_adaptive call."""
@@ -359,15 +410,18 @@ def solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("solve", [
-    lambda: integrate_profile(2.0, _ray(t_end=1e8), ZeroForcing(), v0=0.5),
-    lambda: integrate_profile(
+_SMOOTH_SOLVES = {
+    "unforced": lambda: integrate_profile(2.0, _ray(t_end=1e8), ZeroForcing(), v0=0.5),
+    "adversarial": lambda: integrate_profile(
         1.5, _ray(sigma=0.4, t_end=1e8), EnvelopeForcing(0.5, 0.05, sigma=0.4), v0=0.6
     ),
-    lambda: check_matsumura_bound(
+    "matsumura": lambda: check_matsumura_bound(
         MatsumuraParams(c0=1.3, c1=0.8, p=2.7, q=1.4, t0=3.5, phi0=2.0), t_end=1e6
     ),
-], ids=["unforced", "adversarial", "matsumura"])
+}
+
+
+@pytest.mark.parametrize("solve", _SMOOTH_SOLVES.values(), ids=_SMOOTH_SOLVES.keys())
 def test_scalar_loop_matches_solve_ivp(solves, solve):
     solve()
     (rhs, y0, out_s, guard), = solves
@@ -410,15 +464,46 @@ def test_scalar_loop_as_accurate_as_solve_ivp_past_kinks(solves, solve):
     assert _rel(ours, tight) <= 10 * _rel(oracle, tight)
 
 
-def test_blow_up_event_matches_solve_ivp(solves):
+def _blow_up() -> ProfileBlowUp:
     huge = EnvelopeForcing(amplitude=1e9, mu=0.05, sign_mode="fixed")
     with pytest.raises(ProfileBlowUp) as info:
         integrate_profile(0.0, _ray(), huge, v0=1.0)
+    return info.value
+
+
+def test_blow_up_event_matches_solve_ivp(solves):
+    blow_up = _blow_up()
     (rhs, y0, out_s, guard), = solves
     sol = _oracle(rhs, y0, out_s, guard)
     assert sol.status == 1
-    assert info.value.t == pytest.approx(math.exp(sol.t_events[0][0]), rel=1e-10)
-    assert info.value.v == pytest.approx(sol.y_events[0][0][0], rel=1e-10)
+    assert blow_up.t == pytest.approx(math.exp(sol.t_events[0][0]), rel=1e-10)
+    assert blow_up.v == pytest.approx(sol.y_events[0][0][0], rel=1e-10)
+
+
+def _outcome(rhs, y0, out_s, guard) -> bytes:
+    """The bytes of _integrate_adaptive's y, or of ProfileBlowUp's t and v."""
+    try:
+        return _bits(_integrate_adaptive(rhs, y0, out_s, guard=guard))
+    except ProfileBlowUp as exc:
+        return _bits([exc.t, exc.v])
+
+
+@pytest.mark.parametrize(
+    "solve", [*_SMOOTH_SOLVES.values(), _tabulated_replay, _blow_up],
+    ids=[*_SMOOTH_SOLVES, "tabulated", "blow-up"])
+def test_compiled_rows_integrate_as_the_tuple_loop(solves, monkeypatch, solve):
+    # every integration the solve made, rerun with loop closures over the
+    # tableau tuples in place of the compiled rows, gives the same bits
+    solve()
+    compiled = [_outcome(*call) for call in solves]
+    po = profile_ode
+    monkeypatch.setattr(po, "_STAGE_SUMS", tuple((c, _loop_sum(row)) for c, row in po._STAGES))
+    monkeypatch.setattr(po, "_EXTRA_STAGE_SUMS",
+                        tuple((c, _loop_sum(row)) for c, row in po._EXTRA_STAGES))
+    for name, row in ("_B_SUM", po._B), ("_E5_SUM", po._E5), ("_E3_SUM", po._E3):
+        monkeypatch.setattr(po, name, _loop_sum(row))
+    monkeypatch.setattr(po, "_D_SUMS", tuple(map(_loop_sum, po._D)))
+    assert [_outcome(*call) for call in solves] == compiled
 
 
 def test_finite_time_singularity_raises_step_underflow():
