@@ -351,17 +351,18 @@ def _profile(config: dict, manifest: _Manifest) -> int:
 # simulate
 
 
-def _write_checkpoint(outdir: Path, idx: int, ckpt, cfg: SolverConfig, data) -> list[Path]:
+def _write_checkpoint(outdir: Path, idx: int, ckpt, u: np.ndarray, u_t: np.ndarray,
+                      cfg: SolverConfig, data) -> list[Path]:
     base = f"checkpoint_{idx:04d}"
     bin_path = outdir / f"{base}.bin"
     hdr_path = outdir / f"{base}.json"
     with open(bin_path, "wb") as fh:
         # written through the buffer protocol: no bytes copy of the level
-        fh.write(np.ascontiguousarray(ckpt.u, dtype="<f8"))
-        fh.write(np.ascontiguousarray(ckpt.u_t, dtype="<f8"))
+        fh.write(np.ascontiguousarray(u, dtype="<f8"))
+        fh.write(np.ascontiguousarray(u_t, dtype="<f8"))
     header = {
         "t": ckpt.t, "h": cfg.h_eff, "L": cfg.L, "R": data.R, "eps": data.eps,
-        "n": ckpt.u.shape[0], "dtype": "<f8", "layout": "u then u_t, row-major",
+        "n": u.shape[0], "dtype": "<f8", "layout": "u then u_t, row-major",
     }
     _write_json(hdr_path, header)
     return [bin_path, hdr_path]
@@ -401,9 +402,9 @@ def _simulate(config: dict, manifest: _Manifest) -> int:
     timings["checkpoint_write_s"] = 0.0
     outdir = manifest.outdir
 
-    def write(idx: int, ckpt) -> None:
+    def write(idx: int, ckpt, u: np.ndarray, u_t: np.ndarray) -> None:
         t0 = time.perf_counter()
-        for p in _write_checkpoint(outdir, idx, ckpt, cfg, data):
+        for p in _write_checkpoint(outdir, idx, ckpt, u, u_t, cfg, data):
             manifest.add(p)
         timings["checkpoint_write_s"] += time.perf_counter() - t0
 

@@ -9,16 +9,16 @@ that stream the outgoing ray profile V(t) = U(t, (t+sigma) omega) with
 U = (d_r - d_t)(sqrt(r) u)/2 during the run, which feeds the profile
 ODE module.
 
-The step and `energy` run over the level in row strips of about
-STRIP_CELLS cells (_row_strips), so their scratch stays in cache.  A
-checkpoint step takes E's sums of squares from the tiles the step already
-holds (LeapfrogSolver._next) and reads the leak over the live rows only,
-so it allocates nothing level-sized; only a writer gets its u and u_t
-(`stream`).  Level-sized memory kept alive across checkpoints would change
-glibc's malloc state, which perfbench's host-scale kernel reads as another
-host.  Set-up works in the data's support box (make_initial_data,
-_taylor_level), so building a solver makes no level-sized temporary
-beyond what it keeps, and E and the leak at t = 0 are read in that box.
+The step runs over the level in row strips of about STRIP_CELLS cells,
+so its scratch stays in cache.  A checkpoint step takes E's sums of
+squares from the tiles the step already holds (LeapfrogSolver._next) and
+reads the leak over the live rows only, so it allocates nothing
+level-sized; only a writer gets u and u_t, as read-only views (`stream`).
+Level-sized memory kept alive across checkpoints would change glibc's
+malloc state, which perfbench's host-scale kernel reads as another host.
+Set-up works in the data's support box (make_initial_data, _taylor_level),
+so building a solver makes no level-sized temporary beyond what it keeps,
+and E and the leak at t = 0 are read in that box.
 
 The step is one fused kernel (LeapfrogSolver._next) with two invariants:
 
@@ -67,19 +67,10 @@ _EMPTY = 1 << 62    # an empty row is [_EMPTY, -_EMPTY): growth never closes it
 # A float sum of squares is never below one of its terms, so a level whose
 # sum is within this has every |u| within BLOWUP_GUARD (NaN is not within).
 _GUARD_SCREEN = (0.5 * BLOWUP_GUARD) ** 2
-# Cells in one row strip of the fused step and of `energy`.  A
-# strip's scratch arrays (128 kB each) stay in cache, where a numpy ufunc
-# costs ~0.4 ns per element against ~1.3 ns on a whole 401^2 level.
+# Cells in one row strip of the fused step.  A strip's scratch arrays
+# (128 kB each) stay in cache, where a numpy ufunc costs ~0.4 ns per
+# element against ~1.3 ns on a whole 401^2 level.
 STRIP_CELLS = 16384
-
-
-def _row_strips(r0: int, r1: int, width: int) -> tuple[np.ndarray, Iterator[tuple[int, int]]]:
-    """Row ranges [s0, s1) that cover [r0, r1) in strips of about STRIP_CELLS
-    cells of a `width`-column region, or one row when a row is longer, and
-    their s0 as an intp array."""
-    starts = np.arange(r0, r1, max(1, STRIP_CELLS // width), dtype=np.intp)
-    edges = starts.tolist() + [r1]
-    return starts, zip(edges, edges[1:])
 
 
 def slack_cone(t: float, reach: float, h: float) -> float:
@@ -471,14 +462,18 @@ class LeapfrogSolver:
         if not live.size:
             return out, 0.0, float(sum_t), sum_d
         r0, r1 = int(live[0]), int(live[-1]) + 1
-        starts, strips = _row_strips(r0, r1, int(b.max() - a.min()) + 2)
+        # the first rows of strips [s0, s1) of about STRIP_CELLS cells of the
+        # intervals' bounding width, or of one row when a row is longer
+        starts = np.arange(r0, r1, max(1, STRIP_CELLS // (int(b.max() - a.min()) + 2)),
+                           dtype=np.intp)
+        edges = starts.tolist() + [r1]
         # per strip, the union [c0, c1) of its rows' intervals
         unions = zip(np.minimum.reduceat(a[:r1], starts).tolist(),
                      np.maximum.reduceat(b[:r1], starts).tolist())
         lam, centre = self._stencil
         sumsq, shape = 0.0, None
         with np.errstate(over="ignore", invalid="ignore"):
-            for (s0, s1), (c0, c1) in zip(strips, unions):
+            for (s0, s1), (c0, c1) in zip(zip(edges, edges[1:]), unions):
                 if c0 >= c1:            # every row of the strip is empty
                     continue
                 rows, W = s1 - s0, c1 - c0 + 2      # W: the union's columns and two pads
@@ -539,7 +534,8 @@ class LeapfrogSolver:
 
     def advance(self, with_energy: bool = False) -> Optional[float]:
         """Step from t to t + dt; `with_energy`, return E^2 at t, which
-        energy(u(t), (u(t + dt), u(t - dt)), h, dt) gives over whole levels."""
+        energy(u(t), (u(t + dt) - u(t - dt)) / (2 dt), h) gives over whole
+        levels to round-off."""
         intervals = self._grown()
         unew, sumsq, sum_t, sum_d = self._next(intervals, with_energy)
         if not sumsq <= _GUARD_SCREEN:
@@ -554,43 +550,33 @@ class LeapfrogSolver:
         return self.step_index * self.dt
 
 
-def energy(u: np.ndarray, u_t, h: float, dt: Optional[float] = None) -> float:
+def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
     """Discrete 0.5 * int |du|^2 dx (squared energy norm) on a grid of spacing h.
 
-    u_t is the level of u_t or, given dt, the pair of levels (u(t + dt),
-    u(t - dt)) whose centered difference it is.  With the gradients as raw
-    differences, d_x = u[i+1, j] - u[i-1, j] on interior rows and d_y =
-    u[i, j+1] - u[i, j-1] on interior columns (both zero elsewhere),
+    With the gradients as raw differences, d_x = u[i+1, j] - u[i-1, j] on
+    interior rows and d_y = u[i, j+1] - u[i, j-1] on interior columns (both
+    zero elsewhere),
 
         E^2 = h^2/2 * sum u_t^2 + 1/8 * sum (d_x^2 + d_y^2),
 
-    so no pass divides.  Each sum of squares is a dot product taken strip
-    by strip while it is in cache, as the fused step takes them
-    (LeapfrogSolver.advance); the only scratch is one strip's buffer,
-    freed on return (see the module docstring).
+    so no pass divides.  Each sum of squares is one dot product over a
+    buffer of u's shape, which holds u_t, then d_x, then d_y.  Three
+    buffers would raise the t = 0 peak of `stream` on a wide data box.
     """
     n, m = u.shape
     if not u.size:
         return 0.0
-    strips = list(_row_strips(0, n, m)[1])
-    buf = np.empty((strips[0][1] - strips[0][0]) * m)   # the largest strip's differences
-    sum_t = sum_d = 0.0
-    for s0, s1 in strips:
-        strip = buf[:(s1 - s0) * m]
-        rows = strip.reshape(s1 - s0, m)
-        if dt is None:
-            np.copyto(rows, u_t[s0:s1])
-        else:
-            np.subtract(u_t[0][s0:s1], u_t[1][s0:s1], out=rows)
-        sum_t += np.dot(strip, strip)
-        i0, i1 = max(s0, 1), min(s1, n - 1)     # rows with a d_x
-        d = buf[:(i1 - i0) * m]
-        np.subtract(u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1], out=d.reshape(i1 - i0, m))
-        sum_d += np.dot(d, d)
-        np.subtract(u[s0:s1, 2:], u[s0:s1, :-2], out=rows[:, 1:-1])
-        rows[:, 0] = rows[:, -1] = 0.0          # d_y is 0 on the edge columns
-        sum_d += np.dot(strip, strip)
-    return _squared_energy(sum_t, sum_d, h if dt is None else 0.5 * h / dt)
+    grid = np.empty((n, m))
+    flat = grid.reshape(-1)
+    np.copyto(grid, u_t)
+    sum_t = np.dot(flat, flat)
+    rows = max(n - 2, 0)                    # the rows with a d_x
+    d = flat[:rows * m]
+    np.subtract(u[2:], u[:-2], out=d.reshape(rows, m))
+    sum_x = np.dot(d, d)
+    np.subtract(u[:, 2:], u[:, :-2], out=grid[:, 1:-1])
+    grid[:, 0] = grid[:, -1] = 0.0          # d_y is 0 on the edge columns
+    return _squared_energy(sum_t, sum_x + np.dot(flat, flat), h)
 
 
 def _squared_energy(sum_t: float, sum_d: float, scale: float) -> float:
@@ -734,27 +720,27 @@ class RayTap:
 
 @dataclass
 class RunResult:
-    checkpoints: list   # every Checkpoint of the run, t = 0 first, without its levels
+    checkpoints: list   # every Checkpoint of the run, t = 0 first
     energy: EnergySeries
     diagnostics: dict
     profiles: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
-    """Snapshot at time t: its diagnostics, and u and the centered u_t only
-    while `stream` hands it to a writer (None otherwise)."""
+    """Diagnostics at time t; the level itself goes only to a writer (`stream`)."""
 
     t: float
-    u: Optional[np.ndarray]
-    u_t: Optional[np.ndarray]
     E: float            # energy norm sqrt(energy(u, u_t, h))
     leak: float         # check_propagation(u, t, h, L, data.reach)
     samples: list       # per ray tap, the (t, V) taken since the previous checkpoint
 
 
+Writer = Callable[[int, Checkpoint, np.ndarray, np.ndarray], None]
+
+
 def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
-           write: Optional[Callable[[int, Checkpoint], None]] = None) -> Iterator[Checkpoint]:
+           write: Optional[Writer] = None) -> Iterator[Checkpoint]:
     """Advance to T, yielding each checkpoint as it is made: t = 0, every
     checkpoint_interval, and T.  Ray taps sample V(t) from the three live levels.
 
@@ -763,10 +749,12 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
     which u, u_t and their differences are zero.  After t = 0 the step that
     makes the level at t + dt also returns E^2 at t (LeapfrogSolver.advance),
     and the leak is read over the live rows, the first to the last row with
-    a non-empty solver interval: the level at t is zero outside them.  Only
-    write(index, checkpoint), when given, sees each checkpoint (index 0 is
-    t = 0) with a copy of u and the centered u_t, which are dropped when it
-    returns.
+    a non-empty solver interval: the level at t is zero outside them.
+
+    Only write(index, checkpoint, u, u_t), when given, sees each checkpoint
+    (index 0 is t = 0) with u and u_t: read-only views, not copies, of the
+    solver's level and of the centered u_t (at t = 0, of the data).  They
+    are valid until write returns, as the solver overwrites its levels.
     """
     solver = LeapfrogSolver(cfg, data)
     dt, h, L = solver.dt, solver.h, cfg.L
@@ -774,19 +762,20 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
     ckpt_every = max(1, int(round(cfg.checkpoint_interval / dt)))
     written = itertools.count()
 
-    def checkpoint(t: float, u: np.ndarray, E2: float, rows, samples: list, full) -> Checkpoint:
-        """The checkpoint of the level u at t; a writer sees it with (u, u_t) = full()."""
-        ckpt = Checkpoint(t, None, None, math.sqrt(E2),
-                          check_propagation(u, t, h, L, data.reach, rows), samples)
+    def checkpoint(t: float, u: np.ndarray, E2: float, rows, samples: list,
+                   u_t: Optional[np.ndarray]) -> Checkpoint:
+        """The checkpoint of the level u at t; a writer sees it with u and u_t."""
+        ckpt = Checkpoint(t, math.sqrt(E2), check_propagation(u, t, h, L, data.reach, rows),
+                          samples)
         if write is not None:
-            ckpt.u, ckpt.u_t = full()
-            write(next(written), ckpt)
-            ckpt.u = ckpt.u_t = None
+            u, u_t = u.view(), u_t.view()
+            u.flags.writeable = u_t.flags.writeable = False
+            write(next(written), ckpt, u, u_t)
         return ckpt
 
     (u, u_t), box = solver.initial, solver.data_box
     yield checkpoint(0.0, u, energy(u[box], u_t[box], h), (box[0].start, box[0].stop),
-                     [[] for _ in rays], lambda: solver.initial)
+                     [[] for _ in rays], u_t)
     del solver.initial, u, u_t
     samples = [[] for _ in rays]
     for n in range(1, nsteps + 1):
@@ -807,8 +796,9 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
             continue
         live = np.flatnonzero(np.less(*solver._intervals))
         r0, r1 = (live[0], live[-1] + 1) if live.size else (0, 0)
+        # u_t goes in as an argument, so it is freed when checkpoint() returns
         yield checkpoint(t_mid, solver.u_prev, E2, (r0, r1), samples,
-                         lambda: (solver.u_prev.copy(), _centered(solver.u_cur, u_prevprev, dt)))
+                         None if write is None else _centered(solver.u_cur, u_prevprev, dt))
         samples = [[] for _ in rays]
 
 
@@ -820,7 +810,7 @@ def _centered(later: np.ndarray, earlier: np.ndarray, dt: float) -> np.ndarray:
 
 
 def run(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
-        write: Optional[Callable[[int, Checkpoint], None]] = None) -> RunResult:
+        write: Optional[Writer] = None) -> RunResult:
     """Every checkpoint of stream(cfg, data, rays, write), as t, E, the leak
     and the samples, with its energy series and ray profiles."""
     kept = list(stream(cfg, data, rays, write))

@@ -254,9 +254,9 @@ def test_simulate_checkpoint_files_hold_the_streamed_levels(tmp_path):
     solver_cfg = wave.SolverConfig(
         nonlinearity=trig.NonlinearityCoefficients.from_dict(body), **body["grid"])
     # the stream hands its levels only to a writer
-    def check(k, ckpt):
+    def check(k, ckpt, u, u_t):
         raw = (out / f"checkpoint_{k:04d}.bin").read_bytes()
-        assert raw == ckpt.u.astype("<f8").tobytes() + ckpt.u_t.astype("<f8").tobytes()
+        assert raw == u.astype("<f8").tobytes() + u_t.astype("<f8").tobytes()
         assert json.loads((out / f"checkpoint_{k:04d}.json").read_text())["t"] == ckpt.t
 
     k = len(list(wave.stream(solver_cfg, wave.InitialData(**body["data"]), write=check))) - 1
@@ -289,7 +289,7 @@ def test_simulate_memory_does_not_grow_with_checkpoints(tmp_path):
     few, written_few = _simulate_peak_levels(tmp_path, 4.0)
     many, written_many = _simulate_peak_levels(tmp_path, 0.1)
     assert (written_few, written_many) == (2, 41)
-    assert many <= few + 2.0
+    assert many <= few
 
 
 def test_simulate_manifest_reports_timings(tmp_path):

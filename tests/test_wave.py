@@ -454,7 +454,7 @@ def test_plane_wave_matches_dalembert():
         kind="custom", eps=1.0, f_grid=f(X) * window(Y), g_grid=np.zeros_like(X)
     )
     written = []
-    for final in stream(cfg, data, write=lambda i, c: written.append(c.u)):
+    for final in stream(cfg, data, write=lambda i, c, u, u_t: written.append(u.copy())):
         pass
     t = final.t
     mid = cfg.n // 2
@@ -530,7 +530,7 @@ def test_off_centre_data_leaks_nothing_at_t0():
     # L = T + reach + 4h + 1, the CLI's default
     cfg = SolverConfig(h=0.25, L=2.0 + data.reach + 4 * 0.25 + 1.0, T=2.0)
     written = []
-    first = next(stream(cfg, data, write=lambda i, c: written.append(c.u)))
+    first = next(stream(cfg, data, write=lambda i, c, u, u_t: written.append(u.copy())))
     assert written[0].max() == pytest.approx(data.eps * math.exp(-1.0))
     assert first.leak == 0.0
 
@@ -895,29 +895,85 @@ def test_run_checkpoints_keep_their_levels():
     )
     data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
     levels = _recorded_levels(cfg, data)
-    checkpoints = _written(cfg, data)
+    (_, u, u_t), *later = _written(cfg, data)
     u0, ut0 = make_initial_data(data, cfg)
-    assert np.array_equal(checkpoints[0].u, u0)
-    assert np.array_equal(checkpoints[0].u_t, ut0)
-    assert len(checkpoints) > 3
-    for snap in checkpoints[1:]:
+    assert np.array_equal(u, u0)
+    assert np.array_equal(u_t, ut0)
+    assert len(later) > 2
+    for snap, u, u_t in later:
         k = round(snap.t / cfg.dt)
-        assert np.array_equal(snap.u, levels[k])
-        assert np.array_equal(snap.u_t, (levels[k + 1] - levels[k - 1]) * (0.5 / cfg.dt))
+        assert np.array_equal(u, levels[k])
+        assert np.array_equal(u_t, (levels[k + 1] - levels[k - 1]) * (0.5 / cfg.dt))
 
 
 def _written(cfg, data, rays=()):
-    """Each checkpoint of stream(cfg, data, rays) as its writer saw it, u and u_t set."""
+    """(checkpoint, u, u_t) of each checkpoint of stream(cfg, data, rays), with
+    copies of the u and u_t its writer saw."""
     written = []
 
-    def write(index, ckpt):
+    def write(index, ckpt, u, u_t):
         assert index == len(written)
-        written.append(dataclasses.replace(ckpt))
+        written.append((ckpt, u.copy(), u_t.copy()))
 
     checkpoints = list(stream(cfg, data, rays, write))
-    assert all(c.u is None and c.u_t is None for c in checkpoints)
-    assert [c.t for c in written] == [c.t for c in checkpoints]
+    # the writer sees the very checkpoints the stream yields
+    assert len(written) == len(checkpoints)
+    assert all(seen is c for (seen, _, _), c in zip(written, checkpoints))
     return written
+
+
+def test_writer_gets_read_only_views_of_the_solver_levels():
+    # no copy: u views the solver's level (at t = 0, the data), u_t the data
+    # or the centred u_t; writing into either raises, and the checkpoint is a
+    # frozen record of t, E, the leak and the samples
+    cfg = SolverConfig(h=0.25, L=8.0, T=2.0, nonlinearity=_damping_coeffs(),
+                       checkpoint_interval=0.5)
+    data = InitialData(R=1.0, eps=0.1)
+    solvers, seen = [], []
+
+    class Recorded(LeapfrogSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
+
+    def write(index, ckpt, u, u_t):
+        solver, = solvers
+        if index == 0:
+            assert u.base is solver.initial[0] and u_t.base is solver.initial[1]
+        else:
+            assert u.base is solver.u_prev and np.array_equal(u, solver.u_prev)
+            assert u_t.base.flags.owndata and u_t.base.shape == u.shape
+        for level in (u, u_t):
+            assert not level.flags.owndata and not level.flags.writeable
+            with pytest.raises(ValueError):
+                level[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                level += 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ckpt.E = 0.0
+        seen.append(index)
+
+    with mock.patch.object(wave, "LeapfrogSolver", Recorded):
+        checkpoints = list(stream(cfg, data, write=write))
+    assert seen == list(range(len(checkpoints))) == list(range(5))
+    assert [f.name for f in dataclasses.fields(wave.Checkpoint)] == ["t", "E", "leak", "samples"]
+
+
+@pytest.mark.parametrize("case", ["R = 6 box", "data fill the grid"])
+def test_first_checkpoint_peaks_at_the_solver_setup(case):
+    # E and the leak at t = 0 take one buffer of the data's box and
+    # row-sized arrays, less than set-up's own temporaries
+    cfg = SolverConfig(h=0.05, L=8.0, T=1.0)
+    assert cfg.n == 321
+    if case == "R = 6 box":
+        data = InitialData(R=6.0, eps=0.1)
+    else:
+        rng = np.random.default_rng(5)
+        f, g = (rng.uniform(-0.1, 0.1, (cfg.n, cfg.n)) for _ in range(2))
+        data = InitialData(kind="custom", eps=1.0, f_grid=f, g_grid=g)
+    _, setup_peak = _traced_peak(lambda: LeapfrogSolver(cfg, data))
+    _, first_peak = _traced_peak(lambda: next(stream(cfg, data)))
+    assert first_peak <= setup_peak + 0.05 * cfg.n ** 2 * 8
 
 
 def _traced_peak(fn):
@@ -977,8 +1033,7 @@ def test_stream_holds_no_field():
     kept = res.checkpoints
     assert len(kept) == len(E)
     for snap, c in zip(kept, stream(cfg, data, rays)):
-        assert snap.t == c.t
-        assert snap.u is None and snap.u_t is None
+        assert snap == c
 
 
 def _streamed_diagnostics_case(case):
@@ -1014,12 +1069,12 @@ def test_streamed_diagnostics_match_the_full_level_formulas(case, strip_cells):
     with mock.patch.object(wave, "STRIP_CELLS", strip_cells or wave.STRIP_CELLS):
         checkpoints = _written(cfg, data)
     assert len(checkpoints) == 17
-    for c in checkpoints:
-        E = math.sqrt(energy(c.u, c.u_t, cfg.h_eff))
+    for c, u, u_t in checkpoints:
+        E = math.sqrt(energy(u, u_t, cfg.h_eff))
         assert abs(c.E - E) <= 1e-14 * E
-        leak = check_propagation(c.u, c.t, cfg.h_eff, cfg.L, data.reach)
+        leak = check_propagation(u, c.t, cfg.h_eff, cfg.L, data.reach)
         assert np.float64(c.leak).tobytes() == np.float64(leak).tobytes()
-    assert any(c.leak > 0.0 for c in checkpoints)
+    assert any(c.leak > 0.0 for c, _, _ in checkpoints)
 
 
 def _fused_energy_case(case):
@@ -1064,17 +1119,17 @@ def test_fused_energy_matches_the_level_formula(case, strip_cells):
         plain = LeapfrogSolver(cfg, data)
         assert plain._gradient_terms == (case == "random B and C")
         assert len(checkpoints) == cfg.steps + 1
-        for k, c in enumerate(checkpoints):
-            E = math.sqrt(energy(c.u, c.u_t, h))
+        for k, (c, u, u_t) in enumerate(checkpoints):
+            E = math.sqrt(energy(u, u_t, h))
             assert abs(c.E - E) <= 1e-14 * E
-            leak = check_propagation(c.u, c.t, h, cfg.L, data.reach)
+            leak = check_propagation(u, c.t, h, cfg.L, data.reach)
             assert np.float64(c.leak).tobytes() == np.float64(leak).tobytes()
             if k:
                 earlier = plain.u_prev.copy()
                 assert plain.advance() is None
-                assert c.u.tobytes() == plain.u_prev.tobytes()
-                assert c.u_t.tobytes() == wave._centered(plain.u_cur, earlier, dt).tobytes()
-    assert any(c.leak > 0.0 for c in checkpoints)
+                assert u.tobytes() == plain.u_prev.tobytes()
+                assert u_t.tobytes() == wave._centered(plain.u_cur, earlier, dt).tobytes()
+    assert any(c.leak > 0.0 for c, _, _ in checkpoints)
 
 
 def test_run_hands_each_checkpoint_to_its_writer_and_keeps_the_floats():
@@ -1084,13 +1139,15 @@ def test_run_hands_each_checkpoint_to_its_writer_and_keeps_the_floats():
     data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
     rays = [RayTap(sigma=0.0, omega=Direction(1.0, 0.0), stride=1)]
     written = []
-    res = run(cfg, data, rays, write=lambda i, c: written.append((i, c.t, c.u, c.u_t)))
+    res = run(cfg, data, rays,
+              write=lambda i, c, u, u_t: written.append((i, c, u.copy(), u_t.copy())))
     full = _written(cfg, data, rays)
     assert [i for i, *_ in written] == list(range(len(full))) == list(range(7))
-    for (_, t, u, u_t), kept, c in zip(written, res.checkpoints, full):
-        assert t == c.t and np.array_equal(u, c.u) and np.array_equal(u_t, c.u_t)
-        assert kept.u is None and kept.u_t is None
+    for (_, seen, u, u_t), kept, (c, full_u, full_u_t) in zip(written, res.checkpoints, full):
+        assert np.array_equal(u, full_u) and np.array_equal(u_t, full_u_t)
+        assert seen is kept         # run keeps the checkpoints its writer saw
         assert (kept.t, kept.E, kept.leak, kept.samples) == (c.t, c.E, c.leak, c.samples)
+    full = [c for c, _, _ in full]
     assert res.energy.times.tolist() == [c.t for c in full]
     assert res.energy.E.tolist() == [c.E for c in full]
     assert res.diagnostics["max_propagation_leak"] == max(c.leak for c in full)
@@ -1102,7 +1159,12 @@ def test_stream_drops_the_initial_data():
     cfg = SolverConfig(h=0.5, L=6.0, T=2.0)
     data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
     refs = []
-    checkpoints = stream(cfg, data, write=lambda i, c: refs.extend(map(weakref.ref, (c.u, c.u_t))))
+
+    def write(index, ckpt, u, u_t):
+        if index == 0:                  # u and u_t view the data
+            refs.extend(weakref.ref(level.base) for level in (u, u_t))
+
+    checkpoints = stream(cfg, data, write=write)
     first = next(checkpoints)
     assert len(refs) == 2 and all(r() is not None for r in refs)
     del first
