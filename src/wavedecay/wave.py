@@ -12,8 +12,8 @@ ODE module.
 The step runs over the level in row strips of about STRIP_CELLS cells,
 so its scratch stays in cache.  A checkpoint step takes E's sums of
 squares from the tiles the step already holds (LeapfrogSolver._next) and
-reads the leak over the live rows only, so it allocates nothing
-level-sized; only a writer gets u and u_t, as read-only views (`stream`).
+reads the leak over the live rows only, and a writer gets u and u_t as
+read-only views of the solver's levels (`stream`): it allocates nothing level-sized.
 Level-sized memory kept alive across checkpoints would change glibc's
 malloc state, which perfbench's host-scale kernel reads as another host.
 Set-up works in the data's support box (make_initial_data, _taylor_level),
@@ -71,6 +71,7 @@ _GUARD_SCREEN = (0.5 * BLOWUP_GUARD) ** 2
 # (128 kB each) stay in cache, where a numpy ufunc costs ~0.4 ns per
 # element against ~1.3 ns on a whole 401^2 level.
 STRIP_CELLS = 16384
+_SUM_PIECE = 8192       # elements in one dot product of E's sums (_sum_squares)
 
 
 def slack_cone(t: float, reach: float, h: float) -> float:
@@ -293,6 +294,13 @@ def _row_hulls(a: np.ndarray, b: np.ndarray, box: tuple[slice, slice]) -> tuple[
     return lo, hi
 
 
+def _aligned(size: int) -> np.ndarray:
+    """An empty array of `size` doubles whose data start on a 64-byte boundary."""
+    block = np.empty(size + 8)
+    skip = (-block.ctypes.data % 64) // 8
+    return block[skip:skip + size]
+
+
 class LeapfrogSolver:
     """Leapfrog stepper with the fixed-point nonlinear update.
 
@@ -313,11 +321,11 @@ class LeapfrogSolver:
       their dilation by the cross (`_grown`, into the spare pair
       `_spare_intervals`), and that is the next `_intervals`.
     * outside the updated intervals the output buffer is zero: it holds
-      the level before `u_prev`, whose interior support lies in smaller
-      intervals, and its boundary ring is zeroed on every step.
+      the level before `u_prev` or a writer's u_t (`_next`), and its
+      boundary ring is zeroed on every step.
     * energy: `advance(with_energy=True)` returns E^2 at t from E's sums of
       squares, which `_next` takes from each finished strip's tiles with
-      np.dot into the scratch the step already has (d_t = unew - up through
+      _sum_squares in the scratch the step already has (d_t = unew - up through
       `tmp`; d_x and d_y in `ux`, `uy` on runs with gradient terms, else
       through `tmp`).  The levels are the same bits with or without it.
     * strips: the rows from the first to the last non-empty interval are
@@ -336,8 +344,12 @@ class LeapfrogSolver:
       the new strip is built in `unew`, its pad columns are zeroed, its
       sum of squares is taken, and `out[s0:s1, c0:c1]` takes its real
       columns in one copy.  A level whose sum fails _GUARD_SCREEN goes to
-      `_guard`.  The scratch is strip-sized and made once, here; nothing
-      level-sized is kept beyond the three levels.
+      `_guard`.
+    * alignment: `_tile` and each scratch role are one array each, made once,
+      here, none larger than a level (freeing a larger block raises glibc's
+      trim threshold), and start on a 64-byte boundary (`_aligned`; the tile's
+      west and east views sit 8 bytes off), where numpy's AVX-512 loops write
+      about twice as fast as off it.
     """
 
     def __init__(self, cfg: SolverConfig, data: InitialData):
@@ -362,17 +374,14 @@ class LeapfrogSolver:
             self._guard(level, k)
         self._spare = np.zeros_like(u)
         n = u.shape[0]
-        # a strip is STRIP_CELLS cells, or one row when a row is longer.
-        # One array per role _next uses, none larger than a level: freeing
-        # a larger block raises glibc's dynamic trim threshold, which
-        # changes the cost of every later level-sized temporary in the
-        # process.  The tile holds a strip and its two halo rows.
+        # a strip is STRIP_CELLS cells, or one row when a row is longer; the
+        # tile holds a strip and its two halo rows
         cells = max(STRIP_CELLS, n)
-        self._tile = np.empty(cells + 2 * n)
+        self._tile = _aligned(cells + 2 * n)
         # up, unew, tmp, base, ut, rhs, ux, uy: None for a role the solver
         # does not use (base, ut, rhs on a linear step; ux, uy without d_x, d_y)
         used = (True,) * 3 + (not self.linear,) * 3 + (self._gradient_terms,) * 2
-        self._scratch = [np.empty(cells) if on else None for on in used]
+        self._scratch = [_aligned(cells) if on else None for on in used]
         self._intervals = _row_hulls(self.u_prev, self.u_cur, self.data_box)
         # _grown's output, swapped with _intervals on every step
         self._spare_intervals = np.empty(n, np.intp), np.empty(n, np.intp)
@@ -434,6 +443,9 @@ class LeapfrogSolver:
         nonlinear step sum kappa * prod d over F's terms with d_x = S - N,
         d_y = E - W, and d_t = uc - up on the first fixed-point sweep and
         unew - up on the second.  Bitwise tests/test_wave.py::_full_grid_next.
+        The spare buffer is zero outside `intervals` bar its ring, zeroed here:
+        it holds the level before u_prev or a writer's u_t (`stream`), both
+        nonzero inside only the current intervals, which `intervals` dilate.
 
         E^2's sums, `with_energy`: sum d_t^2 with d_t = unew - up, the
         levels at t + dt and t - dt, and sum (d_x^2 + d_y^2) of the level at
@@ -456,7 +468,7 @@ class LeapfrogSolver:
         self._zero_boundary(out)
         sum_t = sum_d = 0.0
         if with_energy:                         # d_t = -u_prev on rows 0 and n - 1
-            sum_t = sum(np.dot(row, row) for row in (self.u_prev[0], self.u_prev[-1]))
+            sum_t = _sum_squares(self.u_prev[0]) + _sum_squares(self.u_prev[-1])
         a, b = intervals
         live = np.flatnonzero(a < b)            # the rows of non-empty intervals
         if not live.size:
@@ -511,13 +523,13 @@ class LeapfrogSolver:
                 out[s0:s1, c0:c1] = grid[:, 1:-1]
                 if with_energy:
                     np.subtract(unew, up, out=tmp)
-                    sum_t += np.dot(tmp, tmp)
+                    sum_t += _sum_squares(tmp)
                     for d, (later, earlier) in zip((ux, uy), ((south, north), (east, west))):
                         if d is None:           # no gradient terms: d_x, d_y go through tmp
                             d = np.subtract(later, earlier, out=tmp)
                         pads = d.reshape(rows, W)
                         pads[:, 0] = pads[:, -1] = 0.0
-                        sum_d += np.dot(d, d)
+                        sum_d += _sum_squares(d)
         return out, float(sumsq), float(sum_t), float(sum_d)
 
     @staticmethod
@@ -559,8 +571,8 @@ def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
 
         E^2 = h^2/2 * sum u_t^2 + 1/8 * sum (d_x^2 + d_y^2),
 
-    so no pass divides.  Each sum of squares is one dot product over a
-    buffer of u's shape, which holds u_t, then d_x, then d_y.  Three
+    so no pass divides.  Each sum of squares (_sum_squares) is taken over
+    a buffer of u's shape, which holds u_t, then d_x, then d_y.  Three
     buffers would raise the t = 0 peak of `stream` on a wide data box.
     """
     n, m = u.shape
@@ -569,14 +581,24 @@ def energy(u: np.ndarray, u_t: np.ndarray, h: float) -> float:
     grid = np.empty((n, m))
     flat = grid.reshape(-1)
     np.copyto(grid, u_t)
-    sum_t = np.dot(flat, flat)
+    sum_t = _sum_squares(flat)
     rows = max(n - 2, 0)                    # the rows with a d_x
     d = flat[:rows * m]
     np.subtract(u[2:], u[:-2], out=d.reshape(rows, m))
-    sum_x = np.dot(d, d)
+    sum_x = _sum_squares(d)
     np.subtract(u[:, 2:], u[:, :-2], out=grid[:, 1:-1])
     grid[:, 0] = grid[:, -1] = 0.0          # d_y is 0 on the edge columns
-    return _squared_energy(sum_t, sum_x + np.dot(flat, flat), h)
+    return _squared_energy(sum_t, sum_x + _sum_squares(flat), h)
+
+
+def _sum_squares(x: np.ndarray) -> float:
+    """Sum of squares of the flat x in dot products of _SUM_PIECE elements, added
+    in order: OpenBLAS threads longer ones, so their bits follow the thread count."""
+    total = 0.0
+    for k in range(0, x.size, _SUM_PIECE):
+        piece = x[k:k + _SUM_PIECE]
+        total += np.dot(piece, piece)
+    return total
 
 
 def _squared_energy(sum_t: float, sum_d: float, scale: float) -> float:
@@ -753,7 +775,8 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
 
     Only write(index, checkpoint, u, u_t), when given, sees each checkpoint
     (index 0 is t = 0) with u and u_t: read-only views, not copies, of the
-    solver's level and of the centered u_t (at t = 0, of the data).  They
+    solver's level and of the centered u_t (at t = 0, of the data), formed
+    over u(t - dt) in the spare buffer once the ray taps have read it.  They
     are valid until write returns, as the solver overwrites its levels.
     """
     solver = LeapfrogSolver(cfg, data)
@@ -796,15 +819,15 @@ def stream(cfg: SolverConfig, data: InitialData, rays: Sequence[RayTap] = (),
             continue
         live = np.flatnonzero(np.less(*solver._intervals))
         r0, r1 = (live[0], live[-1] + 1) if live.size else (0, 0)
-        # u_t goes in as an argument, so it is freed when checkpoint() returns
+        # the taps have read u_prevprev, the spare buffer: a writer's u_t replaces it
         yield checkpoint(t_mid, solver.u_prev, E2, (r0, r1), samples,
                          None if write is None else _centered(solver.u_cur, u_prevprev, dt))
         samples = [[] for _ in rays]
 
 
 def _centered(later: np.ndarray, earlier: np.ndarray, dt: float) -> np.ndarray:
-    """u_t = (later - earlier) / (2 dt) from the levels at t + dt and t - dt."""
-    u_t = np.subtract(later, earlier)
+    """u_t = (later - earlier) / (2 dt) of the levels at t +- dt, formed in `earlier`."""
+    u_t = np.subtract(later, earlier, out=earlier)
     u_t *= 0.5 / dt
     return u_t
 

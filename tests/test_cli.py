@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line front end."""
 
 import contextlib
+import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -265,22 +269,36 @@ def test_simulate_checkpoint_files_hold_the_streamed_levels(tmp_path):
 
 
 def _simulate_peak_levels(tmp_path, interval):
-    """tracemalloc peak of a damped simulate run at h = 0.1 (n = 141), in
-    level sizes, and the number of checkpoints it wrote."""
+    """How far a damped simulate run at h = 0.1 (n = 141) lifts its tracemalloc
+    peak after its t = 0 checkpoint, in level sizes, and the number of
+    checkpoints it wrote.  The peak reached by then, set-up's, holds Python
+    objects of main() whose size moves by ~0.002 level with the test order
+    and the timings, so two runs would tie only to within that."""
     body = json.loads(json.dumps(SIM_CFG))
     body["C"][0] = -1.0
     body["grid"].update(h=0.1, checkpoint_interval=interval)
     cfg = _write_cfg(tmp_path, body, f"cfg_{interval}.json")
     out = tmp_path / f"out_{interval}"
+    write, by_t0 = cli._write_checkpoint, []
+
+    def write_noting_the_peak(outdir, idx, *args):
+        if idx == 0:            # set-up, E and the leak at t = 0 are done
+            by_t0.append(tracemalloc.get_traced_memory()[1])
+        return write(outdir, idx, *args)
+
+    # garbage left by earlier main() calls or tests would otherwise be freed,
+    # or not, before the peak, whichever run it happens in
+    gc.collect()
     tracemalloc.start()
     try:
-        assert _run_quiet(["simulate", cfg, "--out", str(out)]) == 0
+        with mock.patch.object(cli, "_write_checkpoint", write_noting_the_peak):
+            assert _run_quiet(["simulate", cfg, "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     n = json.loads((out / "checkpoint_0000.json").read_text())["n"]
     assert n == 141
-    return peak / (n * n * 8), len(list(out.glob("checkpoint_*.bin")))
+    return (peak - by_t0[0]) / (n * n * 8), len(list(out.glob("checkpoint_*.bin")))
 
 
 def test_simulate_memory_does_not_grow_with_checkpoints(tmp_path):
@@ -289,7 +307,32 @@ def test_simulate_memory_does_not_grow_with_checkpoints(tmp_path):
     few, written_few = _simulate_peak_levels(tmp_path, 4.0)
     many, written_many = _simulate_peak_levels(tmp_path, 0.1)
     assert (written_few, written_many) == (2, 41)
+    assert few == 0.0
     assert many <= few
+
+
+def test_simulate_energy_does_not_depend_on_the_blas_threads(tmp_path):
+    # E's sums of squares are dot products of at most 8192 elements, which
+    # OpenBLAS does not split over threads: energy.csv has the same bytes
+    # at one and two threads (n = 401, strips of ~16000 cells)
+    body = {"C": [-1.0] + [0.0] * 26,
+            "data": {"kind": "smooth_bump", "R": 1.0, "eps": 0.3},
+            "grid": {"h": 0.21, "L": 42.0, "T": 40.0, "checkpoint_interval": 2.0}}
+    cfg = _write_cfg(tmp_path, body)
+    src = str(Path(wave.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"out_{threads}"
+        runs[out] = subprocess.Popen(
+            [sys.executable, "-m", "wavedecay.cli", "simulate", cfg, "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    for proc in runs.values():
+        assert proc.communicate(timeout=60)[1] == b"" and proc.returncode == 0
+    one, two = ((out / "energy.csv").read_bytes() for out in runs)
+    assert len(one.splitlines()) == 23          # the header and 22 checkpoints
+    assert one == two
 
 
 def test_simulate_manifest_reports_timings(tmp_path):

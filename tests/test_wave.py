@@ -924,8 +924,9 @@ def _written(cfg, data, rays=()):
 
 def test_writer_gets_read_only_views_of_the_solver_levels():
     # no copy: u views the solver's level (at t = 0, the data), u_t the data
-    # or the centred u_t; writing into either raises, and the checkpoint is a
-    # frozen record of t, E, the leak and the samples
+    # or the centred u_t, built in the solver's spare buffer; writing into
+    # either raises, and the checkpoint is a frozen record of t, E, the leak
+    # and the samples
     cfg = SolverConfig(h=0.25, L=8.0, T=2.0, nonlinearity=_damping_coeffs(),
                        checkpoint_interval=0.5)
     data = InitialData(R=1.0, eps=0.1)
@@ -942,7 +943,7 @@ def test_writer_gets_read_only_views_of_the_solver_levels():
             assert u.base is solver.initial[0] and u_t.base is solver.initial[1]
         else:
             assert u.base is solver.u_prev and np.array_equal(u, solver.u_prev)
-            assert u_t.base.flags.owndata and u_t.base.shape == u.shape
+            assert u_t.base is solver._spare
         for level in (u, u_t):
             assert not level.flags.owndata and not level.flags.writeable
             with pytest.raises(ValueError):
@@ -1000,6 +1001,27 @@ def test_setup_peaks_at_the_solver_footprint(damped):
     assert cfg.n == 161
     solver, peak = _traced_peak(lambda: LeapfrogSolver(cfg, InitialData(R=1.0, eps=0.1)))
     assert peak <= _footprint(solver) + 0.1 * cfg.n ** 2 * 8
+
+
+@pytest.mark.parametrize("kind, roles", [("linear", 3), ("damped", 6), ("gradient terms", 8)])
+def test_strip_scratch_starts_on_64_byte_boundaries(kind, roles):
+    # every role the step writes starts on a 64-byte boundary wherever the
+    # heap puts it: odd-sized arrays made first move glibc's placement
+    B = np.zeros((3, 3))
+    B[1, 2] = 0.5                       # d_x d_y
+    nonlinearity = {"linear": NonlinearityCoefficients(), "damped": _damping_coeffs(),
+                    "gradient terms": NonlinearityCoefficients(B=B)}[kind]
+    cfg = SolverConfig(h=0.1, L=8.0, T=1.0, nonlinearity=nonlinearity)
+    held = []
+    for size in (1, 3, 16385, 1, 3):
+        held.append(np.empty(size))
+        solver = LeapfrogSolver(cfg, InitialData(R=1.0, eps=0.1))
+        buffers = [solver._tile, *(buf for buf in solver._scratch if buf is not None)]
+        assert len(buffers) == 1 + roles
+        spans = sorted((buf.ctypes.data, buf.ctypes.data + buf.nbytes) for buf in buffers)
+        assert all(start % 64 == 0 for start, _ in spans)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        held.append(solver)
 
 
 def test_stream_holds_no_field():
