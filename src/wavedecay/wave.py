@@ -86,10 +86,6 @@ class BlowUpError(RuntimeError):
         self.maxu = maxu
 
 
-class RayOutsideDomain(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class InitialData:
     """Compactly supported data u(0) = eps*f, u_t(0) = eps*g.
@@ -678,26 +674,25 @@ def check_propagation(u: np.ndarray, t: float, h: float, L: float, reach: float,
     return float(peak) + 0.0        # + 0.0: a -0.0 reads 0.0, as |u| does
 
 
-def _bilinear(u: np.ndarray, x: float, y: float, h: float, L: float) -> float:
-    fx = (x + L) / h
-    fy = (y + L) / h
-    i, j = int(math.floor(fx)), int(math.floor(fy))
+def _ray_w(u: np.ndarray, r: float, omega: Direction, h: float, L: float) -> Optional[float]:
+    """sqrt(r) * u at r*omega, bilinear in its grid cell; None off the grid.
+
+    The cell test is on the floats, so an inf or NaN coordinate fails it
+    before int(), which floors the fx, fy >= 0 that pass.
+    """
+    fx = (r * omega.omega1 + L) / h
+    fy = (r * omega.omega2 + L) / h
     n = u.shape[0]
-    if i < 0 or j < 0 or i + 1 >= n or j + 1 >= n:
-        raise RayOutsideDomain(f"point ({x}, {y}) outside the grid")
+    if not (0.0 <= fx < n - 1 and 0.0 <= fy < n - 1):
+        return None
+    i, j = int(fx), int(fy)
     ax, ay = fx - i, fy - j
-    return float(
+    return math.sqrt(r) * float(
         u[i, j] * (1 - ax) * (1 - ay)
         + u[i + 1, j] * ax * (1 - ay)
         + u[i, j + 1] * (1 - ax) * ay
         + u[i + 1, j + 1] * ax * ay
     )
-
-
-def _ray_w(u: np.ndarray, r: float, omega: Direction, h: float, L: float) -> float:
-    """sqrt(r) * u at the point r*omega."""
-    x, y = r * omega.omega1, r * omega.omega2
-    return math.sqrt(r) * _bilinear(u, x, y, h, L)
 
 
 def _ray_V(
@@ -707,19 +702,19 @@ def _ray_V(
     """V = (w_r - w_t)/2 at r = t + sigma from the levels at t - dt, t, t + dt.
 
     w = sqrt(r) u; w_r is a centered difference on the middle level, w_t
-    one across the outer levels.  None when t is before the ray start or
-    the stencil leaves the grid or, at r < h, crosses the origin.
+    one across the outer levels, from four _ray_w reads.  None when t is
+    before the ray start, when a read is None because the stencil leaves
+    the grid, or when, at r < h, the stencil crosses the origin.
     """
     r = t + sigma
     if t < ray_start(sigma) or r < h:
         return None
     u_m, u_c, u_p = levels
-    try:
-        wr_p = _ray_w(u_c, r + h, omega, h, L)
-        wr_m = _ray_w(u_c, r - h, omega, h, L)
-        wt_p = _ray_w(u_p, r, omega, h, L)
-        wt_m = _ray_w(u_m, r, omega, h, L)
-    except RayOutsideDomain:
+    wr_p = _ray_w(u_c, r + h, omega, h, L)
+    wr_m = _ray_w(u_c, r - h, omega, h, L)
+    wt_p = _ray_w(u_p, r, omega, h, L)
+    wt_m = _ray_w(u_m, r, omega, h, L)
+    if None in (wr_p, wr_m, wt_p, wt_m):
         return None
     w_r = (wr_p - wr_m) / (2.0 * h)
     w_t = (wt_p - wt_m) / (2.0 * dt)

@@ -667,18 +667,21 @@ _OVERRIDE_KEYS = [
     "data.kind", "data.R", "data.eps", "data.center",
     "ray.sigma", "ray.omega", "ray.omega_angle", "ray.eps", "ray.mu",
     "ray.t_end", "ray.v0", "ray.support_radius", "ray.forcing",
-    "prediction.delta",
+    "prediction.delta", "rays",
 ]
 # a symbol far below 1 in size: Psi = 1e-9 cos^2(theta)
 TINY_C = json.dumps([0.0] * 12 + [-1e-9] + [0.0] * 14)
+# a valid tap whose sample point r*omega lies beyond the float range of grid
+# coordinates: (r*omega + L)/h overflows to -inf
+FAR_RAYS = json.dumps([{"sigma": 1e308, "omega": [0, -1]}])
 # no large finite values, so no draw can ask for a huge grid; HUGE_INT is
 # safe because every key fails to convert it before any grid is built,
 # 1e-310 because every count derived from a subnormal overflows to inf, and
-# CANCEL_C because only C takes a list of 27 numbers; {} and [1e200, 0]
-# because every grid key rejects an object or a list
+# CANCEL_C because only C takes a list of 27 numbers; {}, [1e200, 0] and
+# FAR_RAYS because every grid key rejects an object or a list
 _OVERRIDE_VALUES = [
     "NaN", "Infinity", "-Infinity", "0", "-1", "x", "[1]", "null", HUGE_INT, TINY_C,
-    CANCEL_C, "1e-310", "{}", "[1e200, 0]",
+    CANCEL_C, "1e-310", "{}", "[1e200, 0]", FAR_RAYS,
 ]
 
 
@@ -691,6 +694,7 @@ _OVERRIDE_VALUES = [
 )
 @example([("C", TINY_C)])
 @example([("C", CANCEL_C)])
+@example([("rays", FAR_RAYS)])
 def test_any_override_exits_with_documented_code(overrides):
     sets = [a for key, value in overrides for a in ("--set", f"{key}={value}")]
     with tempfile.TemporaryDirectory() as tmp:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from wavedecay import wave
 from wavedecay.cli import _write_csv
@@ -30,6 +31,7 @@ from wavedecay.wave import (
     _gradients,
     _laplacian,
     _ray_V,
+    _ray_w,
     apply_nonlinearity,
     check_propagation,
     energy,
@@ -1231,6 +1233,49 @@ def test_extract_ray_validates_input():
     coarse = SolverConfig(h=4.0, L=44.0, T=26.0)
     near = tuple(_outgoing_level(phi, t, coarse) for t in (0.0, 2.0, 4.0))
     assert _ray_V(near, 2.0, 0.0, omega, coarse.h_eff, coarse.L, 2.0) is None
+    # a finite sigma whose point r*omega leaves the float range of grid
+    # coordinates, or one whose ray never starts: no sample, not an OverflowError
+    for sigma in (1e308, -1e308):
+        for direction in (omega, Direction(0.0, -1.0)):
+            assert _ray_V(far, 40.0, sigma, direction, small.h_eff, small.L, dt) is None
+
+
+def test_ray_w_matches_scipy_bilinear_and_is_none_off_the_grid():
+    # oracle: scipy's linear interpolant on the same nodes, times sqrt(r)
+    cfg = SolverConfig(h=0.3, L=3.0, T=1.0)
+    n, h, L = cfg.n, cfg.h_eff, cfg.L
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((n, n))
+    oracle = RegularGridInterpolator((cfg.axis(), cfg.axis()), u, method="linear")
+    # cells on every edge of the grid, one cell beyond each, and random ones;
+    # a point inside a cell keeps 1% of h from its sides, so rounding in
+    # r*omega cannot move it to a neighbour
+    edges = [-1, 0, 1, n // 2, n - 3, n - 2, n - 1]
+    cells = [(i, j) for i in edges for j in edges]
+    cells += [tuple(c) for c in rng.integers(-2, n + 1, size=(200, 2))]
+    inside = 0
+    for i, j in cells:
+        a, b = rng.uniform(0.01, 0.99, size=2)
+        x, y = -L + (i + a) * h, -L + (j + b) * h
+        r = math.hypot(x, y)
+        omega = Direction(x / r, y / r)
+        w = _ray_w(u, r, omega, h, L)
+        if 0 <= i <= n - 2 and 0 <= j <= n - 2:
+            inside += 1
+            want = math.sqrt(r) * oracle([r * omega.omega1, r * omega.omega2])[0]
+            assert abs(w - want) <= 1e-14 * np.abs(u).max(), (i, j)
+        else:
+            assert w is None, (i, j)
+    assert inside > 100
+    east, south = Direction(1.0, 0.0), Direction(0.0, -1.0)
+    # a node on the grid's first row is in cell 0; one on its last (fx == n - 1)
+    # has no cell beyond it
+    assert _ray_w(u, L, Direction(-1.0, 0.0), h, L) == math.sqrt(L) * u[0, n // 2]
+    assert _ray_w(u, L, east, h, L) is None
+    # (r*omega + L)/h overflows to +inf, to -inf, and (inf*0) to NaN
+    assert _ray_w(u, 1e308, east, 1e-3, L) is None
+    assert _ray_w(u, 1e308, south, 1e-3, L) is None
+    assert _ray_w(u, math.inf, east, h, L) is None
 
 
 def test_ray_tap_stride_is_an_integer():
