@@ -149,8 +149,8 @@ def matsumura_constant(params: MatsumuraParams) -> float:
 # with scipy's step control, run on one Python-float component.  The tableau
 # is Hairer's DOP853, written out as the (index, coefficient) nonzeros of each
 # row; tests/test_profile_ode.py pins it bitwise to scipy.integrate.DOP853.
-# These tuples are the one source of the tableau: the loop sums each row with
-# a function compiled from its tuple at import (_compile_rows).
+# These tuples are the one source of the tableau: at import _compile_tableau
+# writes a step's stages and dense output out of them as straight-line code.
 _RTOL, _ATOL = 1e-10, 1e-12
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8        # -1 / (error estimator order 7 + 1)
@@ -228,24 +228,35 @@ _D = (
 )
 
 
-def _compile_rows(*groups):
-    """Each group of (index, coefficient) rows as a tuple of functions, all
-    compiled by one eval: a row becomes K -> 0.0 + a0 * K[j0] + a1 * K[j1] + ...,
-    summed left to right in the row's order, so it rounds exactly as
-    `acc = 0.0; acc += a * K[j]` over the row.  The source holds only the
-    rows' indices and the reprs of their floats, which round-trip exactly.
-    Each row is one line of "<DOP853 rows>", so a profile tells them apart."""
+def _compile_tableau():
+    """(stages, dense), straight-line code compiled by one exec from the tuples.
+    stages(f, s, y, h, k0) -> ([k0..k11], B, E5, E3) runs stages 1-11 as
+    `ki = f(s + c * h, y + (0.0 + a0 * kj0 + a1 * kj1 + ...) * h)`;
+    dense(f, s, y, h, [k0..k12]) runs stages 13-15 alike and returns
+    h * (row sum) for each row of _D.  Every sum adds its terms left to
+    right in the tuple's order, so it rounds as `acc = 0.0; acc += a * k[j]`
+    over the row, on floats or arrays alike; the source holds the reprs of
+    the floats, which round-trip exactly.  Each stage is one line of
+    "<DOP853 tableau>", so a profile tells them apart."""
     def row_sum(row):
-        return "lambda K: 0.0" + "".join(f" + {a!r} * K[{j}]" for j, a in row) + ",\n"
-    source = "".join("(\n" + "".join(map(row_sum, group)) + "),\n" for group in groups)
-    return eval(compile(f"(\n{source})", "<DOP853 rows>", "eval"), {"__builtins__": {}})
+        return "(0.0" + "".join(f" + {a!r} * k{j}" for j, a in row) + ")"
+
+    def stages(first, tableau):
+        return "".join(f"    k{i} = f(s + {c!r} * h, y + {row_sum(row)} * h)\n"
+                       for i, (c, row) in enumerate(tableau, first))
+
+    ks = ", ".join(f"k{j}" for j in range(12))
+    source = (
+        "def stages(f, s, y, h, k0):\n" + stages(1, _STAGES)
+        + f"    return [{ks}], {row_sum(_B)}, {row_sum(_E5)}, {row_sum(_E3)}\n"
+        + f"def dense(f, s, y, h, K):\n    {ks}, k12 = K\n" + stages(13, _EXTRA_STAGES)
+        + "    return " + ", ".join(f"h * {row_sum(row)}" for row in _D) + "\n")
+    namespace = {}
+    exec(compile(source, "<DOP853 tableau>", "exec"), {"__builtins__": {}}, namespace)
+    return namespace["stages"], namespace["dense"]
 
 
-_A_SUMS, _A_EXTRA_SUMS, (_B_SUM, _E5_SUM, _E3_SUM), _D_SUMS = _compile_rows(
-    [row for _, row in _STAGES], [row for _, row in _EXTRA_STAGES], (_B, _E5, _E3), _D)
-# (c, compiled row of A) of stages 1-11 and of the dense-output stages 13-15
-_STAGE_SUMS = tuple(zip([c for c, _ in _STAGES], _A_SUMS))
-_EXTRA_STAGE_SUMS = tuple(zip([c for c, _ in _EXTRA_STAGES], _A_EXTRA_SUMS))
+_stages, _dense_coefficients = _compile_tableau()
 
 
 def _dense(x, F, y_old):
@@ -309,10 +320,11 @@ def _integrate_adaptive(
     The in-package scalar DOP853 loop: Hairer's DOP853 tableau, embedded
     in this module and pinned bitwise to scipy's by a test, and scipy's
     initial step, 5th/3rd-order error norm and step control, with a floor
-    of 10 ulp of s on the step.  Each row of the tableau is summed by a
-    function compiled once, at import, from the row's tuple, adding its
-    terms in the tuple's order (_compile_rows); the functions take floats
-    or arrays alike.  Returns y at the increasing points out_s, read from the
+    of 10 ulp of s on the step.  A step's stages, its B, E5 and E3 sums and
+    its dense-output coefficients run as straight-line code compiled once,
+    at import, from the tableau's tuples, adding each row's terms in the
+    tuple's order (_compile_tableau); that code takes floats or arrays
+    alike.  Returns y at the increasing points out_s, read from the
     dense output of the step that holds each point.  guard(s, y), if given,
     is a terminal event, checked at the start and after each accepted step:
     where it changes sign the root is located on that step's interpolant
@@ -353,14 +365,12 @@ def _integrate_adaptive(
             attempts += 1
             s_new = min(s + h_abs, s_end)
             h_abs = h = s_new - s
-            K = [dy]
-            for c, row_sum in _STAGE_SUMS:
-                K.append(f(s + c * h, y + row_sum(K) * h))
-            y_new = y + h * _B_SUM(K)
+            K, b, e5, e3 = _stages(f, s, y, h, dy)
+            y_new = y + h * b
             dy_new = f(s_new, y_new)
             K.append(dy_new)
             scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
-            e5, e3 = _E5_SUM(K) / scale, _E3_SUM(K) / scale
+            e5, e3 = e5 / scale, e3 / scale
             e5, e3 = e5 * e5, e3 * e3
             err = h * e5 / math.sqrt(e5 + 0.01 * e3) if e5 or e3 else 0.0
             if err < 1.0:
@@ -377,11 +387,9 @@ def _integrate_adaptive(
             crossed = (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0)
             g = g_new
         if crossed or s_new >= out[j]:
-            for c, row_sum in _EXTRA_STAGE_SUMS:
-                K.append(f(s + c * h, y + row_sum(K) * h))
             delta = y_new - y
             F = (delta, h * dy - delta, 2 * delta - h * (dy_new + dy),
-                 *(h * row_sum(K) for row_sum in _D_SUMS))
+                 *_dense_coefficients(f, s, y, h, K))
             if crossed:
                 root = _refine_root(lambda r: guard(r, _dense((r - s) / h, F, y)), s, s_new)
                 raise ProfileBlowUp(math.exp(root), _dense((root - s) / h, F, y))
@@ -457,6 +465,8 @@ class EnvelopeForcing:
     sigma: float = 0.0
     sign_mode: str = "adversarial"
     prefactor: float = field(init=False, repr=False, compare=False)
+    exponent: float = field(init=False, repr=False, compare=False)
+    adversarial: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.amplitude, self.mu, self.sigma))):
@@ -465,15 +475,16 @@ class EnvelopeForcing:
             raise ValueError("sign_mode must be 'adversarial' or 'fixed'")
         prefactor = self.amplitude * sigma_weight(self.sigma) ** (-self.mu - 0.5)
         object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "exponent", 2.0 * self.mu - 1.5)
+        object.__setattr__(self, "adversarial", self.sign_mode == "adversarial")
 
     def envelope(self, t: float) -> float:
-        return self.prefactor * t ** (2.0 * self.mu - 1.5)
+        return self.prefactor * t ** self.exponent
 
     def __call__(self, t: float, v: float) -> float:
-        env = self.envelope(t)
-        if self.sign_mode == "adversarial":
-            return env * (1.0 if v >= 0 else -1.0)
-        return env
+        # envelope(t) in this frame: the profile's rhs calls it at every stage
+        env = self.prefactor * t ** self.exponent
+        return env * (1.0 if v >= 0 else -1.0) if self.adversarial else env
 
 
 @dataclass(frozen=True)
@@ -555,9 +566,12 @@ def integrate_profile(
     out_t = _log_grid(ray.t_start, ray.t_end)
     out_s = np.log(out_t)
 
+    minus_half_p = -0.5 * P_val
+    exp = math.exp
+
     def rhs(s, v):
-        t = math.exp(s)
-        return -0.5 * P_val * v ** 3 + t * forcing(t, v)
+        t = exp(s)
+        return minus_half_p * v ** 3 + t * forcing(t, v)
 
     def guard(s, v):
         return BLOWUP_GUARD - abs(v)
@@ -655,8 +669,14 @@ def check_profile_bound(series: ProfileSeries, ray: RayConfig) -> tuple:
     """
     q = 1.5 - 2.0 * ray.mu
     forcing_term = np.abs(2.0 * series.P_val * series.V * series.G)
+    with np.errstate(over="ignore"):
+        weight = series.times ** q
+    # t^q overflows past t ~ 1e220; there |2PVG| t^q is (|2PVG| t) t^(q-1)
+    far = np.isinf(weight)
+    weight[far] = series.times[far] ** (q - 1.0)
+    forcing_term[far] *= series.times[far]
     params = MatsumuraParams(
-        c0=1.0, c1=float(np.max(forcing_term * series.times ** q)), p=2.0, q=q,
+        c0=1.0, c1=float(np.max(forcing_term * weight)), p=2.0, q=q,
         t0=ray.t_start, phi0=float(series.Phi[0]),
     )
     return params, _matsumura_check(params, series.times, series.Phi, 1e-12, rel=1e-9)

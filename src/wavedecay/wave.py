@@ -63,6 +63,8 @@ from .trig import Direction, NonlinearityCoefficients
 
 BLOWUP_GUARD = 1e10
 PROPAGATION_SLACK_CELLS = 4
+# Most leapfrog steps a run may take; the repo's configs take at most ~800.
+MAX_STEPS = 1_000_000
 _EMPTY = 1 << 62    # an empty row is [_EMPTY, -_EMPTY): growth never closes it
 # A float sum of squares is never below one of its terms, so a level whose
 # sum is within this has every |u| within BLOWUP_GUARD (NaN is not within).
@@ -149,6 +151,8 @@ class SolverConfig:
             raise ValueError("2L/h and T/dt must be finite")
         if self.steps < 1:
             raise ValueError("T must be at least dt/2: the run must take a step")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"T/dt must not exceed MAX_STEPS = {MAX_STEPS} steps")
 
     @property
     def n(self) -> int:

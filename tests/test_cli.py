@@ -137,6 +137,21 @@ def test_profile_bad_time_window_exits_64(tmp_path):
     assert main(["profile", cfg, "--out", str(tmp_path / "out")]) == 64
 
 
+@pytest.mark.parametrize("forcing", [{"type": "zero"}, {"type": "envelope", "amplitude": 0.5}],
+                         ids=["unforced", "envelope"])
+def test_profile_bound_past_the_float_range_of_t_to_the_q(tmp_path, forcing):
+    # t^q overflows past t ~ 1e220, yet the bound's c1 = max |2PVG| t^q is finite
+    body = {"C": [-1.0] + [0.0] * 26,
+            "ray": {"sigma": 0.0, "omega": [1.0, 0.0], "t_end": 1e300, "forcing": forcing}}
+    cfg = _write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["profile", cfg, "--out", str(out)]) == 0
+    bound = json.loads((out / "bound_report.json").read_text())
+    c1 = bound["matsumura"]["c1"]
+    assert c1 == 0.0 if forcing["type"] == "zero" else 0.0 < c1 < math.inf
+    assert bound["bound_holds"] is True
+
+
 def test_profile_ensemble_of_directions(tmp_path):
     # per-direction constants are finite wherever the symbol is positive
     for k in range(8):
@@ -695,6 +710,7 @@ _OVERRIDE_VALUES = [
 @example([("C", TINY_C)])
 @example([("C", CANCEL_C)])
 @example([("rays", FAR_RAYS)])
+@example([("grid.cfl", "1e-300")])     # ~4e301 steps: refused, not run
 def test_any_override_exits_with_documented_code(overrides):
     sets = [a for key, value in overrides for a in ("--set", f"{key}={value}")]
     with tempfile.TemporaryDirectory() as tmp:

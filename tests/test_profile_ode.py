@@ -267,6 +267,16 @@ def test_envelope_forcing_signs():
     assert f(10.0, 1.0) == pytest.approx(2.0 * 10.0 ** (2 * 0.05 - 1.5))
     fixed = EnvelopeForcing(amplitude=2.0, mu=0.05, sign_mode="fixed")
     assert fixed(10.0, -1.0) > 0
+    # the scalar call, which takes the envelope in its own frame, is the
+    # envelope times the sign (+1 at v = -0.0) byte for byte
+    for forcing in (f, fixed, EnvelopeForcing(0.3, 0.07, sigma=-0.4),
+                    EnvelopeForcing(0.3, 0.07, sigma=0.8, sign_mode="fixed")):
+        for t in np.geomspace(2.0, 1e8, 101).tolist():
+            env = forcing.envelope(t)
+            assert _bits(env) == _bits(forcing.prefactor * t ** (2.0 * forcing.mu - 1.5))
+            for v in (1.0, -1.0, 0.0, -0.0):
+                sign = 1.0 if v >= 0 or forcing.sign_mode == "fixed" else -1.0
+                assert _bits(forcing(t, v)) == _bits(env * sign), (forcing, t, v)
 
 
 def test_tabulated_forcing_interpolates_in_log_t():
@@ -347,7 +357,7 @@ def test_embedded_tableau_is_scipys_dop853():
 
 
 def _loop_sum(row):
-    """A tableau row summed as a loop over its tuple: the compiled rows' reference."""
+    """A tableau row summed as a loop over its tuple: the compiled sums' reference."""
     def row_sum(K):
         acc = 0.0
         for j, a in row:
@@ -356,16 +366,44 @@ def _loop_sum(row):
     return row_sum
 
 
-def _rows_and_sums():
-    """Every tableau row of profile_ode beside the function compiled from it."""
+def _loop_stages(f, s, y, h, k0):
+    """profile_ode._stages as a loop over the tableau tuples."""
     po = profile_ode
-    assert [c for c, _ in po._STAGE_SUMS] == [c for c, _ in po._STAGES]
-    assert [c for c, _ in po._EXTRA_STAGE_SUMS] == [c for c, _ in po._EXTRA_STAGES]
-    rows = [row for _, row in po._STAGES + po._EXTRA_STAGES] + [po._B, po._E5, po._E3, *po._D]
-    sums = ([row_sum for _, row_sum in po._STAGE_SUMS + po._EXTRA_STAGE_SUMS]
-            + [po._B_SUM, po._E5_SUM, po._E3_SUM, *po._D_SUMS])
-    assert len(rows) == len(sums) == 21
-    return list(zip(rows, sums))
+    K = [k0]
+    for c, row in po._STAGES:
+        K.append(f(s + c * h, y + _loop_sum(row)(K) * h))
+    return K, *(_loop_sum(row)(K) for row in (po._B, po._E5, po._E3))
+
+
+def _loop_dense_coefficients(f, s, y, h, K):
+    """profile_ode._dense_coefficients as a loop over the tableau tuples."""
+    K = list(K)
+    for c, row in profile_ode._EXTRA_STAGES:
+        K.append(f(s + c * h, y + _loop_sum(row)(K) * h))
+    return tuple(h * _loop_sum(row)(K) for row in profile_ode._D)
+
+
+def _every_sum(stages, dense_coefficients, K):
+    """Every c and row sum that the step's two functions form on the k's K.
+
+    f hands back K's stages in turn and records its (s, y).  With s = 0.0,
+    y = -0.0 and h = 1.0, s + c h is c and y + sum h is the row's sum, both
+    exactly (-0.0 + x is x for every x, -0.0 and NaN included)."""
+    calls = []
+
+    def recorder(values):
+        values = iter(values)
+
+        def f(s, y):
+            calls.append((s, y))
+            return next(values)
+        return f
+
+    Kc, *sums = stages(recorder(K[1:12]), 0.0, -0.0, 1.0, K[0])
+    assert len(Kc) == 12 and all(a is b for a, b in zip(Kc, K))
+    sums += dense_coefficients(recorder(K[13:16]), 0.0, -0.0, 1.0, [*Kc, K[12]])
+    assert len(calls) == 14 and len(sums) == 7
+    return [c for c, _ in calls], [y for _, y in calls] + sums
 
 
 def _bits(x) -> bytes:
@@ -384,17 +422,23 @@ def test_compiled_rows_sum_as_the_tuple_loop():
         mixed, rng.standard_normal(16).tolist(),
     ]
     arrays = [np.array(column) for column in zip(*Ks)]      # K[j] over every case at once
-    for row, row_sum in _rows_and_sums():
-        loop = _loop_sum(row)
-        for K in Ks:
-            got = row_sum(K)
-            assert type(got) is float
-            assert _bits(got) == _bits(loop(K)), (row, K)
-        got = row_sum(arrays)
-        assert got.dtype == np.float64 and got.shape == (len(Ks),)
-        assert _bits(got) == _bits(loop(arrays))
-        # the vector sum equals the scalar sums, case by case
-        assert _bits(got) == _bits([row_sum(K) for K in Ks])
+    po = profile_ode
+    cs = [c for c, _ in po._STAGES + po._EXTRA_STAGES]
+    rows = [row for _, row in po._STAGES + po._EXTRA_STAGES] + [po._B, po._E5, po._E3, *po._D]
+    assert len(rows) == 21
+    for K in Ks:
+        got_cs, got = _every_sum(po._stages, po._dense_coefficients, K)
+        assert got_cs == cs
+        assert all(type(x) is float for x in got)
+        assert [_bits(x) for x in got] == [_bits(_loop_sum(row)(K)) for row in rows], K
+    got_cs, got = _every_sum(po._stages, po._dense_coefficients, arrays)
+    assert got_cs == cs
+    for row, x in zip(rows, got):
+        assert x.dtype == np.float64 and x.shape == (len(Ks),)
+        assert _bits(x) == _bits(_loop_sum(row)(arrays)), row
+    # the vector sums equal the scalar sums, case by case
+    scalar = [_every_sum(po._stages, po._dense_coefficients, K)[1] for K in Ks]
+    assert [_bits(x) for x in got] == [_bits(column) for column in zip(*scalar)]
 
 
 @pytest.fixture
@@ -492,17 +536,12 @@ def _outcome(rhs, y0, out_s, guard) -> bytes:
     "solve", [*_SMOOTH_SOLVES.values(), _tabulated_replay, _blow_up],
     ids=[*_SMOOTH_SOLVES, "tabulated", "blow-up"])
 def test_compiled_rows_integrate_as_the_tuple_loop(solves, monkeypatch, solve):
-    # every integration the solve made, rerun with loop closures over the
-    # tableau tuples in place of the compiled rows, gives the same bits
+    # every integration the solve made, rerun with loops over the tableau
+    # tuples in place of the compiled stage functions, gives the same bits
     solve()
     compiled = [_outcome(*call) for call in solves]
-    po = profile_ode
-    monkeypatch.setattr(po, "_STAGE_SUMS", tuple((c, _loop_sum(row)) for c, row in po._STAGES))
-    monkeypatch.setattr(po, "_EXTRA_STAGE_SUMS",
-                        tuple((c, _loop_sum(row)) for c, row in po._EXTRA_STAGES))
-    for name, row in ("_B_SUM", po._B), ("_E5_SUM", po._E5), ("_E3_SUM", po._E3):
-        monkeypatch.setattr(po, name, _loop_sum(row))
-    monkeypatch.setattr(po, "_D_SUMS", tuple(map(_loop_sum, po._D)))
+    monkeypatch.setattr(profile_ode, "_stages", _loop_stages)
+    monkeypatch.setattr(profile_ode, "_dense_coefficients", _loop_dense_coefficients)
     assert [_outcome(*call) for call in solves] == compiled
 
 

@@ -56,6 +56,8 @@ def test_config_validation():
         SolverConfig(h=0.1, L=8.0, T=5.0, cfl=0.8)
     with pytest.raises(ValueError):
         SolverConfig(h=-0.1, L=8.0, T=5.0)
+    with pytest.raises(ValueError, match="MAX_STEPS"):      # ~1e302 steps
+        SolverConfig(h=0.1, L=8.0, T=5.0, cfl=1e-300)
     cfg = SolverConfig(h=0.1, L=8.0, T=5.0)
     assert cfg.dt == pytest.approx(0.05)
     with pytest.raises(ValueError):
