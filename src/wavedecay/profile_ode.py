@@ -7,14 +7,14 @@ Along an outgoing ray r = t + sigma the wave amplitude V obeys
 and Phi = P V^2 then satisfies a scalar differential inequality whose
 decay is controlled by an explicit logarithmic bound (Matsumura-type
 lemma).  This module integrates both ODEs on the log-time axis with its
-own scalar DOP853 loop (rtol 1e-10, atol 1e-12; Hairer's DOP853 tableau,
-embedded here and pinned bitwise to scipy's by a test, and scipy's step
-control), evaluates the explicit bound constant, fits the
-1/sqrt(P log t) decay of V, and fits an envelope to the residual forcing
-of a sampled V (residual_forcing).  It needs numpy only.  An integration
-ends in one of two failures: ProfileBlowUp where |V| crosses
-BLOWUP_GUARD, or StepUnderflow on a NaN derivative, a step below 10 ulp
-of log t, or STEP_BUDGET steps spent.
+own scalar DOP853 loop (rtol 1e-10, atol 1e-12; Hairer's tableau, pinned
+bitwise to scipy's by a test, and scipy's step control), evaluates the
+explicit bound constant, fits the 1/sqrt(P log t) decay of V, and fits an
+envelope to the residual forcing of a sampled V (residual_forcing).  It
+needs numpy only.  An integration ends in ProfileBlowUp where |V| crosses
+BLOWUP_GUARD, or in StepUnderflow on a NaN derivative (looked for once a
+step, then stage by stage), a step below 10 ulp of log t, or STEP_BUDGET
+steps spent.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import Callable, Optional
 
 import numpy as np
@@ -233,11 +234,11 @@ def _compile_tableau():
     stages(f, s, y, h, k0) -> ([k0..k11], B, E5, E3) runs stages 1-11 as
     `ki = f(s + c * h, y + (0.0 + a0 * kj0 + a1 * kj1 + ...) * h)`;
     dense(f, s, y, h, [k0..k12]) runs stages 13-15 alike and returns
-    h * (row sum) for each row of _D.  Every sum adds its terms left to
-    right in the tuple's order, so it rounds as `acc = 0.0; acc += a * k[j]`
-    over the row, on floats or arrays alike; the source holds the reprs of
-    the floats, which round-trip exactly.  Each stage is one line of
-    "<DOP853 tableau>", so a profile tells them apart."""
+    h * (row sum) for each row of _D.  Neither checks f's values.  Every sum
+    adds its terms left to right in the tuple's order, so it rounds as
+    `acc = 0.0; acc += a * k[j]` over the row, on floats or arrays alike;
+    the source holds the reprs of the floats, which round-trip exactly.
+    Each stage is one line of "<DOP853 tableau>": a profile tells them apart."""
     def row_sum(row):
         return "(0.0" + "".join(f" + {a!r} * k{j}" for j, a in row) + ")"
 
@@ -317,19 +318,19 @@ def _integrate_adaptive(
 ) -> np.ndarray:
     """DOP853 (rtol 1e-10, atol 1e-12) from out_s[0], where y = y0, to out_s[-1].
 
-    The in-package scalar DOP853 loop: Hairer's DOP853 tableau, embedded
-    in this module and pinned bitwise to scipy's by a test, and scipy's
-    initial step, 5th/3rd-order error norm and step control, with a floor
-    of 10 ulp of s on the step.  A step's stages, its B, E5 and E3 sums and
-    its dense-output coefficients run as straight-line code compiled once,
-    at import, from the tableau's tuples, adding each row's terms in the
-    tuple's order (_compile_tableau); that code takes floats or arrays
-    alike.  Returns y at the increasing points out_s, read from the
-    dense output of the step that holds each point.  guard(s, y), if given,
-    is a terminal event, checked at the start and after each accepted step:
-    where it changes sign the root is located on that step's interpolant
-    and ProfileBlowUp is raised there.  A NaN derivative, a step below
-    the floor, or more than STEP_BUDGET attempted steps raises StepUnderflow.
+    Hairer's tableau with scipy's initial step, 5th/3rd-order error norm
+    and step control, and a floor of 10 ulp of s on the step.  The stages,
+    sums and dense coefficients are _compile_tableau's code, called with
+    rhs itself.  If a stage raised, or the step's K or dense coefficients
+    hold a NaN, the step is redone through f, which checks every stage:
+    it raises at the first NaN stage, else gives the same bits (a NaN
+    from inf - inf is then the error control's to reject).  Returns y at
+    the increasing points out_s, read from the dense output of the step
+    that holds each point.  guard(s, y), if given, is a terminal event,
+    checked at the start and after each accepted step: where it changes
+    sign the root is located on that step's interpolant and ProfileBlowUp
+    is raised there.  A NaN derivative, a step below the floor, or more
+    than STEP_BUDGET attempted steps raises StepUnderflow.
     """
 
     def f(s, y):
@@ -338,7 +339,8 @@ def _integrate_adaptive(
         except OverflowError:
             # a float power overflowed; numpy gives the signed inf, and the
             # error control then rejects the step
-            dy = float(rhs(s, np.float64(y)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                dy = float(rhs(s, np.float64(y)))
         if math.isnan(dy):
             raise StepUnderflow(f"NaN derivative at s={s}")
         return dy
@@ -353,8 +355,9 @@ def _integrate_adaptive(
     steps = []       # (s, s_new, h, y, F[0..6]) of the steps holding output
     j = 0            # the first output point not yet covered by a step
     attempts = 0
+    nextafter, sqrt, inf, isnan = math.nextafter, math.sqrt, math.inf, math.isnan
     while s < s_end:
-        min_step = 10.0 * (math.nextafter(s, math.inf) - s)
+        min_step = 10.0 * (nextafter(s, inf) - s)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -365,14 +368,19 @@ def _integrate_adaptive(
             attempts += 1
             s_new = min(s + h_abs, s_end)
             h_abs = h = s_new - s
-            K, b, e5, e3 = _stages(f, s, y, h, dy)
-            y_new = y + h * b
-            dy_new = f(s_new, y_new)
-            K.append(dy_new)
+            try:
+                K, b, e5, e3 = _stages(rhs, s, y, h, dy)
+                K.append(rhs(s_new, y_new := y + h * b))
+            except Exception:
+                K = [math.nan]
+            if isnan(sum(K)):   # f raises what a stage raised, or first at a NaN stage
+                K, b, e5, e3 = _stages(f, s, y, h, dy)
+                K.append(f(s_new, y_new := y + h * b))
+            dy_new = K[-1]
             scale = _ATOL + max(abs(y), abs(y_new)) * _RTOL
             e5, e3 = e5 / scale, e3 / scale
             e5, e3 = e5 * e5, e3 * e3
-            err = h * e5 / math.sqrt(e5 + 0.01 * e3) if e5 or e3 else 0.0
+            err = h * e5 / sqrt(e5 + 0.01 * e3) if e5 or e3 else 0.0
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
@@ -387,9 +395,13 @@ def _integrate_adaptive(
             crossed = (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0)
             g = g_new
         if crossed or s_new >= out[j]:
+            try:
+                D = _dense_coefficients(rhs, s, y, h, K)
+            except Exception:
+                D = (math.nan,)
             delta = y_new - y
             F = (delta, h * dy - delta, 2 * delta - h * (dy_new + dy),
-                 *_dense_coefficients(f, s, y, h, K))
+                 *(_dense_coefficients(f, s, y, h, K) if isnan(sum(D)) else D))
             if crossed:
                 root = _refine_root(lambda r: guard(r, _dense((r - s) / h, F, y)), s, s_new)
                 raise ProfileBlowUp(math.exp(root), _dense((root - s) / h, F, y))
@@ -447,12 +459,13 @@ class RayConfig:
 
 class ZeroForcing:
     """G identically zero."""
+    __slots__ = ()
 
     def __call__(self, t: float, v: float) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnvelopeForcing:
     """|G(t)| = amplitude * <sigma>^(-mu-1/2) * t^(2 mu - 3/2).
 
@@ -568,16 +581,18 @@ def integrate_profile(
 
     minus_half_p = -0.5 * P_val
     exp = math.exp
+    # bound once, so an instance skips its type's call slot; a function is called as is
+    call = forcing if isinstance(forcing, FunctionType) else forcing.__call__
 
     def rhs(s, v):
         t = exp(s)
-        return minus_half_p * v ** 3 + t * forcing(t, v)
+        return minus_half_p * v ** 3 + t * call(t, v)
 
     def guard(s, v):
         return BLOWUP_GUARD - abs(v)
 
     vs = _integrate_adaptive(rhs, v0, out_s, guard=guard)
-    gs = np.array(list(map(forcing, out_t.tolist(), vs.tolist())))
+    gs = np.array(list(map(call, out_t.tolist(), vs.tolist())))
     return ProfileSeries(
         times=out_t, V=vs, G=gs, Phi=P_val * vs ** 2,
         sigma=ray.sigma, P_val=P_val,
@@ -651,10 +666,10 @@ def check_matsumura_bound(
     c0, c1, p, q = params.c0, params.c1, params.p, params.q
     out_t = _log_grid(params.t0, t_end)
     out_s = np.log(out_t)
+    exp, decay = math.exp, 1.0 - q
 
     def rhs(s, phi):
-        t = math.exp(s)
-        return -c0 * abs(phi) ** p + c1 * t ** (1.0 - q)
+        return -c0 * abs(phi) ** p + c1 * exp(s) ** decay
 
     phis = _integrate_adaptive(rhs, params.phi0, out_s)
     return _matsumura_check(params, out_t, phis, slack)

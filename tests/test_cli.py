@@ -628,6 +628,20 @@ def test_profile_huge_amplitude_exits_3(tmp_path, v0):
     assert manifest["error"].startswith("ProfileBlowUp")
 
 
+def test_profile_overflowing_derivative_prints_only_the_error_line(tmp_path):
+    # V^3 overflows a Python float; numpy's retry must not warn on stderr
+    cfg = _write_cfg(tmp_path, README_CFG)
+    src = str(Path(profile_ode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavedecay.cli", "profile", cfg, "--out", str(tmp_path / "out"),
+         "--set", 'ray.forcing={"type": "envelope", "amplitude": 1e300}'],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 # Psi = 1e-3 cos^2(theta), written with monomials of size 1e6 that cancel:
 # -1e6 + (1e6 + 1e-3) cos^2 + 1e6 sin^2
 CANCEL_C = json.dumps([1e6] + [0.0] * 11 + [-1e6 - 1e-3] + [0.0] * 11 + [-1e6, 0.0, 0.0])

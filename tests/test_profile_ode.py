@@ -570,7 +570,162 @@ def test_finite_time_singularity_raises_step_underflow():
         0.0, _ray(), EnvelopeForcing(1e300, 0.05, sign_mode="fixed"), v0=1.0
     ),
 ], ids=["power-overflow", "initial-step-overflow"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_derivative_raises_step_underflow(solve):
+    # numpy's overflow in the guarded retry must not warn: pytest turns a
+    # RuntimeWarning into an error
     with pytest.raises(StepUnderflow):
         solve()
+
+
+# ---------------------------------------------------------------------------
+# the stages call rhs itself; NaN and overflow are looked for once per step
+
+
+def _stage_guard(rhs):
+    """rhs behind the check of _integrate_adaptive's f: numpy's signed inf on
+    OverflowError, StepUnderflow on NaN.  Handed to _integrate_adaptive as
+    its rhs, it checks every stage as it comes: the reference outcome."""
+    def f(s, y):
+        try:
+            dy = rhs(s, y)
+        except OverflowError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dy = float(rhs(s, np.float64(y)))
+        if math.isnan(dy):
+            raise StepUnderflow(f"NaN derivative at s={s}")
+        return dy
+    return f
+
+
+def _result(rhs, y0, out_s, guard=None):
+    """The bytes of _integrate_adaptive's y, or the type and message of what it raised."""
+    try:
+        return _bits(_integrate_adaptive(rhs, y0, out_s, guard=guard))
+    except (StepUnderflow, ProfileBlowUp) as exc:
+        return type(exc), str(exc)
+
+
+def _checked_once_as_every_stage(rhs, y0, out_s):
+    """_integrate_adaptive's outcome, asserted equal to that of every stage checked."""
+    outcome = _result(rhs, y0, out_s)
+    assert outcome == _result(_stage_guard(rhs), y0, out_s)
+    return outcome
+
+
+def _int_of_state(s, y):
+    # int() of a NaN raises ValueError, so the stage after the NaN one raises
+    int(y)
+    return math.nan if s > 0.37 else -y
+
+
+@pytest.mark.parametrize("rhs", [lambda s, y: math.nan if s > 0.37 else -y, _int_of_state],
+                         ids=["nan", "nan-then-value-error"])
+def test_nan_at_a_later_stage_raises_where_the_stage_guard_does(rhs):
+    kind, message = _checked_once_as_every_stage(rhs, 1.0, np.linspace(0.0, 1.0, 5))
+    assert kind is StepUnderflow and message.startswith("NaN derivative at s=0.37")
+
+
+def test_nan_in_a_dense_output_stage_raises_where_the_stage_guard_does(monkeypatch):
+    # a first run finds the first output step; its stage 13 (c = 0.1) then
+    # returns NaN, and no stage of any step before it lands on that s
+    out_s = np.linspace(0.0, 1.0, 5)
+    steps = []
+    compiled = profile_ode._dense_coefficients
+
+    def spy(f, s, y, h, K):
+        steps.append((s, h))
+        return compiled(f, s, y, h, K)
+
+    monkeypatch.setattr(profile_ode, "_dense_coefficients", spy)
+    _integrate_adaptive(lambda s, y: -y, 1.0, out_s)
+    s, h = steps[0]
+    s13 = s + 0.1 * h
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        return math.nan if s == s13 else -y
+
+    outcome = _checked_once_as_every_stage(rhs, 1.0, out_s)
+    assert outcome == (StepUnderflow, f"NaN derivative at s={s13}")
+    # the call before the first at s13 is the step's end: s13 is a dense stage
+    assert calls[calls.index(s13) - 1] == pytest.approx(s + h, rel=1e-15)
+
+
+def test_overflow_at_a_later_stage_is_retried_as_the_stage_guard_does():
+    # a Python float power overflows only past s = 0.37, inside a step;
+    # numpy's inf there feeds the next stage inf - inf, a NaN derivative
+    retried = []
+
+    def rhs(s, y):
+        if type(y) is np.float64:
+            retried.append(s)
+        return -y + (y * 0.0 + 10.0) ** (400 if s > 0.37 else 1)
+
+    kind, message = _checked_once_as_every_stage(rhs, 1.0, np.linspace(0.0, 1.0, 5))
+    assert kind is StepUnderflow and message.startswith("NaN derivative at s=0.4")
+    assert retried and min(retried) > 0.37
+
+
+def test_inf_minus_inf_in_a_step_is_rejected_not_raised(monkeypatch):
+    # stages in both windows give K with +inf and -inf but no NaN: the step's
+    # sums are NaN, so it is redone through the guard, which does not raise,
+    # and the error control rejects it
+    def rhs(s, y):
+        return math.inf if 0.5 < s < 0.6 else -math.inf if 0.6 <= s < 0.7 else math.cos(s)
+
+    both = []
+    compiled = profile_ode._stages
+
+    def spy(f, s, y, h, k0):
+        K, *sums = compiled(f, s, y, h, k0)
+        both.append(math.inf in K and -math.inf in K and not any(map(math.isnan, K)))
+        return K, *sums
+
+    monkeypatch.setattr(profile_ode, "_stages", spy)
+    kind, message = _checked_once_as_every_stage(rhs, 1.0, np.linspace(0.0, 1.0, 5))
+    assert kind is StepUnderflow and message.startswith("step size fell below 10 ulp at s=")
+    assert float(message.rpartition("=")[2]) == pytest.approx(0.5)
+    assert any(both)
+
+
+def _stage_guarded_profile(P_val, ray, forcing, v0):
+    """integrate_profile's reference: forcing(t, v) through the instance, every stage checked."""
+    out_t = profile_ode._log_grid(ray.t_start, ray.t_end)
+
+    def rhs(s, v):
+        t = math.exp(s)
+        return -0.5 * P_val * v ** 3 + t * forcing(t, v)
+
+    vs = _integrate_adaptive(_stage_guard(rhs), v0, np.log(out_t),
+                             guard=lambda s, v: profile_ode.BLOWUP_GUARD - abs(v))
+    return vs, np.array([forcing(t, v) for t, v in zip(out_t.tolist(), vs.tolist())])
+
+
+def _plain_forcing(t, v):
+    return 0.2 * math.sin(math.log(t)) / t
+
+
+_TABLE_T = np.geomspace(2.0, 1e5, 40)
+_FORCINGS = {
+    "zero": ZeroForcing(),
+    "adversarial": EnvelopeForcing(0.5, 0.05, sigma=-0.5),
+    "fixed": EnvelopeForcing(0.5, 0.05, sigma=0.3, sign_mode="fixed"),
+    "tabulated": TabulatedForcing(_TABLE_T, 0.3 * np.sin(np.log(_TABLE_T)) / _TABLE_T),
+    "plain-function": _plain_forcing,
+}
+
+
+@pytest.mark.parametrize("forcing", _FORCINGS.values(), ids=_FORCINGS.keys())
+def test_bound_forcing_gives_the_stage_guarded_bits(forcing):
+    ray = _ray(sigma=-0.5, t_end=1e8)
+    series = integrate_profile(1.5, ray, forcing, v0=0.6)
+    V, G = _stage_guarded_profile(1.5, ray, forcing, 0.6)
+    assert _bits(series.V) == _bits(V)
+    assert _bits(series.G) == _bits(G)
+    assert np.any(G) != isinstance(forcing, ZeroForcing)
+
+
+def test_forcings_have_no_instance_dict():
+    for forcing in (ZeroForcing(), EnvelopeForcing(0.5, 0.05)):
+        assert not hasattr(forcing, "__dict__")
