@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from types import FunctionType
 from typing import Callable, Optional
 
 import numpy as np
@@ -324,13 +323,15 @@ def _integrate_adaptive(
     rhs itself.  If a stage raised, or the step's K or dense coefficients
     hold a NaN, the step is redone through f, which checks every stage:
     it raises at the first NaN stage, else gives the same bits (a NaN
-    from inf - inf is then the error control's to reject).  Returns y at
-    the increasing points out_s, read from the dense output of the step
-    that holds each point.  guard(s, y), if given, is a terminal event,
-    checked at the start and after each accepted step: where it changes
-    sign the root is located on that step's interpolant and ProfileBlowUp
-    is raised there.  A NaN derivative, a step below the floor, or more
-    than STEP_BUDGET attempted steps raises StepUnderflow.
+    from inf - inf is then the error control's to reject).  So rhs must
+    be pure: a redone step calls it again, and its first try may have
+    passed it a NaN y.  Returns y at the increasing points out_s, read
+    from the dense output of the step that holds each point.  guard(s, y),
+    if given, is a terminal event, checked at the start and after each
+    accepted step: where it changes sign the root is located on that
+    step's interpolant and ProfileBlowUp is raised there.  A NaN
+    derivative, a step below the floor, or more than STEP_BUDGET
+    attempted steps raises StepUnderflow.
     """
 
     def f(s, y):
@@ -459,13 +460,12 @@ class RayConfig:
 
 class ZeroForcing:
     """G identically zero."""
-    __slots__ = ()
 
     def __call__(self, t: float, v: float) -> float:
         return 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EnvelopeForcing:
     """|G(t)| = amplitude * <sigma>^(-mu-1/2) * t^(2 mu - 3/2).
 
@@ -565,7 +565,8 @@ def integrate_profile(
     the profile.  Raises ValueError on a non-finite v0, ProfileBlowUp
     where |V| crosses BLOWUP_GUARD (a terminal event) and StepUnderflow
     on a NaN derivative, a step below 10 ulp of log t, or a ray too stiff
-    for STEP_BUDGET steps.
+    for STEP_BUDGET steps.  forcing must be pure: on a step that is redone
+    it is called again, and may have been called with a NaN v.
     """
     if not 0 <= P_val < math.inf:
         raise ValueError("P_val must be nonnegative and finite")
@@ -581,8 +582,7 @@ def integrate_profile(
 
     minus_half_p = -0.5 * P_val
     exp = math.exp
-    # bound once, so an instance skips its type's call slot; a function is called as is
-    call = forcing if isinstance(forcing, FunctionType) else forcing.__call__
+    call = forcing.__call__   # bound once: an instance then skips its type's call slot
 
     def rhs(s, v):
         t = exp(s)

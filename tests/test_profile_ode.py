@@ -725,7 +725,3 @@ def test_bound_forcing_gives_the_stage_guarded_bits(forcing):
     assert _bits(series.G) == _bits(G)
     assert np.any(G) != isinstance(forcing, ZeroForcing)
 
-
-def test_forcings_have_no_instance_dict():
-    for forcing in (ZeroForcing(), EnvelopeForcing(0.5, 0.05)):
-        assert not hasattr(forcing, "__dict__")
