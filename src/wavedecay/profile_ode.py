@@ -459,7 +459,8 @@ class RayConfig:
 
 
 class ZeroForcing:
-    """G identically zero."""
+    """G identically zero.  integrate_profile never calls an exact ZeroForcing:
+    its rhs is -P/2 v^3 + 0.0 and its G is zeros."""
 
     def __call__(self, t: float, v: float) -> float:
         return 0.0
@@ -566,7 +567,8 @@ def integrate_profile(
     where |V| crosses BLOWUP_GUARD (a terminal event) and StepUnderflow
     on a NaN derivative, a step below 10 ulp of log t, or a ray too stiff
     for STEP_BUDGET steps.  forcing must be pure: on a step that is redone
-    it is called again, and may have been called with a NaN v.
+    it is called again, and may have been called with a NaN v.  An exact
+    ZeroForcing is never called: the rhs is -P/2 v^3 + 0.0 and G is zeros.
     """
     if not 0 <= P_val < math.inf:
         raise ValueError("P_val must be nonnegative and finite")
@@ -583,16 +585,20 @@ def integrate_profile(
     minus_half_p = -0.5 * P_val
     exp = math.exp
     call = forcing.__call__   # bound once: an instance then skips its type's call slot
+    unforced = type(forcing) is ZeroForcing     # not a subclass, which may override __call__
 
     def rhs(s, v):
         t = exp(s)
         return minus_half_p * v ** 3 + t * call(t, v)
 
+    def unforced_rhs(s, v):     # + 0.0 rounds as rhs's + t * 0.0 at every finite t
+        return minus_half_p * v ** 3 + 0.0
+
     def guard(s, v):
         return BLOWUP_GUARD - abs(v)
 
-    vs = _integrate_adaptive(rhs, v0, out_s, guard=guard)
-    gs = np.array(list(map(call, out_t.tolist(), vs.tolist())))
+    vs = _integrate_adaptive(unforced_rhs if unforced else rhs, v0, out_s, guard=guard)
+    gs = np.zeros(len(vs)) if unforced else np.array(list(map(call, out_t.tolist(), vs.tolist())))
     return ProfileSeries(
         times=out_t, V=vs, G=gs, Phi=P_val * vs ** 2,
         sigma=ray.sigma, P_val=P_val,

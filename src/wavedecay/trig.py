@@ -83,12 +83,6 @@ class NonlinearityCoefficients:
         return cls(**{name: d[name] for name in ("B", "C") if d.get(name) is not None})
 
 
-def eval_quadratic_symbol(coeffs: NonlinearityCoefficients, direction: Direction) -> float:
-    """Quadratic symbol sum_{jk} B_jk w_j w_k with w = (-1, omega1, omega2)."""
-    w = np.array(direction.hat)
-    return float(np.einsum("jk,j,k->", coeffs.B, w, w))
-
-
 def eval_cubic_symbol(coeffs: NonlinearityCoefficients, direction: Direction) -> float:
     """Cubic symbol P(omega) = sum_{jkl} C_jkl w_j w_k w_l with w = (-1, omega)."""
     w = np.array(direction.hat)

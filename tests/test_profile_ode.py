@@ -1,6 +1,8 @@
 """Unit tests for the ray-profile ODE and the logarithmic decay lemma."""
 
+import itertools
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -699,7 +701,8 @@ def _stage_guarded_profile(P_val, ray, forcing, v0):
 
     vs = _integrate_adaptive(_stage_guard(rhs), v0, np.log(out_t),
                              guard=lambda s, v: profile_ode.BLOWUP_GUARD - abs(v))
-    return vs, np.array([forcing(t, v) for t, v in zip(out_t.tolist(), vs.tolist())])
+    gs = np.array([forcing(t, v) for t, v in zip(out_t.tolist(), vs.tolist())])
+    return vs, gs, P_val * vs ** 2
 
 
 def _plain_forcing(t, v):
@@ -720,8 +723,46 @@ _FORCINGS = {
 def test_bound_forcing_gives_the_stage_guarded_bits(forcing):
     ray = _ray(sigma=-0.5, t_end=1e8)
     series = integrate_profile(1.5, ray, forcing, v0=0.6)
-    V, G = _stage_guarded_profile(1.5, ray, forcing, 0.6)
+    V, G, _ = _stage_guarded_profile(1.5, ray, forcing, 0.6)
     assert _bits(series.V) == _bits(V)
     assert _bits(series.G) == _bits(G)
     assert np.any(G) != isinstance(forcing, ZeroForcing)
 
+
+def _same_bits(series, reference):
+    return [_bits(a) for a in (series.V, series.G, series.Phi)] == list(map(_bits, reference))
+
+
+def test_unforced_ray_never_calls_its_forcing(monkeypatch):
+    calls = []
+
+    def counted(self, t, v):
+        calls.append(t)
+        return 0.0
+
+    ray = _ray(sigma=-0.5, t_end=1e8)
+    reference = _stage_guarded_profile(1.5, ray, ZeroForcing(), 0.6)
+    monkeypatch.setattr(ZeroForcing, "__call__", counted)
+    series = integrate_profile(1.5, ray, ZeroForcing(), v0=0.6)
+    assert calls == []
+    assert _same_bits(series, reference)
+
+    class Decaying(ZeroForcing):    # the fast path is for the exact type only
+        def __call__(self, t, v):
+            calls.append(t)
+            return 0.1 / t
+
+    forced = integrate_profile(1.5, ray, Decaying(), v0=0.6)
+    assert len(calls) > len(forced.times)       # every stage, then every G sample
+    assert _bits(forced.G) == _bits(0.1 / forced.times)
+    assert not np.array_equal(forced.V, series.V)
+
+
+@pytest.mark.parametrize("t_end", [1e4, 1e300, sys.float_info.max], ids=["1e4", "1e300", "max"])
+def test_unforced_corners_give_the_stage_guarded_bits(t_end):
+    # P = 0 freezes V, a tiny P barely moves it; v0 = -0.0 leaves V and G +0.0
+    ray = _ray(t_end=t_end)
+    for P_val, v0 in itertools.product((0.0, 1e-5, 1.0, 3.0), (0.5, -0.3, 0.0, -0.0, 1e-300)):
+        reference = _stage_guarded_profile(P_val, ray, ZeroForcing(), v0)
+        series = integrate_profile(P_val, ray, ZeroForcing(), v0=v0)
+        assert _same_bits(series, reference), (P_val, v0)

@@ -16,7 +16,6 @@ from wavedecay.trig import (
     TrigPolynomial,
     cubic_to_trig_poly,
     eval_cubic_symbol,
-    eval_quadratic_symbol,
     quadratic_to_trig_poly,
 )
 
@@ -52,6 +51,13 @@ def test_direction_from_angle_round_trip(theta):
 # symbol evaluation against an independent triple-loop oracle
 
 
+def _eval_quadratic_symbol(coeffs: NonlinearityCoefficients, direction: Direction) -> float:
+    """Quadratic symbol sum_{jk} B_jk w_j w_k with w = (-1, omega1, omega2), the
+    pointwise oracle for quadratic_to_trig_poly."""
+    w = np.array(direction.hat)
+    return float(np.einsum("jk,j,k->", coeffs.B, w, w))
+
+
 def _oracle_quadratic(B, w):
     total = 0.0
     for j in range(3):
@@ -78,7 +84,7 @@ def test_symbols_match_loop_oracle(seed):
     coeffs = NonlinearityCoefficients(B=B, C=C)
     d = Direction.from_angle(float(rng.uniform(0, TWO_PI)))
     w = d.hat
-    assert eval_quadratic_symbol(coeffs, d) == pytest.approx(
+    assert _eval_quadratic_symbol(coeffs, d) == pytest.approx(
         _oracle_quadratic(B, w), rel=1e-12, abs=1e-12
     )
     assert eval_cubic_symbol(coeffs, d) == pytest.approx(
@@ -95,8 +101,8 @@ def test_symbols_invariant_under_symmetrization():
     sym = NonlinearityCoefficients(B=0.5 * (coeffs.B + coeffs.B.T), C=C_sym / 6.0)
     for theta in rng.uniform(0, TWO_PI, size=8):
         d = Direction.from_angle(float(theta))
-        assert eval_quadratic_symbol(coeffs, d) == pytest.approx(
-            eval_quadratic_symbol(sym, d), rel=1e-12, abs=1e-12
+        assert _eval_quadratic_symbol(coeffs, d) == pytest.approx(
+            _eval_quadratic_symbol(sym, d), rel=1e-12, abs=1e-12
         )
         assert eval_cubic_symbol(coeffs, d) == pytest.approx(
             eval_cubic_symbol(sym, d), rel=1e-12, abs=1e-12
@@ -335,7 +341,7 @@ def test_restriction_matches_symbol_pointwise():
         for theta in rng.uniform(0, TWO_PI, size=4):
             d = Direction.from_angle(float(theta))
             assert pq(float(theta)) == pytest.approx(
-                eval_quadratic_symbol(coeffs, d), rel=1e-10, abs=1e-10
+                _eval_quadratic_symbol(coeffs, d), rel=1e-10, abs=1e-10
             )
             assert pc(float(theta)) == pytest.approx(
                 eval_cubic_symbol(coeffs, d), rel=1e-10, abs=1e-10
