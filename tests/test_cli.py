@@ -97,6 +97,7 @@ def test_profile_matches_closed_form(tmp_path):
     cfg = _write_cfg(tmp_path, body)
     out = tmp_path / "out"
     assert main(["profile", cfg, "--out", str(out)]) == 0
+    assert (out / "profile.csv").read_text().splitlines()[0] == "t,V,G,Phi,bound"
     rows = np.genfromtxt(out / "profile.csv", delimiter=",", names=True)
     t0 = rows["t"][0]
     exact = 0.5 / np.sqrt(1.0 + 0.25 * np.log(rows["t"] / t0))

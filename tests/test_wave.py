@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from wavedecay import wave
-from wavedecay.cli import _write_csv
 from wavedecay.trig import Direction, NonlinearityCoefficients
 from wavedecay.profile_ode import (
     RayConfig,
@@ -275,15 +274,6 @@ def _random_field(rng, n, scale, ring_only):
     ring_only=st.booleans(),
 )
 def test_diagnostics_match_full_grid_formulas(seed, sizes, Ls, t, R, scale, ring_only):
-    _check_diagnostics(seed, sizes, Ls, t, R, scale, ring_only)
-    # strips of 7 cells: every n above but 2 spans several strips, some of
-    # which start or end at row 1 or row n - 1, where the x-gradient starts
-    # and stops
-    with mock.patch.object(wave, "STRIP_CELLS", 7):
-        _check_diagnostics(seed, sizes, Ls, t, R, scale, ring_only)
-
-
-def _check_diagnostics(seed, sizes, Ls, t, R, scale, ring_only):
     rng = np.random.default_rng(seed)
     # alternate grids of equal n and different L, then change n, so state
     # kept from one call would be read against the wrong field
@@ -406,9 +396,8 @@ def _layouts(a):
     }
 
 
-@pytest.mark.parametrize("strip_cells", [None, 7])
 @pytest.mark.parametrize("row", [None, 1, 2, 3, 4])
-def test_diagnostics_of_non_contiguous_levels(strip_cells, row):
+def test_diagnostics_of_non_contiguous_levels(row):
     # every layout gives the C-contiguous level's bits.  With u = 0 and one
     # nonzero row of u_t, E is that row's sum times 0.125 (h = 0.5), so a
     # row summed in another order shows.
@@ -419,12 +408,11 @@ def test_diagnostics_of_non_contiguous_levels(strip_cells, row):
     if row is not None:
         u[:] = 0.0
         u_t[:row] = u_t[row + 1:] = 0.0
-    with mock.patch.object(wave, "STRIP_CELLS", strip_cells or wave.STRIP_CELLS):
-        E, leak = energy(u, u_t, h), check_propagation(u, 5.0, h, L, 1.0)
-        for (name, v), v_t in zip(_layouts(u).items(), _layouts(u_t).values()):
-            assert not v.flags.c_contiguous and not v_t.flags.c_contiguous, name
-            assert energy(v, v_t, h) == E, name
-            assert check_propagation(v, 5.0, h, L, 1.0) == leak, name
+    E, leak = energy(u, u_t, h), check_propagation(u, 5.0, h, L, 1.0)
+    for (name, v), v_t in zip(_layouts(u).items(), _layouts(u_t).values()):
+        assert not v.flags.c_contiguous and not v_t.flags.c_contiguous, name
+        assert energy(v, v_t, h) == E, name
+        assert check_propagation(v, 5.0, h, L, 1.0) == leak, name
 
 
 # ---------------------------------------------------------------------------
@@ -1327,15 +1315,3 @@ def test_residual_recovers_planted_forcing():
     # H should reproduce the constant planted forcing on the interior
     mask = (rep.times > 3.0) & (rep.times < 500.0)
     assert np.abs(rep.H[mask] - 1e-3).max() < 1e-4
-
-
-def test_energy_csv_deterministic(tmp_path):
-    cfg = SolverConfig(h=0.25, L=8.0, T=3.0)
-    data = InitialData(kind="smooth_bump", R=1.0, eps=0.1)
-    bodies = []
-    for k in range(2):
-        res = run(cfg, data)
-        columns = {"t": res.energy.times, "E": res.energy.E, "E_bound": None}
-        bodies.append(_write_csv(tmp_path / f"energy{k}.csv", columns).read_text())
-    assert bodies[0] == bodies[1]
-    assert bodies[0].splitlines()[0] == "t,E"
